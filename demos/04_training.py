@@ -71,8 +71,8 @@ def main():
         graphs, all0, mining_cfg, "m3", "N2", stream.derive("valmine"),
         query_clusters={g.cluster_id for g in val_graphs})
 
-    cfg = TrainConfig(batch_tuples=2, max_epochs=6, negatives_per_tuple=3,
-                      remine_per_epoch=2, max_image_side=48)
+    cfg = TrainConfig(batch_tuples=2, max_epochs=6, remine_per_epoch=2,
+                      max_image_side=48)
     result = train(miner, val_tuples, spec, params0, cfg, LossConfig(),
                    stream.derive("train"), loss_kind="contrastive")
 

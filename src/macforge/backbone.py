@@ -434,5 +434,10 @@ def load_checkpoint(path):
     sidecar = path + ".json"
     if os.path.exists(sidecar):
         with open(sidecar) as f:
-            meta = json.load(f)
+            try:
+                meta = json.load(f)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise FormatError(
+                    f"checkpoint sidecar {sidecar} is not valid JSON: {exc}"
+                ) from exc
     return spec, NetParams(weights, biases), meta

@@ -162,8 +162,9 @@ def resolve_config(args):
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
         cfg[key] = _coerce(key, value)
-    if cfg["threads"] < 0:
-        raise ConfigError("threads must be non-negative")
+    for key in ("threads", "rmac_scales", "dim"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be non-negative")
     if cfg["threads"] == 0:
         cfg["threads"] = os.cpu_count() or 1
     return cfg
@@ -209,7 +210,6 @@ def train_config(cfg):
         weight_decay=cfg["weight_decay"],
         batch_tuples=cfg["batch_tuples"],
         max_epochs=cfg["max_epochs"],
-        negatives_per_tuple=cfg["negatives"],
         remine_per_epoch=cfg["remine_per_epoch"],
         max_image_side=cfg["max_image_side"],
         freeze_conv_layers=cfg["freeze_conv_layers"])

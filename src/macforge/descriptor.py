@@ -251,6 +251,9 @@ def load_descriptors(path) -> dict[str, np.ndarray]:
                 raise FormatError(f"record {i} id is not valid UTF-8") from exc
             if name in out:
                 raise FormatError(f"duplicate descriptor id {name!r}")
-            out[name] = read_f32_array(f, dim, f"record {i} values")
+            vec = read_f32_array(f, dim, f"record {i} values")
+            if not np.all(np.isfinite(vec)):
+                raise FormatError(f"descriptor {name!r} has non-finite values")
+            out[name] = vec
         expect_eof(f, "descriptor db")
     return out

@@ -22,6 +22,7 @@ import numpy as np
 
 from .ioutil import FormatError
 from .numeric import SeededStream
+from .retrieval import DescriptorDB, search
 
 
 class GraphError(ValueError):
@@ -233,23 +234,23 @@ def mine_negatives(query: str, descriptors: dict, cluster_of, n: int,
     N1 takes the top n outright; N2 greedily keeps at most one image per
     cluster. Ties in similarity break toward the lower image-id.
     """
+    return _hard_negatives(query, descriptors[query], DescriptorDB(descriptors),
+                           cluster_of, n, variant)
+
+
+def _hard_negatives(query: str, dq, db: DescriptorDB, cluster_of, n: int,
+                    variant: str) -> list:
+    """The N1/N2 walk down the ranking of db by similarity to dq."""
     if variant not in ("N1", "N2"):
         raise ValueError(f"unknown negative variant {variant!r}")
-    q_cluster = cluster_of(query)
-    dq = np.asarray(descriptors[query], dtype=np.float64)
-    ranked = sorted(
-        (-float(np.asarray(vec, dtype=np.float64) @ dq), img)
-        for img, vec in descriptors.items()
-        if cluster_of(img) != q_cluster
-    )
     chosen = []
-    seen_clusters = set()
-    for _, img in ranked:
+    excluded = {cluster_of(query)}
+    for img, _ in search(db, dq, len(db)):
+        c = cluster_of(img)
+        if c in excluded:
+            continue
         if variant == "N2":
-            c = cluster_of(img)
-            if c in seen_clusters:
-                continue
-            seen_clusters.add(c)
+            excluded.add(c)
         chosen.append(img)
         if len(chosen) == n:
             return chosen
@@ -327,7 +328,10 @@ def build_tuples(graphs: list, descriptors: dict, cfg: MiningConfig,
             except NoPositiveError as exc:
                 skipped.append((q, str(exc)))
 
+    if not positives:
+        return [], skipped
     universe = negative_universe(graphs, queries, positives, cfg, stream)
+    db = DescriptorDB({i: descriptors[i] for i in universe})
     cluster_of = cluster_of_img.__getitem__
 
     tuples = []
@@ -335,11 +339,9 @@ def build_tuples(graphs: list, descriptors: dict, cfg: MiningConfig,
         for q in queries[cid]:
             if q not in positives:
                 continue
-            cand = {i: descriptors[i] for i in universe}
-            cand[q] = descriptors[q]
             try:
-                negs = mine_negatives(q, cand, cluster_of, cfg.negatives,
-                                      negative_variant)
+                negs = _hard_negatives(q, descriptors[q], db, cluster_of,
+                                       cfg.negatives, negative_variant)
             except ShortListError as exc:
                 skipped.append((q, str(exc)))
                 continue
@@ -394,8 +396,7 @@ class TupleMiner:
             cid = self.cluster_of[t.query]
             queries.setdefault(cid, []).append(t.query)
             positives[t.query] = t.positive
-        self._queries = queries
-        self._positives = positives
+        # contains every tuple's query, so remine() embeds only the universe
         self.universe = negative_universe(self.graphs, queries, positives,
                                           cfg, self.stream)
 
@@ -407,17 +408,14 @@ class TupleMiner:
 
     def remine(self, embed) -> None:
         """Re-select negatives under a fresh embedding; positives stay."""
-        ids = sorted(set(self.universe) | set(self._positives))
-        descriptors = {i: embed(self.images[i]) for i in ids}
+        descriptors = {i: embed(self.images[i]) for i in self.universe}
+        db = DescriptorDB(descriptors)
         cluster_of = self.cluster_of.__getitem__
-        new_tuples = []
-        for t in self.tuples:
-            cand = {i: descriptors[i] for i in self.universe}
-            cand[t.query] = descriptors[t.query]
-            negs = mine_negatives(t.query, cand, cluster_of,
-                                  self.cfg.negatives, self.negative_variant)
-            new_tuples.append(TrainingTuple(t.query, t.positive, tuple(negs)))
-        self.tuples = new_tuples
+        self.tuples = [
+            TrainingTuple(t.query, t.positive, tuple(_hard_negatives(
+                t.query, descriptors[t.query], db, cluster_of,
+                self.cfg.negatives, self.negative_variant)))
+            for t in self.tuples]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Deterministic numeric kernels: seeded random streams and symmetric eigen-math.
 
-Everything here is pure and platform-stable: the random streams are
-counter-based (Philox) so a (seed, stream_id) pair names the same sequence
-on any machine, and the eigensolver is a cyclic Jacobi iteration whose
-result depends only on its input.
+Everything here is pure. The random streams are platform-stable: they are
+counter-based (Philox), so a (seed, stream_id) pair names the same sequence
+on any machine. The eigensolver is LAPACK's, so its last bits are fixed by
+the numpy/LAPACK build rather than by the input alone.
 """
 
 from __future__ import annotations
@@ -80,21 +80,12 @@ class SeededStream:
     def permutation(self, x):
         return self._gen.permutation(x)
 
-    def choice(self, seq):
-        """Uniform pick from a non-empty sequence."""
-        if len(seq) == 0:
-            raise ValueError("cannot choose from an empty sequence")
-        return seq[int(self._gen.integers(0, len(seq)))]
-
-    def shuffled(self, seq: list) -> list:
-        return [seq[i] for i in self._gen.permutation(len(seq))]
-
     def __repr__(self):
         return f"SeededStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
 # ---------------------------------------------------------------------------
-# Symmetric eigendecomposition (cyclic Jacobi)
+# Symmetric eigendecomposition
 # ---------------------------------------------------------------------------
 
 
@@ -111,84 +102,25 @@ def _check_symmetric(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK via np.linalg.eigh).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending
-    and eigenvectors as orthonormal columns. The sign of each column is
-    fixed so its largest-magnitude entry is positive, making the output
-    fully deterministic.
-
-    Sweeps run until the largest off-diagonal entry drops below
-    1e-12 * ||A||_F. Intended for moderate sizes (descriptor
-    dimensionalities, K <= 512).
+    (stable: ties keep LAPACK's order) and eigenvectors as orthonormal
+    columns. The sign of each column is fixed so its largest-magnitude
+    entry is positive, so the output depends only on the input and the
+    numpy/LAPACK build.
     """
     a = _check_symmetric(a)
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return np.empty(0), np.empty((0, 0))
-
-    work = (a + a.T) / 2.0
-    vecs = np.eye(n)
-    threshold = 1e-12 * np.linalg.norm(work)
-
-    if threshold > 0:
-        for _sweep in range(100):
-            off = 0.0
-            for p in range(n - 1):
-                row = np.abs(work[p, p + 1 :])
-                if row.size:
-                    off = max(off, row.max())
-            if off <= threshold:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = work[p, q]
-                    if abs(apq) <= threshold:
-                        continue
-                    _jacobi_rotate(work, vecs, p, q)
-
-    vals = np.diagonal(work).copy()
-    # Stable descending sort: ties keep original index order.
+    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
-    # Sign convention: largest-magnitude entry of each column positive;
-    # argmax picks the lowest index on ties.
-    for j in range(n):
-        i = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[i, j] < 0:
-            vecs[:, j] = -vecs[:, j]
+    # argmax picks the lowest index on ties
+    rows = np.argmax(np.abs(vecs), axis=0)
+    vecs *= np.where(vecs[rows, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
     return vals, vecs
-
-
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One Jacobi rotation zeroing a[p, q], applied in place to a and v."""
-    app, aqq, apq = a[p, p], a[q, q], a[p, q]
-    # Stable rotation: t = sign(theta) / (|theta| + sqrt(theta^2 + 1)).
-    theta = (aqq - app) / (2.0 * apq)
-    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-    if theta == 0.0:
-        t = 1.0
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
-
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = c * c * app - 2.0 * s * c * apq + s * s * aqq
-    a[q, q] = s * s * app + 2.0 * s * c * apq + c * c * aqq
-
-    col_p = v[:, p].copy()
-    col_q = v[:, q].copy()
-    v[:, p] = c * col_p - s * col_q
-    v[:, q] = s * col_p + c * col_q
 
 
 def inv_sqrt_psd(

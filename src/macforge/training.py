@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import LayerSpec, NetParams, backward, forward
-from .descriptor import l2n, mac, mac_backward, similarity
+from .descriptor import l2n, mac, mac_backward
 from .numeric import DimensionError, SeededStream
+from .retrieval import DescriptorDB, search
 
 
 class TrainingDivergedError(RuntimeError):
@@ -41,7 +42,6 @@ class TrainConfig:
     weight_decay: float = 0.0005
     batch_tuples: int = 5
     max_epochs: int = 30
-    negatives_per_tuple: int = 5
     remine_per_epoch: int = 3
     max_image_side: int = 362
     freeze_conv_layers: int = 0
@@ -52,8 +52,7 @@ class TrainConfig:
         if self.base_lr < 0:
             raise ValueError("base_lr must be non-negative")
         for name in ("lr_divisor", "lr_period", "max_epochs",
-                     "negatives_per_tuple", "remine_per_epoch",
-                     "max_image_side"):
+                     "remine_per_epoch", "max_image_side"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -192,11 +191,9 @@ def validate(params: NetParams, spec: list[LayerSpec], tuples: list,
 
     total = 0.0
     for t in tuples:
-        dq = desc(t.query)
-        ranked = sorted(
-            [(-similarity(dq, desc(i)), i) for i in (t.positive,) + tuple(t.negatives)])
-        rank = 1 + [i for _, i in ranked].index(t.positive)
-        total += 1.0 / rank
+        db = DescriptorDB({i: desc(i) for i in (t.positive,) + t.negatives})
+        ranking = [i for i, _ in search(db, desc(t.query), len(db))]
+        total += 1.0 / (1 + ranking.index(t.positive))
     return total / len(tuples)
 
 

@@ -660,8 +660,7 @@ class TestAcceptance:
         mining_cfg = MiningConfig(pool_size=10, negatives=2,
                                   candidate_negatives_per_cluster=8)
         train_cfg = TrainConfig(batch_tuples=2, max_epochs=2,
-                                negatives_per_tuple=2, remine_per_epoch=1,
-                                max_image_side=32)
+                                remine_per_epoch=1, max_image_side=32)
 
         def run(root):
             data = os.path.join(root, "data")

@@ -279,6 +279,44 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert "does not match" in capsys.readouterr().err
 
+    def test_non_finite_descriptor_is_data_error(self, tmp_path, capsys):
+        import numpy as np
+
+        from macforge.descriptor import save_descriptors
+        db = str(tmp_path / "nan.macd")
+        save_descriptors(db, {"a": np.array([1.0, 0.0]),
+                              "b": np.array([np.nan, 0.0])})
+        code = run_cli("whiten", "--descriptors", db, "--kind", "pcaw",
+                       "--out", str(tmp_path / "p.mfpw"))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "'b'" in err and "non-finite" in err
+
+    def test_corrupt_checkpoint_sidecar_is_data_error(self, workspace,
+                                                      tmp_path, capsys):
+        data, run = str(workspace / "data"), str(workspace / "run")
+        ckpt = tmp_path / "c.mfck"
+        with open(f"{run}/init.mfck", "rb") as f:
+            ckpt.write_bytes(f.read())
+        sidecar = tmp_path / "c.mfck.json"
+        sidecar.write_text('{"seed": 4')
+        code = run_cli("embed", "--checkpoint", str(ckpt),
+                       "--images", f"{data}/images",
+                       "--out", str(tmp_path / "o.macd"))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(sidecar) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("setting", ["rmac_scales=-1", "dim=-3"])
+    def test_negative_extraction_setting_is_config_error(self, setting,
+                                                          tmp_path, capsys):
+        code = run_cli("embed", "--checkpoint", str(tmp_path / "c.mfck"),
+                       "--images", str(tmp_path),
+                       "--out", str(tmp_path / "o.macd"), "--set", setting)
+        assert code == EXIT_CONFIG
+        assert setting.split("=")[0] in capsys.readouterr().err
+
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("frobnicate")

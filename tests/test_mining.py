@@ -15,6 +15,7 @@ from macforge.mining import (
     NoSharedPointsError,
     ShortListError,
     TrainingTuple,
+    TupleMiner,
     VisibilityGraph,
     build_tuples,
     candidate_pool,
@@ -498,6 +499,39 @@ class TestBuildTuples:
         t1, _ = build_tuples(graphs, descs, cfg, "m3", "N2", SeededStream(3))
         t2, _ = build_tuples(graphs, descs, cfg, "m3", "N2", SeededStream(3))
         assert t1 == t2
+
+
+class TestTupleMiner:
+    @pytest.mark.parametrize("variant", ["N1", "N2"])
+    def test_remine_matches_mine_negatives(self, variant):
+        stream = SeededStream(72)
+        graphs = [random_graph(stream.derive("g", c), cluster_id=f"c{c}",
+                               n_images=8, all_edges=True)
+                  for c in range(4)]
+        ids = [i for g in graphs for i in g.images]
+        embed1 = random_unit_descriptors(stream.derive("before"), ids)
+        embed2 = random_unit_descriptors(stream.derive("after"), ids)
+        cfg = MiningConfig(pool_size=5, negatives=2,
+                           candidate_negatives_per_cluster=3)
+        # images are stand-ins: the embedding looks each id up directly
+        miner = TupleMiner(graphs, {i: i for i in ids}, cfg,
+                           embed1.__getitem__, "m2", variant,
+                           SeededStream(4))
+        before = miner.current_tuples()
+        assert before
+        miner.remine(embed2.__getitem__)
+        after = miner.current_tuples()
+        assert [(t.query, t.positive) for t in after] == \
+            [(t.query, t.positive) for t in before]
+        cluster_of = {i: g.cluster_id for g in graphs for i in g.images}
+        for t in after:
+            cand = {i: embed2[i] for i in miner.universe}
+            cand[t.query] = embed2[t.query]
+            assert list(t.negatives) == mine_negatives(
+                t.query, cand, cluster_of.__getitem__, cfg.negatives,
+                variant)
+        assert any(a.negatives != b.negatives
+                   for a, b in zip(before, after))
 
 
 class TestSceneIO:

@@ -59,14 +59,9 @@ class TestSeededStream:
         a.random(50)
         assert a.derive("x").seed == SeededStream(7).derive("x").seed
 
-    def test_choice_and_permutation(self):
-        s = SeededStream(11)
-        seq = ["a", "b", "c", "d"]
-        assert s.choice(seq) in seq
+    def test_permutation(self):
         perm = SeededStream(11, 1).permutation(6)
         assert sorted(perm) == list(range(6))
-        with pytest.raises(ValueError):
-            s.choice([])
 
 
 class TestSymEig:

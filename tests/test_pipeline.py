@@ -382,8 +382,8 @@ class TestStageMine:
             assert len(t.negatives) == 2
 
 
-TRAIN_CFG = TrainConfig(batch_tuples=2, max_epochs=2, negatives_per_tuple=2,
-                        remine_per_epoch=1, max_image_side=32)
+TRAIN_CFG = TrainConfig(batch_tuples=2, max_epochs=2, remine_per_epoch=1,
+                        max_image_side=32)
 
 
 @pytest.fixture(scope="module")

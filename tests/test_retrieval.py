@@ -124,12 +124,13 @@ class TestAveragePrecision:
         stream = SeededStream(32)
         ids = [f"i{j}" for j in range(12)]
         gt = QueryGroundTruth(frozenset(ids[:3]))
-        ranking = list(stream.shuffled(ids))
+        ranking = [ids[i] for i in stream.permutation(len(ids))]
         last = max(ranking.index(r) for r in gt.relevant)
         base = average_precision(ranking, gt)
         for trial in range(5):
-            tail = list(stream.derive("t", trial).shuffled(
-                ranking[last + 1:]))
+            rest = ranking[last + 1:]
+            tail = [rest[i] for i in
+                    stream.derive("t", trial).permutation(len(rest))]
             assert average_precision(ranking[:last + 1] + tail, gt) == base
 
     def test_agrees_with_brute_force_on_random_instances(self):
@@ -146,7 +147,7 @@ class TestAveragePrecision:
                 relevant = frozenset({ids[0]})
                 ignored = ignored - relevant
             gt = QueryGroundTruth(relevant, ignored)
-            ranking = list(s.shuffled(ids))
+            ranking = [ids[i] for i in s.permutation(len(ids))]
             if int(s.integers(0, 4)) == 0:  # sometimes drop a suffix
                 ranking = ranking[:max(1, n - 3)]
             got = average_precision(ranking, gt)
