@@ -64,6 +64,9 @@ class Camera:
         rotation = np.asarray(self.rotation, dtype=np.float64)
         if center.shape != (3,) or rotation.shape != (3, 3):
             raise GraphError("camera needs a 3-vector center and 3x3 rotation")
+        if not (np.isfinite(center).all() and np.isfinite(rotation).all()
+                and math.isfinite(self.focal)):
+            raise GraphError("camera center, rotation and focal must be finite")
         if np.max(np.abs(rotation @ rotation.T - np.eye(3))) > 1e-9:
             raise GraphError("camera rotation is not orthonormal")
         if abs(np.linalg.det(rotation) - 1.0) > 1e-9:
@@ -78,15 +81,37 @@ class Camera:
         return float(self.rotation[2] @ (np.asarray(point) - self.center))
 
 
+# derived tables are computed from these; reassigning one drops them
+_GRAPH_FIELDS = frozenset({"cluster_id", "images", "points", "edges"})
+
+
 @dataclass
 class VisibilityGraph:
     """One reconstructed cluster: images with cameras, points, and the
-    image-observes-point edge set."""
+    image-observes-point edge set.
+
+    Tables derived from the fields (observations, depths, appearance)
+    are computed once and kept on the graph until a field is reassigned;
+    mutating `images`, `points` or `edges` in place is not tracked, so
+    assign a new container instead.
+    """
 
     cluster_id: str
     images: dict  # image-id -> Camera
     points: dict  # point-id -> (3,) world position
     edges: set   # of (image-id, point-id)
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name in _GRAPH_FIELDS:
+            self.__dict__.pop("_derived", None)
+
+    def derived(self, key, build):
+        """The table `build(self)`, computed on first request per key."""
+        tables = self.__dict__.setdefault("_derived", {})
+        if key not in tables:
+            tables[key] = build(self)
+        return tables[key]
 
     def validate(self) -> None:
         for img, pid in self.edges:
@@ -94,6 +119,9 @@ class VisibilityGraph:
                 raise GraphError(f"edge references unknown image {img!r}")
             if pid not in self.points:
                 raise GraphError(f"edge references unknown point {pid!r}")
+        for pid, xyz in self.points.items():
+            if np.shape(xyz) != (3,) or not np.isfinite(xyz).all():
+                raise GraphError(f"point {pid!r} needs 3 finite coordinates")
         observers = {pid: 0 for pid in self.points}
         for _, pid in self.edges:
             observers[pid] += 1
@@ -105,14 +133,27 @@ class VisibilityGraph:
 
     def observation_map(self) -> dict:
         """image-id -> frozenset of observed point-ids (cached)."""
-        cache = self.__dict__.get("_obs_cache")
-        if cache is None:
-            sets = {img: set() for img in self.images}
-            for img, pid in self.edges:
-                sets[img].add(pid)
-            cache = {img: frozenset(s) for img, s in sets.items()}
-            self.__dict__["_obs_cache"] = cache
-        return cache
+        return self.derived("observations", _observations)
+
+    def depth_map(self) -> dict:
+        """image-id -> {point-id: depth in that camera} over the edges
+        (cached)."""
+        return self.derived("depths", _depths)
+
+
+def _observations(g: VisibilityGraph) -> dict:
+    sets = {img: set() for img in g.images}
+    for img, pid in g.edges:
+        sets[img].add(pid)
+    return {img: frozenset(s) for img, s in sets.items()}
+
+
+def _depths(g: VisibilityGraph) -> dict:
+    table = {}
+    for img, pids in g.observation_map().items():
+        cam = g.images[img]
+        table[img] = {pid: cam.depth_of(g.points[pid]) for pid in pids}
+    return table
 
 
 @dataclass(frozen=True)
@@ -195,13 +236,19 @@ def scale_change(g: VisibilityGraph, i: str, q: str) -> float:
     shared = observed_points(g, i) & observed_points(g, q)
     if not shared:
         raise NoSharedPointsError(f"{i!r} and {q!r} share no points")
+    depth_map = g.depth_map()
     scales = {}
     for img in (i, q):
-        cam = g.images[img]
-        depths = np.array([cam.depth_of(g.points[pid]) for pid in sorted(shared)])
-        if np.min(depths) <= 0:
+        of_img = depth_map[img]
+        depths = sorted(of_img[pid] for pid in shared)
+        if depths[0] <= 0:
             raise GeometryError(f"shared point behind camera {img!r}")
-        scales[img] = cam.focal / float(np.median(depths))
+        # the middle depth, or the mean of the middle two: np.median's
+        # arithmetic, without its per-call overhead
+        mid = len(depths) // 2
+        median = (depths[mid] if len(depths) % 2
+                  else (depths[mid - 1] + depths[mid]) / 2)
+        scales[img] = g.images[img].focal / median
     r = scales[i] / scales[q]
     return max(r, 1.0 / r)
 

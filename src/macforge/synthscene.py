@@ -6,7 +6,10 @@ on randomized orbits that look at the cloud centroid. A visibility edge
 (image, point) exists iff the point projects inside the frame with
 positive depth and survives an occlusion coin flip. Appearance (point
 colors, background texture) is derived by hashing ids against a fixed
-constant, which makes render() a pure function of (graph, image id).
+constant, which makes render() a pure function of (graph, image id,
+size). The id-only parts (each point's color, the cluster-fixed
+backdrop waves per size) are computed once per graph and cached on it,
+next to its observation and depth tables.
 """
 
 import math
@@ -153,33 +156,44 @@ def _appearance(*labels):
     return SeededStream(_APPEARANCE_SEED).derive(*labels)
 
 
-def _point_color(cluster_id, point_id):
+def _point_colors(graph):
     # every cluster owns a small anchor palette; points jitter around
     # one anchor, so cluster identity is carried by stable colors that
     # persist across viewpoints
-    anchors = 0.2 + 0.8 * _appearance("palette", cluster_id).random((3, 3))
-    s = _appearance("color", cluster_id, point_id)
-    anchor = anchors[int(s.integers(0, 3))]
-    return np.clip(anchor + s.uniform(-0.08, 0.08, size=3), 0.0, 1.0)
+    anchors = 0.2 + 0.8 * _appearance("palette", graph.cluster_id).random((3, 3))
+    colors = {}
+    for point_id in graph.points:
+        s = _appearance("color", graph.cluster_id, point_id)
+        anchor = anchors[int(s.integers(0, 3))]
+        # shaped (3, 1, 1) to broadcast over a splat's patch
+        colors[point_id] = np.clip(anchor + s.uniform(-0.08, 0.08, size=3),
+                                   0.0, 1.0)[:, None, None]
+    return colors
 
 
-def _add_waves(img, coords, freqs, weights, phases):
-    for h in range(len(phases)):
-        wave = np.sin(2.0 * math.pi
-                      * (freqs[h, 0] * coords[None, :]
-                         + freqs[h, 1] * coords[:, None]) + phases[h])
-        img += weights[h][:, None, None] * wave[None, :, :]
+def _waves(coords, freqs, phases):
+    return [np.sin(2.0 * math.pi
+                   * (freqs[h, 0] * coords[None, :]
+                      + freqs[h, 1] * coords[:, None]) + phases[h])
+            for h in range(len(phases))]
 
 
-def _background(cluster_id, image_id, size):
+def _cluster_waves(cluster_id, size):
+    s = _appearance("background", cluster_id)
+    freqs = s.uniform(0.5, 3.0, size=(3, 2))
+    weights = 0.015 + 0.015 * s.random((3, 3))
+    phases = s.uniform(0.0, 2.0 * math.pi, size=3)
+    coords = (np.arange(size) + 0.5) / size
+    return weights, _waves(coords, freqs, phases)
+
+
+def _background(graph, image_id, size):
     # the background is mostly per-image nuisance (random tint and
     # waves) with only a faint cluster-fixed pattern, so cluster
     # identity lives in the splatted points rather than the backdrop
-    s = _appearance("background", cluster_id)
-    cluster_freqs = s.uniform(0.5, 3.0, size=(3, 2))
-    cluster_weights = 0.015 + 0.015 * s.random((3, 3))
-    cluster_phases = s.uniform(0.0, 2.0 * math.pi, size=3)
-    si = _appearance("image", cluster_id, image_id)
+    cluster_weights, cluster_waves = graph.derived(
+        ("backdrop", size), lambda g: _cluster_waves(g.cluster_id, size))
+    si = _appearance("image", graph.cluster_id, image_id)
     base = 0.2 + 0.3 * si.random(3)
     image_freqs = si.uniform(1.0, 4.0, size=(2, 2))
     image_weights = 0.05 + 0.06 * si.random((2, 3))
@@ -187,8 +201,13 @@ def _background(cluster_id, image_id, size):
 
     coords = (np.arange(size) + 0.5) / size
     img = np.broadcast_to(base[:, None, None], (3, size, size)).copy()
-    _add_waves(img, coords, cluster_freqs, cluster_weights, cluster_phases)
-    _add_waves(img, coords, image_freqs, image_weights, image_phases)
+    # waves are weighted and added one by one, in a fixed order: float
+    # addition does not associate, so summing the cluster waves first
+    # would change the float64 backdrop the splats are blended into
+    weights = list(cluster_weights) + list(image_weights)
+    waves = cluster_waves + _waves(coords, image_freqs, image_phases)
+    for weight, wave in zip(weights, waves):
+        img += weight[:, None, None] * wave[None, :, :]
     return np.clip(img, 0.0, 1.0)
 
 
@@ -196,16 +215,19 @@ def render(graph, image_id, size=DEFAULT_IMAGE_SIZE):
     """Splat the image's visible points over a procedural background.
 
     Pure in (graph, image_id, size): repeated calls are bit-identical.
-    Splats are painted far to near so closer points occlude.
+    Point colors and the cluster-fixed backdrop waves are pure in ids,
+    so they are computed once per graph and kept on it (see
+    VisibilityGraph.derived); a cached table gives the same bits as a
+    fresh one. Splats are painted far to near so closer points occlude.
     """
     if image_id not in graph.images:
         raise GraphError(f"unknown image id {image_id!r}")
     camera = graph.images[image_id]
-    img = _background(graph.cluster_id, image_id, size)
+    img = _background(graph, image_id, size)
+    colors = graph.derived("point_colors", _point_colors)
 
-    visible = sorted(p for i, p in graph.edges if i == image_id)
     splats = []
-    for point_id in visible:
+    for point_id in sorted(graph.observation_map()[image_id]):
         u, v, depth = project(camera, graph.points[point_id], size)
         if depth <= 0.0:
             continue
@@ -225,12 +247,15 @@ def render(graph, image_id, size=DEFAULT_IMAGE_SIZE):
         y1 = min(size, int(math.ceil(v + support)) + 1)
         if x0 >= x1 or y0 >= y1:
             continue
-        xs = np.arange(x0, x1) + 0.5
-        ys = np.arange(y0, y1) + 0.5
-        alpha = np.exp(-((xs[None, :] - u) ** 2 + (ys[:, None] - v) ** 2)
-                       / (2.0 * sigma * sigma))
-        color = _point_color(graph.cluster_id, point_id)
+        dx2 = (np.arange(x0, x1) + 0.5 - u) ** 2
+        dy2 = (np.arange(y0, y1) + 0.5 - v) ** 2
+        # dividing by the negated width is exact: the same exponent as
+        # -(dx2 + dy2) / (2 sigma^2), one array pass fewer
+        alpha = np.exp((dx2[None, :] + dy2[:, None])
+                       / -(2.0 * sigma * sigma))
+        # in place, but the same products and sum per pixel as
+        # patch * (1 - alpha) + color * alpha
         patch = img[:, y0:y1, x0:x1]
-        img[:, y0:y1, x0:x1] = (patch * (1.0 - alpha)
-                                + color[:, None, None] * alpha)
+        patch *= 1.0 - alpha
+        patch += colors[point_id] * alpha
     return img.astype(np.float32)

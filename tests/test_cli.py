@@ -105,8 +105,12 @@ class TestConfigResolution:
                                   "--images", "i", "--out", "o"])
         assert resolve_config(args)["rmac_scales"] == 2
 
-    def test_config_echoed_with_hash(self, capsys):
-        run_cli("synth", "--out", "/nonexistent-parent/x")
+    def test_config_echoed_with_hash(self, tmp_path, capsys):
+        # the config is echoed before the stage runs; an output path
+        # under a regular file then fails at once, also for root
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli("synth", "--out", str(blocker / "x")) == EXIT_IO
         err = capsys.readouterr().err
         assert "clusters=20" in err
         assert "config_hash=" in err
@@ -291,6 +295,22 @@ class TestExitCodes:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert "'b'" in err and "non-finite" in err
+
+    def test_non_finite_scene_is_data_error(self, workspace, tmp_path,
+                                            capsys):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        path = scenes / "c00.json"
+        with open(workspace / "data" / "scenes" / "c00.json") as f:
+            doc = json.load(f)
+        doc["images"][0]["camera"]["rotation"][4] = float("nan")
+        path.write_text(json.dumps(doc))
+        code = run_cli("mine", "--scenes", str(scenes),
+                       "--descriptors", str(tmp_path / "d.macd"),
+                       "--out", str(tmp_path / "t.mftp"))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
 
     def test_corrupt_checkpoint_sidecar_is_data_error(self, workspace,
                                                       tmp_path, capsys):

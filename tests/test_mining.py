@@ -1,5 +1,6 @@
 """Tests for visibility-graph tuple mining against brute-force oracles."""
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from macforge.mining import (
     GeometryError,
     GraphError,
     MiningConfig,
+    MiningError,
     NoPositiveError,
     NoSharedPointsError,
     ShortListError,
@@ -91,7 +93,67 @@ def random_unit_descriptors(stream, ids, dim=8):
     return out
 
 
+def scale_change_oracle(g, i, q):
+    """scale_change with every depth recomputed by Camera.depth_of."""
+    shared = sorted({p for img, p in g.edges if img == i}
+                    & {p for img, p in g.edges if img == q})
+    if not shared:
+        raise NoSharedPointsError(f"{i!r} and {q!r} share no points")
+    scales = {}
+    for img in (i, q):
+        cam = g.images[img]
+        depths = np.array([cam.depth_of(g.points[pid]) for pid in shared])
+        if np.min(depths) <= 0:
+            raise GeometryError(f"shared point behind camera {img!r}")
+        scales[img] = cam.focal / float(np.median(depths))
+    r = scales[i] / scales[q]
+    return max(r, 1.0 / r)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the MiningError it raised."""
+    try:
+        return fn(*args)
+    except MiningError as exc:
+        return type(exc)
+
+
+def behind_camera_graph():
+    """Two cameras sharing two points that sit behind camera "i"."""
+    rot = np.eye(3)
+    images = {
+        "i": Camera(np.array([0.0, 0.0, 5.0]), rot, 100.0),
+        "q": Camera(np.array([0.0, 0.0, -2.0]), rot, 100.0),
+    }
+    points = {0: np.zeros(3), 1: np.array([0.1, 0.1, 0.0])}
+    edges = {(img, p) for img in images for p in points}
+    return VisibilityGraph("c", images, points, edges)
+
+
 class TestCameraAndGraph:
+    @pytest.mark.parametrize("field", ["center", "rotation", "focal"])
+    def test_camera_rejects_non_finite(self, field):
+        args = {"center": np.zeros(3), "rotation": np.eye(3),
+                "focal": 100.0}
+        if field == "focal":
+            args["focal"] = math.inf
+        else:
+            args[field] = args[field].copy()
+            args[field].flat[1] = math.nan
+        with pytest.raises(GraphError, match="finite"):
+            Camera(**args)
+
+    def test_reassigning_a_field_drops_derived_tables(self):
+        g = random_graph(SeededStream(54), n_images=3, n_points=6,
+                         all_edges=True)
+        first = g.observation_map()
+        assert g.observation_map() is first
+        g.edges = set(g.edges)
+        assert g.observation_map() is not first
+        depths = g.depth_map()
+        g.points = dict(g.points)
+        assert g.depth_map() is not depths
+
     def test_camera_rejects_non_rotation(self):
         with pytest.raises(GraphError):
             Camera(np.zeros(3), np.eye(3) * 2.0, 100.0)
@@ -283,21 +345,39 @@ class TestScaleChange:
     def test_no_shared_points(self):
         g = self._two_view_graph()
         g.edges = {(img, p) for img, p in g.edges if (img == "i") == (p < 2)}
-        g.__dict__.pop("_obs_cache", None)
         with pytest.raises(NoSharedPointsError):
             scale_change(g, "i", "q")
 
     def test_point_behind_camera(self):
-        rot = np.eye(3)
-        images = {
-            "i": Camera(np.array([0.0, 0.0, 5.0]), rot, 100.0),  # points behind
-            "q": Camera(np.array([0.0, 0.0, -2.0]), rot, 100.0),
-        }
-        points = {0: np.zeros(3), 1: np.array([0.1, 0.1, 0.0])}
-        edges = {(img, p) for img in images for p in points}
-        g = VisibilityGraph("c", images, points, edges)
         with pytest.raises(GeometryError):
+            scale_change(behind_camera_graph(), "i", "q")
+
+    def test_sees_reassigned_edges(self):
+        g = self._two_view_graph(d_i=4.0, d_q=2.0)
+        assert scale_change(g, "i", "q") == pytest.approx(2.0)
+        # a farther camera for "i": median depth 8 against 2
+        g.images = {**g.images, "i": identity_camera([0.0, 0.0, -8.0])}
+        assert scale_change(g, "i", "q") == pytest.approx(4.0)
+        g.edges = {(img, p) for img, p in g.edges if img == "q"}
+        with pytest.raises(NoSharedPointsError):
             scale_change(g, "i", "q")
+
+    def test_bit_equal_to_depth_of_oracle(self):
+        # every ordered pair of sparse random graphs: the same value to
+        # the bit, or the same error
+        for seed in range(6):
+            g = random_graph(SeededStream(59, seed), n_images=6,
+                             n_points=25)
+            ids = sorted(g.images)
+            for a in ids:
+                for b in ids:
+                    if a != b:
+                        assert outcome(scale_change, g, a, b) == \
+                            outcome(scale_change_oracle, g, a, b)
+        g = behind_camera_graph()
+        for a, b in (("i", "q"), ("q", "i")):
+            assert outcome(scale_change, g, a, b) is GeometryError
+            assert outcome(scale_change_oracle, g, a, b) is GeometryError
 
 
 class TestPositiveM3:
@@ -490,6 +570,48 @@ class TestBuildTuples:
             for n in t.negatives:
                 assert cluster_of[n] != cluster_of[t.query]
 
+    def test_dense_m3_matches_depth_of_oracle(self):
+        # sparse graphs, so some pool members share no point with the
+        # query: the overlap test must drop them before scale_change
+        stream = SeededStream(73)
+        graphs = [random_graph(stream.derive("g", c), cluster_id=f"c{c}",
+                               n_images=7, n_points=25)
+                  for c in range(3)]
+        ids = [i for g in graphs for i in g.images]
+        descs = random_unit_descriptors(stream, ids)
+        cfg = MiningConfig(pool_size=4, negatives=2, inlier_overlap=0.3,
+                           scale_threshold=1.3)
+        mined = SeededStream(5)
+        tuples, skipped = build_tuples(graphs, descs, cfg, "m3", "N2",
+                                       mined, all_images_as_queries=True)
+        want, no_positive = {}, set()
+        for g in graphs:
+            for q in sorted(g.images):
+                pq = {p for img, p in g.edges if img == q}
+                feasible = [
+                    i for i in sorted(candidate_pool(g, q, cfg.pool_size))
+                    if len(pq & {p for img, p in g.edges if img == i})
+                    / len(pq) >= cfg.inlier_overlap
+                    and scale_change_oracle(g, i, q) <= cfg.scale_threshold]
+                if not feasible:
+                    no_positive.add(q)
+                    continue
+                draw = mined.derive("m3", q).integers(0, len(feasible))
+                want[q] = feasible[int(draw)]
+        assert no_positive and want
+        assert {q for q, reason in skipped
+                if "no feasible positive" in reason} == no_positive
+        assert {t.query: t.positive for t in tuples} == want
+
+    def test_dense_m3_raises_geometry_error(self):
+        graphs = [behind_camera_graph(),
+                  random_graph(SeededStream(74), cluster_id="d")]
+        ids = [i for g in graphs for i in g.images]
+        descs = random_unit_descriptors(SeededStream(75), ids)
+        with pytest.raises(GeometryError):
+            build_tuples(graphs, descs, MiningConfig(negatives=1), "m3",
+                         "N2", SeededStream(6), all_images_as_queries=True)
+
     def test_deterministic_and_positives_fixed(self):
         stream = SeededStream(68)
         graphs = self._clusters(stream)
@@ -569,6 +691,34 @@ class TestSceneIO:
         path = tmp_path / "bad.json"
         path.write_text('{"cluster_id": "c"}')
         with pytest.raises(FormatError):
+            load_scene(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rotation", math.nan), ("center", math.nan), ("xyz", math.inf),
+        ("focal", math.inf)])
+    def test_non_finite_geometry_rejected(self, tmp_path, field, value):
+        path = tmp_path / "scene.json"
+        save_scene(path, random_graph(SeededStream(76), n_images=3,
+                                      n_points=5))
+        doc = json.loads(path.read_text())
+        if field == "xyz":
+            doc["points"][2]["xyz"][1] = value
+        elif field == "focal":
+            doc["images"][1]["camera"]["focal"] = value
+        else:
+            doc["images"][1]["camera"][field][0] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="finite"):
+            load_scene(path)
+
+    def test_point_needs_three_coordinates(self, tmp_path):
+        path = tmp_path / "scene.json"
+        save_scene(path, random_graph(SeededStream(77), n_images=3,
+                                      n_points=5))
+        doc = json.loads(path.read_text())
+        del doc["points"][0]["xyz"][2]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="3 finite coordinates"):
             load_scene(path)
 
     def test_invalid_graph_rejected(self, tmp_path):

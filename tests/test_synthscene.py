@@ -1,5 +1,7 @@
 """Tests for synthetic scene generation and rendering."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from macforge.mining import Camera, GraphError, VisibilityGraph, save_scene
 from macforge.numeric import SeededStream
 from macforge.synthscene import (
     GenerationError,
+    _appearance,
+    _background,
     SceneConfig,
     generate,
     look_at,
@@ -162,6 +166,21 @@ class TestGenerate:
                 for p in a[0].points if p in b[0].points)
 
 
+def behind_camera_graph():
+    """Cameras on -z and +z looking at the origin; the one point sits
+    behind the -z camera, which still has a hand-added edge to it."""
+    cams = {}
+    for name, z in (("t/i000", -4.0), ("t/i001", 4.0)):
+        center = np.array([0.0, 0.0, z])
+        cams[name] = Camera(center=center,
+                            rotation=look_at(center, np.zeros(3)),
+                            focal=96.0)
+    pts = {"t/p000": np.array([0.0, 0.0, -8.0])}
+    edges = {("t/i000", "t/p000"), ("t/i001", "t/p000")}
+    return VisibilityGraph(cluster_id="t", images=cams, points=pts,
+                           edges=edges)
+
+
 def two_camera_graph(points, extra_edges=(), size=96):
     """Cameras on +z and -z axis looking at the origin; every point is
     observed by both unless listed in extra_edges overrides."""
@@ -180,7 +199,111 @@ def two_camera_graph(points, extra_edges=(), size=96):
                            edges=edges)
 
 
+def reference_background(cluster_id, image_id, size):
+    """The float64 backdrop, every wave recomputed on the spot."""
+    def add_waves(img, coords, freqs, weights, phases):
+        for h in range(len(phases)):
+            wave = np.sin(2.0 * math.pi
+                          * (freqs[h, 0] * coords[None, :]
+                             + freqs[h, 1] * coords[:, None]) + phases[h])
+            img += weights[h][:, None, None] * wave[None, :, :]
+
+    s = _appearance("background", cluster_id)
+    cluster_freqs = s.uniform(0.5, 3.0, size=(3, 2))
+    cluster_weights = 0.015 + 0.015 * s.random((3, 3))
+    cluster_phases = s.uniform(0.0, 2.0 * math.pi, size=3)
+    si = _appearance("image", cluster_id, image_id)
+    base = 0.2 + 0.3 * si.random(3)
+    image_freqs = si.uniform(1.0, 4.0, size=(2, 2))
+    image_weights = 0.05 + 0.06 * si.random((2, 3))
+    image_phases = si.uniform(0.0, 2.0 * math.pi, size=2)
+    coords = (np.arange(size) + 0.5) / size
+    img = np.broadcast_to(base[:, None, None], (3, size, size)).copy()
+    add_waves(img, coords, cluster_freqs, cluster_weights, cluster_phases)
+    add_waves(img, coords, image_freqs, image_weights, image_phases)
+    return np.clip(img, 0.0, 1.0)
+
+
+def reference_render(graph, image_id, size):
+    """render() as a per-splat loop that recomputes every pure per-id
+    quantity on the spot: palette and color per splat, the cluster
+    backdrop per image, visible points by a scan of the edge set."""
+    def point_color(point_id):
+        anchors = 0.2 + 0.8 * _appearance("palette",
+                                          graph.cluster_id).random((3, 3))
+        s = _appearance("color", graph.cluster_id, point_id)
+        anchor = anchors[int(s.integers(0, 3))]
+        return np.clip(anchor + s.uniform(-0.08, 0.08, size=3), 0.0, 1.0)
+
+    img = reference_background(graph.cluster_id, image_id, size)
+    camera = graph.images[image_id]
+    splats = []
+    for point_id in sorted(p for i, p in graph.edges if i == image_id):
+        u, v, depth = project(camera, graph.points[point_id], size)
+        if depth > 0.0:
+            splats.append((depth, point_id, u, v))
+    splats.sort(key=lambda t: (-t[0], t[1]))
+    for depth, point_id, u, v in splats:
+        sigma = min(max(0.1 * camera.focal / depth, size / 96.0),
+                    size / 12.0)
+        support = int(math.ceil(3.0 * sigma))
+        x0 = max(0, int(math.floor(u - support)))
+        x1 = min(size, int(math.ceil(u + support)) + 1)
+        y0 = max(0, int(math.floor(v - support)))
+        y1 = min(size, int(math.ceil(v + support)) + 1)
+        if x0 >= x1 or y0 >= y1:
+            continue
+        xs = np.arange(x0, x1) + 0.5
+        ys = np.arange(y0, y1) + 0.5
+        alpha = np.exp(-((xs[None, :] - u) ** 2 + (ys[:, None] - v) ** 2)
+                       / (2.0 * sigma * sigma))
+        patch = img[:, y0:y1, x0:x1]
+        img[:, y0:y1, x0:x1] = (patch * (1.0 - alpha)
+                                + point_color(point_id)[:, None, None]
+                                * alpha)
+    return img.astype(np.float32)
+
+
 class TestRender:
+    @pytest.mark.parametrize("size", [32, 48, 96])
+    def test_bit_equal_to_reference(self, size):
+        for seed in range(3):
+            cfg = SceneConfig(clusters=2, images_per_cluster=(3, 4),
+                              points_per_cluster=(30, 40), image_size=size,
+                              seed=200 + seed)
+            for g in generate(cfg):
+                for image_id in sorted(g.images):
+                    np.testing.assert_array_equal(
+                        render(g, image_id, size),
+                        reference_render(g, image_id, size))
+
+    def test_cached_backdrop_keeps_float64_bits(self):
+        # float64 addition does not associate: the cached cluster waves
+        # must be added one by one, as a fresh backdrop adds them
+        g = generate(SMALL)[1]
+        for image_id in sorted(g.images):
+            np.testing.assert_array_equal(
+                _background(g, image_id, 48),
+                reference_background(g.cluster_id, image_id, 48))
+
+    def test_one_graph_renders_at_several_sizes(self):
+        # the backdrop table is per size: a 32-px render must not reuse
+        # the 48-px waves, nor the other way round
+        g = generate(SMALL)[0]
+        image_id = sorted(g.images)[0]
+        for size in (48, 32, 48):
+            np.testing.assert_array_equal(
+                render(g, image_id, size),
+                reference_render(g, image_id, size))
+
+    def test_behind_camera_graph_bit_equal_to_reference(self):
+        graph = behind_camera_graph()
+        for image_id in sorted(graph.images):
+            np.testing.assert_array_equal(
+                render(graph, image_id),
+                reference_render(graph, image_id, 96))
+
+
     def test_shape_dtype_range(self):
         graph = generate(SMALL)[0]
         image_id = sorted(graph.images)[0]
@@ -224,18 +347,9 @@ class TestRender:
     def test_point_behind_camera_not_rendered(self):
         # p sits behind the first camera; a hand-added edge must not
         # paint it there, while the opposite camera does see it
-        cams = {}
-        for name, z in (("t/i000", -4.0), ("t/i001", 4.0)):
-            center = np.array([0.0, 0.0, z])
-            cams[name] = Camera(center=center,
-                                rotation=look_at(center, np.zeros(3)),
-                                focal=96.0)
-        pts = {"t/p000": np.array([0.0, 0.0, -8.0])}
-        edges = {("t/i000", "t/p000"), ("t/i001", "t/p000")}
-        graph = VisibilityGraph(cluster_id="t", images=cams, points=pts,
-                                edges=edges)
-        empty = VisibilityGraph(cluster_id="t", images=cams, points={},
-                                edges=set())
+        graph = behind_camera_graph()
+        empty = VisibilityGraph(cluster_id="t", images=graph.images,
+                                points={}, edges=set())
         np.testing.assert_array_equal(render(graph, "t/i000"),
                                       render(empty, "t/i000"))
         assert not np.array_equal(render(graph, "t/i001"),
