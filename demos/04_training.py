@@ -48,19 +48,16 @@ def main():
     spec = tiny_spec()
     stream = SeededStream(5)
     params0 = init_params(spec, stream.derive("init"))
-    frozen0 = params0.copy()
-
-    def embed0(image):
-        return embed_image(frozen0, spec, image)
 
     gt_val = benchmark_ground_truth(val_graphs)
-    all0 = {i: embed0(images[i]) for g in graphs for i in g.images}
+    all0 = {i: embed_image(params0, spec, images[i])
+            for g in graphs for i in g.images}
     map0 = retrieval_map({i: all0[i] for i in sorted(gt_val)}, gt_val)
     print(f"held-out mAP before training: {map0:.4f}\n")
 
     mining_cfg = MiningConfig(pool_size=8, negatives=3,
                               candidate_negatives_per_cluster=8)
-    miner = TupleMiner(train_graphs, images, mining_cfg, embed0,
+    miner = TupleMiner(train_graphs, images, mining_cfg, all0,
                        "m3", "N2", stream.derive("mine"))
     print(f"mined {len(miner.current_tuples())} training tuples "
           f"({len(miner.skipped)} queries skipped)")

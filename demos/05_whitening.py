@@ -51,15 +51,12 @@ def main():
     spec = tiny_spec()
     stream = SeededStream(0)
     params0 = init_params(spec, stream.derive("init"))
-    frozen0 = params0.copy()
-
-    def embed0(image):
-        return embed_image(frozen0, spec, image)
 
     mining_cfg = MiningConfig()
-    miner = TupleMiner(train_graphs, images, mining_cfg, embed0,
+    all0 = {i: embed_image(params0, spec, images[i])
+            for g in graphs for i in g.images}
+    miner = TupleMiner(train_graphs, images, mining_cfg, all0,
                        "m3", "N2", stream.derive("mine"))
-    all0 = {i: embed0(images[i]) for g in graphs for i in g.images}
     val_tuples, _ = build_tuples(
         graphs, all0, mining_cfg, "m3", "N2", stream.derive("valmine"),
         query_clusters={g.cluster_id for g in val_graphs})

@@ -1,12 +1,17 @@
 """Command-line pipeline: macforge synth|embed|mine|train|whiten|eval.
 
 Configuration is a flat key=value map resolved as defaults < config
-file < command-line flags. The resolved map and its hash are echoed to
-stderr so every run is auditable. Exit codes: 0 success, 2 config or
-usage error, 3 I/O error, 4 data-shape or file-format error.
+file < command-line flags. The keys, defaults and value types of the
+library tunables come from the config dataclasses (SceneConfig,
+MiningConfig, TrainConfig, LossConfig), one key per field and two for
+a (lo, hi) range; only the stage arguments are declared here. The
+resolved map and its hash are echoed to stderr so every run is
+auditable. Exit codes: 0 success, 2 config or usage error, 3 I/O
+error, 4 data-shape or file-format error.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import sys
@@ -48,52 +53,55 @@ class ConfigError(ValueError):
     """Unknown key, unparsable value, or invalid configuration."""
 
 
-# every tunable with its default; value type doubles as the parser
+# the config dataclasses declare every library tunable once; each
+# field is one key, except the (lo, hi) scene ranges, which are two
+CONFIG_CLASSES = (SceneConfig, MiningConfig, TrainConfig, LossConfig)
+RANGE_KEYS = {
+    "images_per_cluster": ("images_min", "images_max"),
+    "points_per_cluster": ("points_min", "points_max"),
+    "camera_orbit_radius": ("orbit_min", "orbit_max"),
+    "zoom_range": ("zoom_min", "zoom_max"),
+}
+
+
+def _field_defaults():
+    defaults = {}
+    for cls in CONFIG_CLASSES:
+        for f in dataclasses.fields(cls):
+            if f.name in RANGE_KEYS:
+                defaults.update(zip(RANGE_KEYS[f.name], f.default))
+            else:
+                defaults[f.name] = f.default
+    return defaults
+
+
+# every key with its default; value type doubles as the parser. Keys
+# below are stage arguments; the rest come from the config dataclasses.
 DEFAULTS = {
-    "seed": 0,
+    **_field_defaults(),
     "threads": 0,  # 0 = hardware parallelism
-    # scene synthesis
-    "clusters": 20,
-    "images_min": 25,
-    "images_max": 40,
-    "points_min": 150,
-    "points_max": 300,
-    "image_size": 96,
-    "orbit_min": 2.5,
-    "orbit_max": 4.0,
-    "zoom_min": 0.7,
-    "zoom_max": 1.5,
-    "occlusion_rate": 0.2,
-    # mining
-    "pool_size": 100,
-    "inlier_overlap": 0.2,
-    "scale_threshold": 1.5,
-    "negatives": 5,
-    "candidate_negatives_per_cluster": 20,
     "positive_method": "m3",
     "negative_variant": "N2",
     "mine_all_queries": False,
-    # training
-    "base_lr": 0.001,
-    "lr_divisor": 5.0,
-    "lr_period": 10,
-    "momentum": 0.9,
-    "weight_decay": 0.0005,
-    "batch_tuples": 5,
-    "max_epochs": 30,
-    "remine_per_epoch": 3,
-    "max_image_side": 362,
-    "freeze_conv_layers": 0,
     "loss": "contrastive",
-    "tau": 0.7,
-    "triplet_margin": 0.1,
     "val_fraction": 0.2,
-    # extraction and evaluation
     "rmac_scales": 0,
     "dim": 0,  # 0 = keep full dimensionality
     "whiten_kind": "lw",
     "mode": "Full",
 }
+
+
+def build_config(cls, cfg):
+    """The config dataclass cls with every field read from the resolved
+    key map; the dataclass validates the values."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in RANGE_KEYS:
+            kwargs[f.name] = tuple(cfg[key] for key in RANGE_KEYS[f.name])
+        else:
+            kwargs[f.name] = cfg[f.name]
+    return cls(**kwargs)
 
 
 def _coerce(key, raw):
@@ -143,18 +151,12 @@ def resolve_config(args):
         cfg.update(parse_config_file(args.config))
     if getattr(args, "rmac", False) and cfg["rmac_scales"] == 0:
         cfg["rmac_scales"] = 3
-    for name in ("seed", "threads", "loss", "mode"):
-        value = getattr(args, name, None)
+    # dedicated flags store under their config key
+    for key in ("seed", "threads", "loss", "mode", "positive_method",
+                "negative_variant", "whiten_kind", "dim"):
+        value = getattr(args, key, None)
         if value is not None:
-            cfg[name] = value
-    if getattr(args, "positive", None):
-        cfg["positive_method"] = args.positive
-    if getattr(args, "negative", None):
-        cfg["negative_variant"] = args.negative
-    if getattr(args, "kind", None):
-        cfg["whiten_kind"] = args.kind
-    if getattr(args, "dim", None) is not None:
-        cfg["dim"] = args.dim
+            cfg[key] = value
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -179,42 +181,6 @@ def echo_config(cfg):
     print(f"config_hash={digest[:16]}", file=sys.stderr)
 
 
-def scene_config(cfg):
-    return SceneConfig(
-        clusters=cfg["clusters"],
-        images_per_cluster=(cfg["images_min"], cfg["images_max"]),
-        points_per_cluster=(cfg["points_min"], cfg["points_max"]),
-        image_size=cfg["image_size"],
-        camera_orbit_radius=(cfg["orbit_min"], cfg["orbit_max"]),
-        zoom_range=(cfg["zoom_min"], cfg["zoom_max"]),
-        occlusion_rate=cfg["occlusion_rate"],
-        seed=cfg["seed"])
-
-
-def mining_config(cfg):
-    return MiningConfig(
-        pool_size=cfg["pool_size"],
-        inlier_overlap=cfg["inlier_overlap"],
-        scale_threshold=cfg["scale_threshold"],
-        negatives=cfg["negatives"],
-        candidate_negatives_per_cluster=cfg[
-            "candidate_negatives_per_cluster"])
-
-
-def train_config(cfg):
-    return TrainConfig(
-        base_lr=cfg["base_lr"],
-        lr_divisor=cfg["lr_divisor"],
-        lr_period=cfg["lr_period"],
-        momentum=cfg["momentum"],
-        weight_decay=cfg["weight_decay"],
-        batch_tuples=cfg["batch_tuples"],
-        max_epochs=cfg["max_epochs"],
-        remine_per_epoch=cfg["remine_per_epoch"],
-        max_image_side=cfg["max_image_side"],
-        freeze_conv_layers=cfg["freeze_conv_layers"])
-
-
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
@@ -233,7 +199,8 @@ def _load_projection_arg(args):
 
 def cmd_synth(args, cfg):
     _require(args, "out")
-    clusters, images, points = stage_synth(scene_config(cfg), args.out)
+    clusters, images, points = stage_synth(build_config(SceneConfig, cfg),
+                                           args.out)
     print(f"clusters={clusters} images={images} points={points}")
     return EXIT_OK
 
@@ -254,7 +221,8 @@ def cmd_embed(args, cfg):
 def cmd_mine(args, cfg):
     _require(args, "scenes", "descriptors", "out")
     tuples, skipped = stage_mine(
-        args.scenes, args.descriptors, args.out, mining_config(cfg),
+        args.scenes, args.descriptors, args.out,
+        build_config(MiningConfig, cfg),
         cfg["positive_method"], cfg["negative_variant"], cfg["seed"],
         all_images_as_queries=cfg["mine_all_queries"])
     print(f"tuples={len(tuples)} skipped={len(skipped)}")
@@ -267,9 +235,9 @@ def cmd_train(args, cfg):
     _require(args, "scenes", "images", "out")
     result = stage_train(
         args.scenes, args.images, args.out,
-        train_config(cfg),
-        LossConfig(tau=cfg["tau"], triplet_margin=cfg["triplet_margin"]),
-        mining_config(cfg), cfg["positive_method"], cfg["negative_variant"],
+        build_config(TrainConfig, cfg), build_config(LossConfig, cfg),
+        build_config(MiningConfig, cfg),
+        cfg["positive_method"], cfg["negative_variant"],
         cfg["loss"], cfg["val_fraction"], cfg["seed"],
         init_params_from=getattr(args, "checkpoint", None))
     print(f"best_epoch={result.best_epoch} "
@@ -353,8 +321,10 @@ def build_parser():
     p.add_argument("--scenes", help="directory of scene JSON files")
     p.add_argument("--descriptors", help="MACD database")
     p.add_argument("--out", help="tuple JSON-lines output path")
-    p.add_argument("--positive", choices=("m1", "m2", "m3"))
-    p.add_argument("--negative", choices=("N1", "N2"))
+    p.add_argument("--positive", dest="positive_method",
+                   choices=("m1", "m2", "m3"))
+    p.add_argument("--negative", dest="negative_variant",
+                   choices=("N1", "N2"))
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("train", help="fine-tune the backbone on tuples")
@@ -364,15 +334,17 @@ def build_parser():
     p.add_argument("--out", help="output directory")
     p.add_argument("--checkpoint", help="initialize from this MFCK file")
     p.add_argument("--loss", choices=("contrastive", "triplet"))
-    p.add_argument("--positive", choices=("m1", "m2", "m3"))
-    p.add_argument("--negative", choices=("N1", "N2"))
+    p.add_argument("--positive", dest="positive_method",
+                   choices=("m1", "m2", "m3"))
+    p.add_argument("--negative", dest="negative_variant",
+                   choices=("N1", "N2"))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("whiten", help="fit a whitening projection")
     add_common(p)
     p.add_argument("--descriptors", help="MACD database")
     p.add_argument("--tuples", help="tuple file (required for Lw)")
-    p.add_argument("--kind", choices=("lw", "pcaw"))
+    p.add_argument("--kind", dest="whiten_kind", choices=("lw", "pcaw"))
     p.add_argument("--out", help="MFPW output path")
     p.set_defaults(func=cmd_whiten)
 

@@ -171,6 +171,9 @@ class MiningConfig:
             raise ValueError("inlier_overlap must lie in (0, 1]")
         if self.scale_threshold < 1:
             raise ValueError("scale_threshold must be >= 1")
+        if self.candidate_negatives_per_cluster < 0:
+            raise ValueError("candidate_negatives_per_cluster must be "
+                             "non-negative")
 
 
 @dataclass(frozen=True)
@@ -416,12 +419,14 @@ class TupleMiner:
     """Owns the fixed mining state across a training run.
 
     Queries, positives, and the candidate-negative universe are chosen once
-    at construction (positives never change afterwards); remine() refreshes
+    at construction from descriptors, an id -> vector map covering every
+    image of graphs (positives never change afterwards); remine() refreshes
     descriptors with the caller's embedding and re-selects only negatives.
     """
 
-    def __init__(self, graphs, images: dict, cfg: MiningConfig, embed,
-                 positive_method: str = "m3", negative_variant: str = "N2",
+    def __init__(self, graphs, images: dict, cfg: MiningConfig,
+                 descriptors: dict, positive_method: str = "m3",
+                 negative_variant: str = "N2",
                  stream: SeededStream | None = None):
         self.graphs = list(graphs)
         self.images = images
@@ -433,7 +438,6 @@ class TupleMiner:
         for g in self.graphs:
             for img in g.images:
                 self.cluster_of[img] = g.cluster_id
-        descriptors = {img: embed(images[img]) for img in sorted(self.cluster_of)}
         self.tuples, self.skipped = build_tuples(
             self.graphs, descriptors, cfg, positive_method, negative_variant,
             self.stream)

@@ -277,12 +277,15 @@ def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
                 mining_cfg, positive_method, negative_variant, loss_kind,
                 val_fraction, seed, spec=None, init_params_from=None):
     """Mine tuples on the training clusters, fine-tune, keep the best
-    checkpoint by held-out mAP. Returns the TrainResult."""
+    checkpoint by held-out mAP. Every image is capped at
+    train_cfg.max_image_side once on load, as the Extractor caps it in
+    embed and eval. Returns the TrainResult."""
     graphs = load_scenes_dir(scenes_dir)
     train_graphs, val_graphs = split_clusters(graphs, val_fraction)
     if not train_graphs:
         raise ValueError("no training clusters after split")
-    images = load_images_dir(images_dir)
+    images = {image_id: resize_max_side(image, train_cfg.max_image_side)
+              for image_id, image in load_images_dir(images_dir).items()}
 
     stream = SeededStream(seed)
     if spec is None:
@@ -294,24 +297,18 @@ def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
         params = init_params(spec, stream.derive("init"))
 
     params0 = params.copy()
-
-    def embed_initial(image):
-        return embed_image(params0, spec, image)
-
-    miner = TupleMiner(train_graphs, images, mining_cfg,
-                       embed_initial, positive_method, negative_variant,
+    # negatives for a held-out query may come from any cluster, so the
+    # whole graph set is embedded once and serves the miner as well
+    initial = {image_id: embed_image(params0, spec, images[image_id])
+               for graph in graphs for image_id in sorted(graph.images)}
+    miner = TupleMiner(train_graphs, images, mining_cfg, initial,
+                       positive_method, negative_variant,
                        stream.derive("mine"))
     val_tuples = []
     if val_graphs:
-        # negatives for a held-out query may come from any cluster, so
-        # the whole graph set is embedded and passed in; queries stay
-        # restricted to the held-out clusters
-        val_descriptors = {}
-        for graph in graphs:
-            for image_id in sorted(graph.images):
-                val_descriptors[image_id] = embed_initial(images[image_id])
+        # queries stay restricted to the held-out clusters
         val_tuples, _ = build_tuples(
-            graphs, val_descriptors, mining_cfg, positive_method,
+            graphs, initial, mining_cfg, positive_method,
             negative_variant, stream.derive("valmine"),
             query_clusters={g.cluster_id for g in val_graphs})
     if not val_tuples:

@@ -35,6 +35,13 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Optimiser, schedule and input-scale settings of one training run.
+
+    max_image_side caps the longest image side (bilinear down-sampling,
+    never up) in train, embed and eval alike, so tuples are mined and the
+    network is fitted at the scale the descriptors are later extracted at.
+    """
+
     base_lr: float = 0.001
     lr_divisor: float = 5.0
     lr_period: int = 10
@@ -55,6 +62,11 @@ class TrainConfig:
                      "remine_per_epoch", "max_image_side"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("weight_decay", "freeze_conv_layers"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

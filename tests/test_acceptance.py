@@ -116,12 +116,7 @@ def benchmark_runs():
         gt_val = benchmark_ground_truth(val_graphs)
         stream = SeededStream(seed)
         params0 = init_params(spec, stream.derive("init"))
-        frozen0 = params0.copy()
-
-        def embed0(image, _p=frozen0):
-            return embed_image(_p, spec, image)
-
-        all0 = {i: embed0(images[i]) for g in graphs
+        all0 = {i: embed_image(params0, spec, images[i]) for g in graphs
                 for i in sorted(g.images)}
         map0 = _retrieval_map({i: all0[i] for i in sorted(gt_val)}, gt_val)
         setup_seconds = time.perf_counter() - t0
@@ -135,7 +130,7 @@ def benchmark_runs():
         mining_cfg = MiningConfig()
         for pm, nv in (("m3", "N2"), ("m1", "N1")):
             t1 = time.perf_counter()
-            miner = TupleMiner(train_graphs, images, mining_cfg, embed0,
+            miner = TupleMiner(train_graphs, images, mining_cfg, all0,
                                pm, nv, stream.derive("mine"))
             val_tuples, _ = build_tuples(
                 graphs, all0, mining_cfg, pm, nv, stream.derive("valmine"),

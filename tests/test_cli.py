@@ -1,6 +1,7 @@
 """Tests for the command-line surface: config resolution, the full
 pipeline smoke run, exit codes, and artifact reproducibility."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -18,6 +19,9 @@ from macforge.cli import (
     parse_config_file,
     resolve_config,
 )
+from macforge.mining import MiningConfig
+from macforge.synthscene import SceneConfig
+from macforge.training import LossConfig, TrainConfig
 
 
 def run_cli(*argv):
@@ -61,6 +65,22 @@ class TestConfigResolution:
         assert cfg["max_image_side"] == 362
         assert cfg["positive_method"] == "m3"
         assert cfg["negative_variant"] == "N2"
+        # every config dataclass field is a key carrying the field
+        # default, with its type; a (lo, hi) range is two keys
+        ranges = {"images_per_cluster": ("images_min", "images_max"),
+                  "points_per_cluster": ("points_min", "points_max"),
+                  "camera_orbit_radius": ("orbit_min", "orbit_max"),
+                  "zoom_range": ("zoom_min", "zoom_max")}
+        for cls in (SceneConfig, MiningConfig, TrainConfig, LossConfig):
+            for field in dataclasses.fields(cls):
+                want = field.default
+                if field.name in ranges:
+                    got = tuple(cfg[key] for key in ranges[field.name])
+                else:
+                    got, want = (cfg[field.name],), (want,)
+                assert got == want, field.name
+                assert list(map(type, got)) == list(map(type, want))
+        assert len(cfg) == 39
 
     def test_set_overrides_default(self):
         cfg = self._resolve("synth", "--out", "x", "--set", "clusters=7")
@@ -110,10 +130,19 @@ class TestConfigResolution:
         # under a regular file then fails at once, also for root
         blocker = tmp_path / "file"
         blocker.write_text("")
-        assert run_cli("synth", "--out", str(blocker / "x")) == EXIT_IO
+        # the resolved defaults are pinned by their hash; threads is set
+        # because 0 resolves to the host's core count
+        assert run_cli("synth", "--out", str(blocker / "x"),
+                       "--threads", "1") == EXIT_IO
         err = capsys.readouterr().err
         assert "clusters=20" in err
         assert "config_hash=" in err
+        assert "config_hash=66636487737aa73b" in err
+        assert run_cli("embed", "--checkpoint", str(tmp_path / "a"),
+                       "--images", str(tmp_path / "b"),
+                       "--out", str(tmp_path / "c"), "--rmac",
+                       "--threads", "1") == EXIT_IO
+        assert "config_hash=762cde8c0105537b" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +365,18 @@ class TestExitCodes:
                        "--out", str(tmp_path / "o.macd"), "--set", setting)
         assert code == EXIT_CONFIG
         assert setting.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [
+        "candidate_negatives_per_cluster=-1", "freeze_conv_layers=-1",
+        "weight_decay=-0.0005", "momentum=1.0"])
+    def test_out_of_range_training_setting_is_config_error(
+            self, setting, tmp_path, capsys):
+        code = run_cli("train", "--scenes", str(tmp_path),
+                       "--images", str(tmp_path),
+                       "--out", str(tmp_path / "run"), "--set", setting)
+        assert code == EXIT_CONFIG
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -20,7 +20,7 @@ from macforge.descriptor import (
     rmac_regions,
 )
 from macforge.images import resize_max_side
-from macforge.mining import MiningConfig, load_tuples
+from macforge.mining import MiningConfig, build_tuples, load_tuples
 from macforge.numeric import DimensionError, SeededStream
 from macforge.pipeline import (
     Extractor,
@@ -38,7 +38,12 @@ from macforge.pipeline import (
 )
 from macforge.retrieval import load_ground_truth
 from macforge.synthscene import SceneConfig, generate
-from macforge.training import LossConfig, TrainConfig, embed_image
+from macforge.training import (
+    LossConfig,
+    TrainConfig,
+    embed_image,
+    validate,
+)
 from macforge.whitening import (
     KIND_LW,
     KIND_PCAW,
@@ -424,6 +429,36 @@ class TestStageTrain:
         expected = init_params(tiny_spec(), stream.derive("init"))
         for got, want in zip(params.weights, expected.weights):
             npt.assert_array_equal(got, want)
+
+    def test_trains_on_images_capped_at_max_image_side(self, synth_dir,
+                                                       trained, tmp_path):
+        # the 32-px corpus capped at 16 px: mining, batches and
+        # validation see the images that embed and eval extract from
+        out, _ = synth_dir
+        run = tmp_path / "capped"
+        cfg = TrainConfig(batch_tuples=2, max_epochs=2, remine_per_epoch=1,
+                          max_image_side=16)
+        stage_train(str(out / "scenes"), str(out / "images"), str(run), cfg,
+                    LossConfig(), MINE_CFG, "m3", "N2", "contrastive", 0.25,
+                    seed=3)
+        capped = {i: resize_max_side(image, 16) for i, image
+                  in load_images_dir(str(out / "images")).items()}
+        assert {image.shape for image in capped.values()} == {(3, 16, 16)}
+        graphs = load_scenes_dir(str(out / "scenes"))
+        _, val_graphs = split_clusters(graphs, 0.25)
+        spec, params0, _ = load_checkpoint(str(run / "init.mfck"))
+        initial = {i: embed_image(params0, spec, capped[i]) for i in capped}
+        val_tuples, _ = build_tuples(
+            graphs, initial, MINE_CFG, "m3", "N2",
+            SeededStream(3).derive("valmine"),
+            query_clusters={g.cluster_id for g in val_graphs})
+        spec, best, meta = load_checkpoint(str(run / "best.mfck"))
+        assert meta["val_map"] == validate(best, spec, val_tuples,
+                                           capped.__getitem__)
+        # the same run at the full 32 px trains on other pixels
+        full, _ = trained
+        assert (run / "metrics.csv").read_text() != \
+            (full / "metrics.csv").read_text()
 
     def test_init_from_checkpoint_reuses_weights(self, synth_dir, trained,
                                                  tmp_path):
