@@ -91,6 +91,16 @@ DEFAULTS = {
     "mode": "Full",
 }
 
+# the allowed values of the stage arguments that name a method; the
+# flags offer them and resolve_config rejects any other value
+CHOICES = {
+    "positive_method": ("m1", "m2", "m3"),
+    "negative_variant": ("N1", "N2"),
+    "loss": ("contrastive", "triplet"),
+    "whiten_kind": ("lw", "pcaw"),
+    "mode": MODES,
+}
+
 
 def build_config(cls, cfg):
     """The config dataclass cls with every field read from the resolved
@@ -167,6 +177,10 @@ def resolve_config(args):
     for key in ("threads", "rmac_scales", "dim"):
         if cfg[key] < 0:
             raise ConfigError(f"{key} must be non-negative")
+    for key, allowed in CHOICES.items():
+        if cfg[key] not in allowed:
+            raise ConfigError(f"{key} must be one of {list(allowed)}, "
+                              f"got {cfg[key]!r}")
     if cfg["threads"] == 0:
         cfg["threads"] = os.cpu_count() or 1
     return cfg
@@ -247,10 +261,7 @@ def cmd_train(args, cfg):
 
 def cmd_whiten(args, cfg):
     _require(args, "descriptors", "out")
-    kinds = {"lw": KIND_LW, "pcaw": KIND_PCAW}
-    if cfg["whiten_kind"] not in kinds:
-        raise ConfigError(f"whiten_kind must be one of {sorted(kinds)}")
-    kind = kinds[cfg["whiten_kind"]]
+    kind = {"lw": KIND_LW, "pcaw": KIND_PCAW}[cfg["whiten_kind"]]
     if kind == KIND_LW and getattr(args, "tuples", None) is None:
         raise ConfigError("--tuples is required for Lw fitting")
     model = stage_whiten(args.descriptors, args.out, kind,
@@ -261,8 +272,6 @@ def cmd_whiten(args, cfg):
 
 def cmd_eval(args, cfg):
     _require(args, "db", "checkpoint", "images", "gt")
-    if cfg["mode"] not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}")
     db = DescriptorDB(load_descriptors(args.db))
     spec, params, _ = load_checkpoint(args.checkpoint)
     extractor = Extractor(spec, params,
@@ -322,9 +331,9 @@ def build_parser():
     p.add_argument("--descriptors", help="MACD database")
     p.add_argument("--out", help="tuple JSON-lines output path")
     p.add_argument("--positive", dest="positive_method",
-                   choices=("m1", "m2", "m3"))
+                   choices=CHOICES["positive_method"])
     p.add_argument("--negative", dest="negative_variant",
-                   choices=("N1", "N2"))
+                   choices=CHOICES["negative_variant"])
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("train", help="fine-tune the backbone on tuples")
@@ -333,18 +342,18 @@ def build_parser():
     p.add_argument("--images", help="directory of PPM images")
     p.add_argument("--out", help="output directory")
     p.add_argument("--checkpoint", help="initialize from this MFCK file")
-    p.add_argument("--loss", choices=("contrastive", "triplet"))
+    p.add_argument("--loss", choices=CHOICES["loss"])
     p.add_argument("--positive", dest="positive_method",
-                   choices=("m1", "m2", "m3"))
+                   choices=CHOICES["positive_method"])
     p.add_argument("--negative", dest="negative_variant",
-                   choices=("N1", "N2"))
+                   choices=CHOICES["negative_variant"])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("whiten", help="fit a whitening projection")
     add_common(p)
     p.add_argument("--descriptors", help="MACD database")
     p.add_argument("--tuples", help="tuple file (required for Lw)")
-    p.add_argument("--kind", dest="whiten_kind", choices=("lw", "pcaw"))
+    p.add_argument("--kind", dest="whiten_kind", choices=CHOICES["whiten_kind"])
     p.add_argument("--out", help="MFPW output path")
     p.set_defaults(func=cmd_whiten)
 
@@ -354,7 +363,7 @@ def build_parser():
     p.add_argument("--checkpoint", help="MFCK network checkpoint")
     p.add_argument("--images", help="directory of PPM images")
     p.add_argument("--gt", help="ground-truth JSON")
-    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--mode", choices=CHOICES["mode"])
     p.add_argument("--rmac", action="store_true")
     p.add_argument("--projection", help="MFPW projection to apply")
     p.add_argument("--dim", type=int)

@@ -337,119 +337,105 @@ def build_tuples(graphs: list, descriptors: dict, cfg: MiningConfig,
     a tuple for every image; whitening fits need the denser pair set to
     estimate a stable intraclass scatter, training does not.
     """
-    if positive_method not in ("m1", "m2", "m3"):
-        raise ValueError(f"unknown positive method {positive_method!r}")
-    if stream is None:
-        stream = SeededStream(0)
-    by_cluster = {g.cluster_id: g for g in graphs}
-    cluster_ids = sorted(by_cluster)
-    if query_clusters is None:
-        query_cluster_ids = cluster_ids
-    else:
-        wanted = set(query_clusters)
-        query_cluster_ids = [c for c in cluster_ids if c in wanted]
-    cluster_of_img = {}
-    for g in graphs:
-        for img in g.images:
-            cluster_of_img[img] = g.cluster_id
+    state = _MiningState(graphs, descriptors, cfg, positive_method, stream,
+                         query_clusters, all_images_as_queries)
+    return state.select(descriptors, negative_variant)
 
-    queries = {}
-    for cid in query_cluster_ids:
-        if all_images_as_queries:
-            queries[cid] = sorted(by_cluster[cid].images)
-        else:
-            queries[cid] = choose_queries(by_cluster[cid],
-                                          stream.derive("queries", cid))
 
-    positives = {}
-    skipped = []
-    for cid in query_cluster_ids:
-        g = by_cluster[cid]
-        for q in queries[cid]:
-            pool = candidate_pool(g, q, cfg.pool_size)
-            try:
-                if positive_method == "m1":
-                    positives[q] = positive_m1(q, pool, descriptors)
-                elif positive_method == "m2":
-                    positives[q] = positive_m2(q, pool, g)
-                else:
-                    positives[q] = positive_m3(q, pool, g, cfg,
-                                               stream.derive("m3", q))
-            except NoPositiveError as exc:
-                skipped.append((q, str(exc)))
+class _MiningState:
+    """The descriptor-independent part of one mining run, fixed once
+    computed: queries in cluster order, positives, the queries skipped
+    for want of a positive, the negative universe and image -> cluster."""
 
-    if not positives:
-        return [], skipped
-    universe = negative_universe(graphs, queries, positives, cfg, stream)
-    db = DescriptorDB({i: descriptors[i] for i in universe})
-    cluster_of = cluster_of_img.__getitem__
+    def __init__(self, graphs, descriptors, cfg, positive_method, stream,
+                 query_clusters=None, all_images_as_queries=False):
+        if positive_method not in ("m1", "m2", "m3"):
+            raise ValueError(f"unknown positive method {positive_method!r}")
+        if stream is None:
+            stream = SeededStream(0)
+        self.negatives = cfg.negatives
+        self.cluster_of = {img: g.cluster_id
+                           for g in graphs for img in g.images}
+        by_cluster = {g.cluster_id: g for g in graphs}
+        queries = {
+            cid: (sorted(by_cluster[cid].images) if all_images_as_queries
+                  else choose_queries(by_cluster[cid],
+                                      stream.derive("queries", cid)))
+            for cid in sorted(by_cluster) if query_clusters is None
+            or cid in query_clusters}
+        self.queries = []
+        self.positives = {}
+        self.skipped = []
+        for cid, cluster_queries in queries.items():
+            g = by_cluster[cid]
+            for q in cluster_queries:
+                self.queries.append(q)
+                pool = candidate_pool(g, q, cfg.pool_size)
+                try:
+                    if positive_method == "m1":
+                        self.positives[q] = positive_m1(q, pool, descriptors)
+                    elif positive_method == "m2":
+                        self.positives[q] = positive_m2(q, pool, g)
+                    else:
+                        self.positives[q] = positive_m3(
+                            q, pool, g, cfg, stream.derive("m3", q))
+                except NoPositiveError as exc:
+                    self.skipped.append((q, str(exc)))
+        # a seeded sample per cluster plus every query and positive, so
+        # select() reads descriptors of the universe only
+        universe = set(self.queries) | set(self.positives.values())
+        for g in graphs:
+            ids = sorted(g.images)
+            take = min(cfg.candidate_negatives_per_cluster, len(ids))
+            order = stream.derive("negpool", g.cluster_id).permutation(len(ids))
+            universe.update(ids[int(j)] for j in order[:take])
+        self.universe = sorted(universe)
 
-    tuples = []
-    for cid in query_cluster_ids:
-        for q in queries[cid]:
-            if q not in positives:
+    def select(self, descriptors: dict, variant: str):
+        """(tuples, skipped): hard negatives for every query with a
+        positive, ranked over one DescriptorDB of the universe; a query
+        with too few candidates joins the skipped list."""
+        skipped = list(self.skipped)
+        if not self.positives:
+            return [], skipped
+        db = DescriptorDB({i: descriptors[i] for i in self.universe})
+        tuples = []
+        for q in self.queries:
+            if q not in self.positives:
                 continue
             try:
-                negs = _hard_negatives(q, descriptors[q], db, cluster_of,
-                                       cfg.negatives, negative_variant)
+                negs = _hard_negatives(q, descriptors[q], db,
+                                       self.cluster_of.__getitem__,
+                                       self.negatives, variant)
             except ShortListError as exc:
                 skipped.append((q, str(exc)))
                 continue
-            tuples.append(TrainingTuple(q, positives[q], tuple(negs)))
-    return tuples, skipped
-
-
-def negative_universe(graphs: list, queries: dict, positives: dict,
-                      cfg: MiningConfig, stream: SeededStream) -> list:
-    """Fixed candidate-negative id list: per cluster, a seeded sample plus
-    that cluster's queries and positives (sorted, de-duplicated)."""
-    universe = set()
-    for g in sorted(graphs, key=lambda g: g.cluster_id):
-        ids = sorted(g.images)
-        take = min(cfg.candidate_negatives_per_cluster, len(ids))
-        order = stream.derive("negpool", g.cluster_id).permutation(len(ids))
-        universe.update(ids[int(j)] for j in order[:take])
-        universe.update(queries.get(g.cluster_id, ()))
-        universe.update(p for q, p in positives.items()
-                        if q in queries.get(g.cluster_id, ()))
-    return sorted(universe)
+            tuples.append(TrainingTuple(q, self.positives[q], tuple(negs)))
+        return tuples, skipped
 
 
 class TupleMiner:
     """Owns the fixed mining state across a training run.
 
-    Queries, positives, and the candidate-negative universe are chosen once
-    at construction from descriptors, an id -> vector map covering every
-    image of graphs (positives never change afterwards); remine() refreshes
-    descriptors with the caller's embedding and re-selects only negatives.
+    Queries, positives, the skipped queries and the candidate-negative
+    universe are computed once at construction, as build_tuples computes
+    them, from descriptors, an id -> vector map covering every image of
+    graphs; positives never change afterwards. remine() embeds the
+    universe with the caller's embedding and re-selects only negatives,
+    over the same universe and with the same routine as the first
+    selection.
     """
 
     def __init__(self, graphs, images: dict, cfg: MiningConfig,
                  descriptors: dict, positive_method: str = "m3",
                  negative_variant: str = "N2",
                  stream: SeededStream | None = None):
-        self.graphs = list(graphs)
         self.images = images
-        self.cfg = cfg
-        self.positive_method = positive_method
         self.negative_variant = negative_variant
-        self.stream = stream if stream is not None else SeededStream(0)
-        self.cluster_of = {}
-        for g in self.graphs:
-            for img in g.images:
-                self.cluster_of[img] = g.cluster_id
-        self.tuples, self.skipped = build_tuples(
-            self.graphs, descriptors, cfg, positive_method, negative_variant,
-            self.stream)
-        queries = {}
-        positives = {}
-        for t in self.tuples:
-            cid = self.cluster_of[t.query]
-            queries.setdefault(cid, []).append(t.query)
-            positives[t.query] = t.positive
-        # contains every tuple's query, so remine() embeds only the universe
-        self.universe = negative_universe(self.graphs, queries, positives,
-                                          cfg, self.stream)
+        self.state = _MiningState(list(graphs), descriptors, cfg,
+                                  positive_method, stream)
+        self.tuples, self.skipped = self.state.select(descriptors,
+                                                      negative_variant)
 
     def current_tuples(self) -> list:
         return list(self.tuples)
@@ -459,14 +445,9 @@ class TupleMiner:
 
     def remine(self, embed) -> None:
         """Re-select negatives under a fresh embedding; positives stay."""
-        descriptors = {i: embed(self.images[i]) for i in self.universe}
-        db = DescriptorDB(descriptors)
-        cluster_of = self.cluster_of.__getitem__
-        self.tuples = [
-            TrainingTuple(t.query, t.positive, tuple(_hard_negatives(
-                t.query, descriptors[t.query], db, cluster_of,
-                self.cfg.negatives, self.negative_variant)))
-            for t in self.tuples]
+        descriptors = {i: embed(self.images[i]) for i in self.state.universe}
+        self.tuples, self.skipped = self.state.select(descriptors,
+                                                      self.negative_variant)
 
 
 # ---------------------------------------------------------------------------

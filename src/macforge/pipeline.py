@@ -226,10 +226,12 @@ def stage_synth(scene_cfg, out_dir):
     Layout: <out>/scenes/<cluster>.json, <out>/images/<image-id>.ppm,
     <out>/ground_truth.json. Returns (clusters, images, points).
     """
-    graphs = generate(scene_cfg)
     scenes_dir = os.path.join(out_dir, "scenes")
     images_dir = os.path.join(out_dir, "images")
+    # an unusable out_dir fails here, before any cluster is generated
     os.makedirs(scenes_dir, exist_ok=True)
+    os.makedirs(images_dir, exist_ok=True)
+    graphs = generate(scene_cfg)
     n_images = 0
     n_points = 0
     for graph in graphs:
@@ -304,6 +306,8 @@ def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
     miner = TupleMiner(train_graphs, images, mining_cfg, initial,
                        positive_method, negative_variant,
                        stream.derive("mine"))
+    if not miner.current_tuples():
+        raise ValueError("training split produced no tuples")
     val_tuples = []
     if val_graphs:
         # queries stay restricted to the held-out clusters

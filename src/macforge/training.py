@@ -298,6 +298,8 @@ def train(source, val_tuples: list, spec: list[LayerSpec], params: NetParams,
     """
     if loss_kind not in ("contrastive", "triplet"):
         raise ValueError(f"unknown loss {loss_kind!r}")
+    if not source.current_tuples():
+        raise ValueError("tuple source has no training tuples")
     params = params.copy()
     velocity = params.zeros_like()
     best_params = params.copy()

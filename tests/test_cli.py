@@ -105,6 +105,18 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             parse_config_file(str(conf))
 
+    @pytest.mark.parametrize("setting", [
+        "positive_method=m4", "negative_variant=N3", "loss=hinge",
+        "whiten_kind=zca", "mode=Crop"])
+    def test_unknown_choice_rejected(self, setting, tmp_path):
+        key, _, value = setting.partition("=")
+        with pytest.raises(ConfigError, match=key):
+            self._resolve("synth", "--out", "x", "--set", setting)
+        conf = tmp_path / "run.conf"
+        conf.write_text(setting + "\n")
+        with pytest.raises(ConfigError, match=repr(value)):
+            self._resolve("synth", "--out", "x", "--config", str(conf))
+
     def test_bad_value_type_rejected(self):
         with pytest.raises(ConfigError):
             self._resolve("synth", "--out", "x", "--set", "clusters=many")
@@ -377,6 +389,17 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_unknown_loss_rejected_before_training(self, workspace,
+                                                   tmp_path, capsys):
+        data = str(workspace / "data")
+        run = tmp_path / "run"
+        code = run_cli("train", "--scenes", f"{data}/scenes",
+                       "--images", f"{data}/images", "--out", str(run),
+                       *SMALL_ARGS, "--set", "loss=hinge")
+        assert code == EXIT_CONFIG
+        assert "hinge" in capsys.readouterr().err
+        assert not (run / "init.mfck").exists()
 
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

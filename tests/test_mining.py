@@ -34,6 +34,7 @@ from macforge.mining import (
     scale_change,
 )
 from macforge.numeric import SeededStream
+from macforge.synthscene import SceneConfig, generate
 
 
 def look_at(center, target=(0.0, 0.0, 0.0), up=(0.0, 0.0, 1.0)):
@@ -646,13 +647,111 @@ class TestTupleMiner:
             [(t.query, t.positive) for t in before]
         cluster_of = {i: g.cluster_id for g in graphs for i in g.images}
         for t in after:
-            cand = {i: embed2[i] for i in miner.universe}
+            cand = {i: embed2[i] for i in miner.state.universe}
             cand[t.query] = embed2[t.query]
             assert list(t.negatives) == mine_negatives(
                 t.query, cand, cluster_of.__getitem__, cfg.negatives,
                 variant)
         assert any(a.negatives != b.negatives
                    for a, b in zip(before, after))
+
+
+def universe_oracle(graphs, cfg, stream):
+    """Per cluster: the seeded candidate sample, the sampled queries and
+    their m3 positives, written out from the mining rules."""
+    universe = set()
+    for g in graphs:
+        ids = sorted(g.images)
+        order = stream.derive("negpool", g.cluster_id).permutation(len(ids))
+        universe.update(ids[int(j)]
+                        for j in order[:cfg.candidate_negatives_per_cluster])
+        for q in choose_queries(g, stream.derive("queries", g.cluster_id)):
+            universe.add(q)
+            try:
+                universe.add(positive_m3(
+                    q, candidate_pool(g, q, cfg.pool_size), g, cfg,
+                    stream.derive("m3", q)))
+            except NoPositiveError:
+                pass
+    return universe
+
+
+def random_case():
+    stream = SeededStream(76)
+    graphs = [random_graph(stream.derive("g", c), cluster_id=f"c{c}",
+                           n_images=8, all_edges=True)
+              for c in range(4)]
+    return graphs, MiningConfig(pool_size=5, negatives=2,
+                                candidate_negatives_per_cluster=3)
+
+
+def skipped_cluster_case():
+    # the one sampled query of c00 has no feasible positive and no
+    # candidate is sampled, so c00 enters the universe through that
+    # query alone; without it an N2 query finds only 2 other clusters
+    graphs = generate(SceneConfig(clusters=4, images_per_cluster=(8, 10),
+                                  points_per_cluster=(30, 40),
+                                  image_size=32, seed=0))
+    return graphs, MiningConfig(pool_size=5, negatives=3,
+                                candidate_negatives_per_cluster=0,
+                                inlier_overlap=0.6)
+
+
+class TestMiningState:
+    """build_tuples and TupleMiner mine from one state: the same queries,
+    positives, skip list and negative universe."""
+
+    CASES = {"random": random_case, "skipped_cluster": skipped_cluster_case}
+
+    def _setup(self, case):
+        graphs, cfg = self.CASES[case]()
+        ids = sorted(i for g in graphs for i in g.images)
+        descs = random_unit_descriptors(SeededStream(77), ids)
+        return graphs, cfg, ids, descs
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("variant", ["N1", "N2"])
+    def test_remine_under_initial_descriptors_reproduces_tuples(
+            self, case, variant):
+        graphs, cfg, ids, descs = self._setup(case)
+        built = build_tuples(graphs, descs, cfg, "m3", variant,
+                             SeededStream(0))
+        assert built[0]
+        if case == "skipped_cluster":
+            assert [q for q, _ in built[1]] == ["c00/i005"]
+        miner = TupleMiner(graphs, {i: i for i in ids}, cfg, descs, "m3",
+                           variant, SeededStream(0))
+        assert (miner.current_tuples(), miner.skipped) == built
+        miner.remine(descs.__getitem__)
+        assert (miner.current_tuples(), miner.skipped) == built
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("variant", ["N1", "N2"])
+    def test_remine_ranks_over_the_build_tuples_universe(self, case,
+                                                         variant):
+        graphs, cfg, ids, descs = self._setup(case)
+        universe = universe_oracle(graphs, cfg, SeededStream(0))
+        cluster_of = {i: g.cluster_id for g in graphs for i in g.images}
+
+        def oracle(t, vectors):
+            return mine_negatives(t.query, {i: vectors[i] for i in universe},
+                                  cluster_of.__getitem__, cfg.negatives,
+                                  variant)
+
+        built, _ = build_tuples(graphs, descs, cfg, "m3", variant,
+                                SeededStream(0))
+        assert built
+        for t in built:
+            assert list(t.negatives) == oracle(t, descs)
+        miner = TupleMiner(graphs, {i: i for i in ids}, cfg, descs, "m3",
+                           variant, SeededStream(0))
+        fresh = random_unit_descriptors(SeededStream(78), ids)
+        miner.remine(fresh.__getitem__)
+        after = miner.current_tuples()
+        assert [(t.query, t.positive) for t in after] == \
+            [(t.query, t.positive) for t in built]
+        for t in after:
+            assert list(t.negatives) == oracle(t, fresh)
 
 
 class TestSceneIO:

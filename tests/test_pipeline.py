@@ -22,6 +22,7 @@ from macforge.descriptor import (
 from macforge.images import resize_max_side
 from macforge.mining import MiningConfig, build_tuples, load_tuples
 from macforge.numeric import DimensionError, SeededStream
+from macforge import pipeline
 from macforge.pipeline import (
     Extractor,
     benchmark_ground_truth,
@@ -324,6 +325,17 @@ class TestStageSynth:
         probe = graph_ids[0]
         assert os.path.exists(image_path(str(out / "images"), probe))
 
+    def test_unusable_out_fails_before_generating(self, tmp_path,
+                                                  monkeypatch):
+        def never(cfg):
+            pytest.fail("generate ran before the output directories")
+
+        monkeypatch.setattr(pipeline, "generate", never)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(OSError):
+            stage_synth(SMOKE_SCENE, str(blocker / "out"))
+
     def test_scene_graphs_regenerate(self, synth_dir):
         out, _ = synth_dir
         loaded = load_scenes_dir(str(out / "scenes"))
@@ -459,6 +471,18 @@ class TestStageTrain:
         full, _ = trained
         assert (run / "metrics.csv").read_text() != \
             (full / "metrics.csv").read_text()
+
+    def test_no_training_tuples_fails_before_init_checkpoint(
+            self, synth_dir, tmp_path):
+        # N2 cannot find 50 distinct negative clusters among 4
+        out, _ = synth_dir
+        run = tmp_path / "run"
+        with pytest.raises(ValueError, match="training split produced no"):
+            stage_train(str(out / "scenes"), str(out / "images"), str(run),
+                        TRAIN_CFG, LossConfig(),
+                        MiningConfig(pool_size=10, negatives=50), "m3",
+                        "N2", "contrastive", 0.25, seed=3)
+        assert not run.exists()
 
     def test_init_from_checkpoint_reuses_weights(self, synth_dir, trained,
                                                  tmp_path):

@@ -446,6 +446,15 @@ def small_problem(stream, n_tuples=12):
 
 
 class TestTrainLoop:
+    def test_empty_source_rejected(self):
+        spec, params = make_identity_net()
+        images, tuples = small_problem(SeededStream(86), n_tuples=2)
+        source = FakeSource(images, [])
+        with pytest.raises(ValueError, match="no training tuples"):
+            train(source, tuples, spec, params, TrainConfig(max_epochs=2),
+                  LossConfig(), SeededStream(0))
+        assert source.remine_calls == 0
+
     def test_zero_lr_is_noop(self):
         spec, params = make_identity_net()
         images, tuples = small_problem(SeededStream(87))
