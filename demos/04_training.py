@@ -14,10 +14,11 @@ Run from the repository root (a few seconds):
 import numpy as np
 
 from macforge.backbone import init_params, tiny_spec
-from macforge.mining import MiningConfig, TupleMiner, build_tuples
+from macforge.mining import MiningConfig
 from macforge.numeric import SeededStream
 from macforge.pipeline import (
     benchmark_ground_truth,
+    prepare_training,
     render_images,
     split_clusters,
 )
@@ -55,18 +56,15 @@ def main():
     map0 = retrieval_map({i: all0[i] for i in sorted(gt_val)}, gt_val)
     print(f"held-out mAP before training: {map0:.4f}\n")
 
+    # training tuples come from the training clusters; validation tuples
+    # draw queries from held-out clusters but may use the whole corpus as
+    # negatives
     mining_cfg = MiningConfig(pool_size=8, negatives=3,
                               candidate_negatives_per_cluster=8)
-    miner = TupleMiner(train_graphs, images, mining_cfg, all0,
-                       "m3", "N2", stream.derive("mine"))
+    miner, val_tuples = prepare_training(graphs, images, all0, mining_cfg,
+                                         "m3", "N2", 0.3, stream)
     print(f"mined {len(miner.current_tuples())} training tuples "
           f"({len(miner.skipped)} queries skipped)")
-
-    # validation tuples draw queries from held-out clusters but may use
-    # the whole corpus as negatives
-    val_tuples, _ = build_tuples(
-        graphs, all0, mining_cfg, "m3", "N2", stream.derive("valmine"),
-        query_clusters={g.cluster_id for g in val_graphs})
 
     cfg = TrainConfig(batch_tuples=2, max_epochs=6, remine_per_epoch=2,
                       max_image_side=48)

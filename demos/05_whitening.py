@@ -18,17 +18,19 @@ Run from the repository root (about a minute):
 import numpy as np
 
 from macforge.backbone import init_params, tiny_spec
-from macforge.mining import MiningConfig, TupleMiner, build_tuples
+from macforge.mining import MiningConfig, build_tuples
 from macforge.numeric import SeededStream
 from macforge.pipeline import (
     benchmark_ground_truth,
+    fit_lw_tuples,
+    prepare_training,
     render_images,
     split_clusters,
 )
 from macforge.retrieval import DescriptorDB, average_precision, search
 from macforge.synthscene import SceneConfig, generate
 from macforge.training import LossConfig, TrainConfig, embed_image, train
-from macforge.whitening import apply_projection, fit_lw, fit_pcaw
+from macforge.whitening import apply_projection, fit_pcaw
 
 
 def retrieval_map(vectors, gt):
@@ -55,11 +57,8 @@ def main():
     mining_cfg = MiningConfig()
     all0 = {i: embed_image(params0, spec, images[i])
             for g in graphs for i in g.images}
-    miner = TupleMiner(train_graphs, images, mining_cfg, all0,
-                       "m3", "N2", stream.derive("mine"))
-    val_tuples, _ = build_tuples(
-        graphs, all0, mining_cfg, "m3", "N2", stream.derive("valmine"),
-        query_clusters={g.cluster_id for g in val_graphs})
+    miner, val_tuples = prepare_training(graphs, images, all0, mining_cfg,
+                                         "m3", "N2", 0.2, stream)
     result = train(miner, val_tuples, spec, params0,
                    TrainConfig(max_epochs=5), LossConfig(),
                    stream.derive("train"), loss_kind="contrastive")
@@ -69,24 +68,19 @@ def main():
     descriptors = {i: embed_image(best, spec, images[i])
                    for g in graphs for i in g.images}
     train_ids = sorted(i for g in train_graphs for i in g.images)
+    train_desc = {i: descriptors[i] for i in train_ids}
 
     # every training image queries once; the 10% benchmark subsample
     # would leave the 32x32 matching scatter starved of pairs
-    tuples, _ = build_tuples(train_graphs,
-                             {i: descriptors[i] for i in train_ids},
-                             mining_cfg, "m3", "N2",
-                             stream.derive("whitenmine"),
+    tuples, _ = build_tuples(train_graphs, train_desc, mining_cfg, "m3",
+                             "N2", stream.derive("whitenmine"),
                              all_images_as_queries=True)
-    matching = [(descriptors[t.query], descriptors[t.positive])
-                for t in tuples]
-    nonmatching = [(descriptors[t.query], descriptors[n])
-                   for t in tuples for n in t.negatives]
-    mean_source = [descriptors[i] for i in train_ids]
-    print(f"fitting on {len(matching)} matching and {len(nonmatching)} "
-          f"non-matching pairs from {len(train_ids)} training images")
+    print(f"fitting on {len(tuples)} matching and "
+          f"{sum(len(t.negatives) for t in tuples)} non-matching pairs "
+          f"from {len(train_ids)} training images")
 
-    lw = fit_lw(matching, nonmatching, mean_source)
-    pcaw = fit_pcaw(mean_source)
+    lw = fit_lw_tuples(train_desc, tuples)
+    pcaw = fit_pcaw([descriptors[i] for i in train_ids])
     top = np.asarray(lw.spectrum[:5], dtype=np.float64)
     print(f"leading Lw spectrum values: {np.array2string(top, precision=3)}")
     print("columns are ordered by how much non-matching scatter they "

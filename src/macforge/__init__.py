@@ -63,7 +63,6 @@ from .mining import (
 from .numeric import (
     DimensionError,
     SeededStream,
-    central_difference,
     inv_sqrt_psd,
     sym_eig,
 )

@@ -356,6 +356,9 @@ class _MiningState:
         self.negatives = cfg.negatives
         self.cluster_of = {img: g.cluster_id
                            for g in graphs for img in g.images}
+        missing = [i for i in sorted(self.cluster_of) if i not in descriptors]
+        if missing:
+            raise FormatError(f"scene image {missing[0]!r} has no descriptor")
         by_cluster = {g.cluster_id: g for g in graphs}
         queries = {
             cid: (sorted(by_cluster[cid].images) if all_images_as_queries

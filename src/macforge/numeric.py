@@ -149,23 +149,3 @@ def inv_sqrt_psd(
         return b, int(np.count_nonzero(vals > cutoff))
     return b
 
-
-def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Gradient of a scalar function at x by central finite differences.
-
-    Works in 64-bit regardless of the input dtype. fn is called with a
-    temporarily perturbed copy of x and must not retain a reference to it.
-    """
-    x = np.array(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        hi = float(fn(x))
-        flat[i] = orig - h
-        lo = float(fn(x))
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * h)
-    return grad

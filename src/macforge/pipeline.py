@@ -33,8 +33,8 @@ from .descriptor import (
     save_descriptors,
 )
 from .images import read_ppm, resize_max_side, write_ppm
+from .ioutil import FormatError
 from .mining import (
-    MiningConfig,
     TupleMiner,
     build_tuples,
     load_scene,
@@ -45,13 +45,7 @@ from .mining import (
 from .numeric import DimensionError, SeededStream
 from .retrieval import QueryGroundTruth, save_ground_truth
 from .synthscene import generate, render
-from .training import (
-    LossConfig,
-    TrainConfig,
-    embed_image,
-    train,
-    write_metrics_csv,
-)
+from .training import embed_image, train, write_metrics_csv
 from .whitening import (
     KIND_LW,
     KIND_PCAW,
@@ -275,27 +269,48 @@ def stage_mine(scenes_dir, descriptors_path, out_path, mining_cfg,
     return tuples, skipped
 
 
+def prepare_training(graphs, images, initial, mining_cfg, positive_method,
+                     negative_variant, val_fraction, stream):
+    """Split graphs and mine under the initial network: the training
+    TupleMiner on stream "mine", the held-out tuples on stream "valmine"
+    with queries from held-out clusters and negatives from all. initial
+    maps every image id of graphs to its descriptor. Returns (miner,
+    val_tuples); a split without tuples is a ValueError."""
+    train_graphs, val_graphs = split_clusters(graphs, val_fraction)
+    miner = TupleMiner(train_graphs, images, mining_cfg, initial,
+                       positive_method, negative_variant,
+                       stream.derive("mine"))
+    if not miner.current_tuples():
+        raise ValueError("training split produced no tuples")
+    val_tuples, _ = build_tuples(
+        graphs, initial, mining_cfg, positive_method, negative_variant,
+        stream.derive("valmine"),
+        query_clusters={g.cluster_id for g in val_graphs})
+    if not val_tuples:
+        raise ValueError("validation split produced no tuples")
+    return miner, val_tuples
+
+
 def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
                 mining_cfg, positive_method, negative_variant, loss_kind,
-                val_fraction, seed, spec=None, init_params_from=None):
+                val_fraction, seed, init_params_from=None):
     """Mine tuples on the training clusters, fine-tune, keep the best
     checkpoint by held-out mAP. Every image is capped at
     train_cfg.max_image_side once on load, as the Extractor caps it in
     embed and eval. Returns the TrainResult."""
     graphs = load_scenes_dir(scenes_dir)
-    train_graphs, val_graphs = split_clusters(graphs, val_fraction)
-    if not train_graphs:
-        raise ValueError("no training clusters after split")
     images = {image_id: resize_max_side(image, train_cfg.max_image_side)
               for image_id, image in load_images_dir(images_dir).items()}
+    missing = [i for g in graphs for i in sorted(g.images) if i not in images]
+    if missing:
+        raise FileNotFoundError(f"scene image {missing[0]!r} has no PPM: "
+                                f"{image_path(images_dir, missing[0])}")
 
     stream = SeededStream(seed)
-    if spec is None:
-        spec = tiny_spec()
     if init_params_from is not None:
-        loaded_spec, params, _ = load_checkpoint(init_params_from)
-        spec = loaded_spec
+        spec, params, _ = load_checkpoint(init_params_from)
     else:
+        spec = tiny_spec()
         params = init_params(spec, stream.derive("init"))
 
     params0 = params.copy()
@@ -303,20 +318,9 @@ def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
     # whole graph set is embedded once and serves the miner as well
     initial = {image_id: embed_image(params0, spec, images[image_id])
                for graph in graphs for image_id in sorted(graph.images)}
-    miner = TupleMiner(train_graphs, images, mining_cfg, initial,
-                       positive_method, negative_variant,
-                       stream.derive("mine"))
-    if not miner.current_tuples():
-        raise ValueError("training split produced no tuples")
-    val_tuples = []
-    if val_graphs:
-        # queries stay restricted to the held-out clusters
-        val_tuples, _ = build_tuples(
-            graphs, initial, mining_cfg, positive_method,
-            negative_variant, stream.derive("valmine"),
-            query_clusters={g.cluster_id for g in val_graphs})
-    if not val_tuples:
-        raise ValueError("validation split produced no tuples")
+    miner, val_tuples = prepare_training(
+        graphs, images, initial, mining_cfg, positive_method,
+        negative_variant, val_fraction, stream)
 
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "init.mfck"), spec, params0,
@@ -333,25 +337,33 @@ def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
     return result
 
 
+def fit_lw_tuples(descriptors, tuples):
+    """Lw from mined tuples: query-positive matching pairs and query-
+    negative non-matching pairs in tuple order, the mean over every
+    descriptor in sorted-id order. An id missing from descriptors is a
+    FormatError."""
+    missing = [i for t in tuples for i in (t.query, t.positive, *t.negatives)
+               if i not in descriptors]
+    if missing:
+        raise FormatError(f"tuple image {missing[0]!r} has no descriptor")
+    matching = [(descriptors[t.query], descriptors[t.positive])
+                for t in tuples]
+    nonmatching = [(descriptors[t.query], descriptors[n])
+                   for t in tuples for n in t.negatives]
+    mean_source = [descriptors[i] for i in sorted(descriptors)]
+    return fit_lw(matching, nonmatching, mean_source)
+
+
 def stage_whiten(descriptors_path, out_path, kind, tuples_path=None):
-    """Fit Lw from mined tuples (query-positive matching pairs, query-
-    negative non-matching pairs) or PCAw from the descriptor set."""
+    """Fit Lw from mined tuples (fit_lw_tuples) or PCAw from the
+    descriptor set."""
     descriptors = load_descriptors(descriptors_path)
     if kind == KIND_PCAW:
         model = fit_pcaw([descriptors[i] for i in sorted(descriptors)])
     elif kind == KIND_LW:
         if tuples_path is None:
             raise ValueError("Lw fitting needs a tuples file")
-        tuples = load_tuples(tuples_path)
-        matching = []
-        nonmatching = []
-        for t in tuples:
-            matching.append((descriptors[t.query], descriptors[t.positive]))
-            for negative in t.negatives:
-                nonmatching.append((descriptors[t.query],
-                                    descriptors[negative]))
-        mean_source = [descriptors[i] for i in sorted(descriptors)]
-        model = fit_lw(matching, nonmatching, mean_source)
+        model = fit_lw_tuples(descriptors, load_tuples(tuples_path))
     else:
         raise ValueError(f"unknown whitening kind {kind!r}")
     save_projection(out_path, model)

@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+from testkit import central_difference, random_graph
 
 from macforge.backbone import (
     NetParams,
@@ -26,12 +27,9 @@ from macforge.backbone import (
 )
 from macforge.descriptor import l2n, mac, mac_backward
 from macforge.mining import (
-    Camera,
     MiningConfig,
     NoPositiveError,
     ShortListError,
-    TupleMiner,
-    VisibilityGraph,
     build_tuples,
     candidate_pool,
     choose_queries,
@@ -40,10 +38,12 @@ from macforge.mining import (
     positive_m2,
     positive_m3,
 )
-from macforge.numeric import SeededStream, central_difference
+from macforge.numeric import SeededStream
 from macforge.pipeline import (
     Extractor,
     benchmark_ground_truth,
+    fit_lw_tuples,
+    prepare_training,
     render_images,
     split_clusters,
     stage_embed,
@@ -121,20 +121,13 @@ def benchmark_runs():
         map0 = _retrieval_map({i: all0[i] for i in sorted(gt_val)}, gt_val)
         setup_seconds = time.perf_counter() - t0
 
-        record = {
-            "spec": spec, "graphs": graphs, "images": images,
-            "train_graphs": train_graphs, "val_graphs": val_graphs,
-            "gt_val": gt_val, "params0": params0, "map0": map0,
-            "setup_seconds": setup_seconds,
-        }
-        mining_cfg = MiningConfig()
+        record = {"spec": spec, "images": images, "train_graphs": train_graphs,
+                  "gt_val": gt_val, "map0": map0,
+                  "setup_seconds": setup_seconds}
         for pm, nv in (("m3", "N2"), ("m1", "N1")):
             t1 = time.perf_counter()
-            miner = TupleMiner(train_graphs, images, mining_cfg, all0,
-                               pm, nv, stream.derive("mine"))
-            val_tuples, _ = build_tuples(
-                graphs, all0, mining_cfg, pm, nv, stream.derive("valmine"),
-                query_clusters={g.cluster_id for g in val_graphs})
+            miner, val_tuples = prepare_training(
+                graphs, images, all0, MiningConfig(), pm, nv, 0.2, stream)
             result = train(miner, val_tuples, spec, params0,
                            TrainConfig(max_epochs=5), LossConfig(),
                            stream.derive("train"), loss_kind="contrastive")
@@ -154,45 +147,6 @@ def benchmark_runs():
 # ---------------------------------------------------------------------------
 # Criterion 3 helpers: independent brute-force oracles
 # ---------------------------------------------------------------------------
-
-
-def _look_at(center):
-    center = np.asarray(center, dtype=np.float64)
-    fwd = -center / np.linalg.norm(center)
-    up = np.array([0.0, 0.0, 1.0])
-    right = np.cross(fwd, up)
-    if np.linalg.norm(right) < 1e-9:
-        right = np.cross(fwd, np.array([1.0, 0.0, 0.0]))
-    right = right / np.linalg.norm(right)
-    down = np.cross(fwd, right)
-    return np.stack([right, down, fwd])
-
-
-def _random_graph(stream, cluster_id, n_images, n_points, all_edges=False):
-    images = {}
-    for i in range(n_images):
-        s = stream.derive("cam", i)
-        direction = s.normal(size=3)
-        direction = direction / np.linalg.norm(direction)
-        center = direction * float(s.uniform(4.0, 8.0))
-        images[f"{cluster_id}/i{i:03d}"] = Camera(
-            center, _look_at(center), float(s.uniform(80.0, 160.0)))
-    points = {p: stream.derive("pt", p).uniform(-1.0, 1.0, 3)
-              for p in range(n_points)}
-    ids = sorted(images)
-    edges = set()
-    for p in range(n_points):
-        if all_edges:
-            observers = ids
-        else:
-            s = stream.derive("edge", p)
-            count = int(s.integers(2, min(6, n_images) + 1))
-            order = s.permutation(n_images)
-            observers = [ids[int(j)] for j in order[:count]]
-        edges.update((img, p) for img in observers)
-    g = VisibilityGraph(cluster_id, images, points, edges)
-    g.validate()
-    return g
 
 
 def _oracle_observed(g, img):
@@ -456,8 +410,8 @@ class TestAcceptance:
         for k in range(100):
             n_images = 4 + (k % 12) * 3  # 4..37 images
             n_points = 20 + (k * 7) % 481  # 20..500 points
-            graphs.append(_random_graph(SeededStream(3000, k), f"g{k:03d}",
-                                        n_images, n_points))
+            graphs.append(random_graph(SeededStream(3000, k), f"g{k:03d}",
+                                       n_images, n_points))
 
         for k, g in enumerate(graphs):
             ids = sorted(g.images)
@@ -512,7 +466,7 @@ class TestAcceptance:
                     q, descs, cluster.__getitem__, 3, variant)
 
         # uniformity of the m3 pick over a known feasible set
-        g = _random_graph(SeededStream(3500), "u", 10, 12, all_edges=True)
+        g = random_graph(SeededStream(3500), "u", 10, 12, all_edges=True)
         cfg = MiningConfig(pool_size=9, inlier_overlap=0.2,
                            scale_threshold=100.0)
         q = sorted(g.images)[0]
@@ -622,15 +576,10 @@ class TestAcceptance:
                 record["train_graphs"], fit_desc, MiningConfig(),
                 "m3", "N2", SeededStream(seed).derive("whiten"),
                 all_images_as_queries=True)
-            matching = [(fit_desc[t.query], fit_desc[t.positive])
-                        for t in tuples]
-            nonmatching = [(fit_desc[t.query], fit_desc[n])
-                           for t in tuples for n in t.negatives]
-            mean_source = [fit_desc[i] for i in train_ids]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                lw = fit_lw(matching, nonmatching, mean_source)
-                pcaw = fit_pcaw(mean_source)
+                lw = fit_lw_tuples(fit_desc, tuples)
+                pcaw = fit_pcaw([fit_desc[i] for i in train_ids])
 
             gt = record["gt_val"]
             val_desc = {i: embed_image(best, spec, images[i])

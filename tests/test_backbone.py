@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from testkit import central_difference, rel_err
 
 from macforge.backbone import (
     INIT_GAIN,
@@ -22,7 +23,7 @@ from macforge.backbone import (
     validate_spec,
 )
 from macforge.ioutil import FormatError
-from macforge.numeric import SeededStream, central_difference
+from macforge.numeric import SeededStream
 
 
 def direct_conv(x, weight, bias, stride, pad):
@@ -276,11 +277,6 @@ def _random_instance(stream):
         if _margins_ok(spec, params, x):
             return spec, params, x
     raise AssertionError("could not build a margin-safe instance")
-
-
-def rel_err(analytic, fd):
-    denom = np.maximum(np.abs(analytic) + np.abs(fd), 1e-6)
-    return float(np.max(np.abs(analytic - fd) / denom))
 
 
 class TestGradientsAgainstFiniteDifferences:

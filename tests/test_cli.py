@@ -5,7 +5,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 
+import numpy as np
 import pytest
 
 from macforge.cli import (
@@ -19,7 +21,8 @@ from macforge.cli import (
     parse_config_file,
     resolve_config,
 )
-from macforge.mining import MiningConfig
+from macforge.descriptor import save_descriptors
+from macforge.mining import MiningConfig, TrainingTuple, save_tuples
 from macforge.synthscene import SceneConfig
 from macforge.training import LossConfig, TrainConfig
 
@@ -325,9 +328,6 @@ class TestExitCodes:
         assert "does not match" in capsys.readouterr().err
 
     def test_non_finite_descriptor_is_data_error(self, tmp_path, capsys):
-        import numpy as np
-
-        from macforge.descriptor import save_descriptors
         db = str(tmp_path / "nan.macd")
         save_descriptors(db, {"a": np.array([1.0, 0.0]),
                               "b": np.array([np.nan, 0.0])})
@@ -424,3 +424,38 @@ class TestExitCodes:
                        "--mode", "Full")
         assert code == EXIT_DATA
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_mine_descriptors_missing_scene_image_is_data_error(
+            self, workspace, tmp_path, capsys):
+        db = str(tmp_path / "one.macd")
+        save_descriptors(db, {"c00/i001": np.array([1.0, 0.0])})
+        code = run_cli("mine", "--scenes", str(workspace / "data" / "scenes"),
+                       "--descriptors", db, "--out", str(tmp_path / "t.mftp"))
+        assert code == EXIT_DATA
+        assert "'c00/i000' has no descriptor" in capsys.readouterr().err
+
+    def test_lw_tuple_id_missing_from_descriptors_is_data_error(
+            self, tmp_path, capsys):
+        db = str(tmp_path / "two.macd")
+        save_descriptors(db, {"a": np.array([1.0, 0.0]),
+                              "b": np.array([0.0, 1.0])})
+        tuples = str(tmp_path / "t.mftp")
+        save_tuples(tuples, [TrainingTuple("a", "b", ("zz",))])
+        code = run_cli("whiten", "--descriptors", db, "--tuples", tuples,
+                       "--kind", "lw", "--out", str(tmp_path / "p.mfpw"))
+        assert code == EXIT_DATA
+        assert "'zz' has no descriptor" in capsys.readouterr().err
+
+    def test_train_scene_image_without_ppm_is_io_error(self, workspace,
+                                                       tmp_path, capsys):
+        images = tmp_path / "images"
+        shutil.copytree(workspace / "data" / "images", images)
+        missing = images / "c01" / "i002.ppm"
+        missing.unlink()
+        code = run_cli("train", "--scenes", str(workspace / "data" / "scenes"),
+                       "--images", str(images), "--out", str(tmp_path / "run"),
+                       *SMALL_ARGS)
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "'c01/i002'" in err and str(missing) in err
+        assert not (tmp_path / "run").exists()

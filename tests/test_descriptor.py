@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from testkit import central_difference
 
 from macforge.backbone import conv, maxpool, relu, tiny_spec
 from macforge.descriptor import (
@@ -24,7 +25,7 @@ from macforge.descriptor import (
     top_contributions,
 )
 from macforge.ioutil import FormatError
-from macforge.numeric import DimensionError, SeededStream, central_difference
+from macforge.numeric import DimensionError, SeededStream
 
 
 class TestMac:

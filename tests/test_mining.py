@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from testkit import random_graph
 
 from macforge.ioutil import FormatError
 from macforge.mining import (
@@ -37,53 +38,8 @@ from macforge.numeric import SeededStream
 from macforge.synthscene import SceneConfig, generate
 
 
-def look_at(center, target=(0.0, 0.0, 0.0), up=(0.0, 0.0, 1.0)):
-    """Rotation whose rows are camera axes, optical axis toward target."""
-    center = np.asarray(center, dtype=np.float64)
-    fwd = np.asarray(target, dtype=np.float64) - center
-    fwd = fwd / np.linalg.norm(fwd)
-    up = np.asarray(up, dtype=np.float64)
-    right = np.cross(fwd, up)
-    if np.linalg.norm(right) < 1e-9:
-        right = np.cross(fwd, np.array([1.0, 0.0, 0.0]))
-    right = right / np.linalg.norm(right)
-    down = np.cross(fwd, right)
-    return np.stack([right, down, fwd])
-
-
 def identity_camera(center, focal=100.0):
     return Camera(np.asarray(center, dtype=np.float64), np.eye(3), focal)
-
-
-def random_graph(stream, cluster_id="c0", n_images=8, n_points=30,
-                 all_edges=False):
-    """Cameras on a sphere looking at the origin, points in the unit ball."""
-    images = {}
-    for i in range(n_images):
-        s = stream.derive("cam", i)
-        direction = s.normal(size=3)
-        direction = direction / np.linalg.norm(direction)
-        center = direction * float(s.uniform(4.0, 8.0))
-        images[f"{cluster_id}/i{i:03d}"] = Camera(
-            center, look_at(center), float(s.uniform(80.0, 160.0)))
-    points = {}
-    for p in range(n_points):
-        points[p] = stream.derive("pt", p).uniform(-1.0, 1.0, 3)
-    ids = sorted(images)
-    edges = set()
-    for p in range(n_points):
-        if all_edges:
-            observers = ids
-        else:
-            s = stream.derive("edge", p)
-            count = int(s.integers(2, min(6, n_images) + 1))
-            order = s.permutation(n_images)
-            observers = [ids[int(j)] for j in order[:count]]
-        for img in observers:
-            edges.add((img, p))
-    g = VisibilityGraph(cluster_id, images, points, edges)
-    g.validate()
-    return g
 
 
 def random_unit_descriptors(stream, ids, dim=8):

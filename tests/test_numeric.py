@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from testkit import central_difference
 
 from macforge.numeric import (
     DimensionError,
@@ -172,8 +173,6 @@ class TestInvSqrtPsd:
 
 class TestCentralDifference:
     def test_quadratic_is_exact(self):
-        from macforge.numeric import central_difference
-
         rng = np.random.default_rng(12)
         m = rng.normal(size=(5, 5))
         a = m + m.T

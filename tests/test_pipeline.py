@@ -20,7 +20,7 @@ from macforge.descriptor import (
     rmac_regions,
 )
 from macforge.images import resize_max_side
-from macforge.mining import MiningConfig, build_tuples, load_tuples
+from macforge.mining import MiningConfig, load_tuples
 from macforge.numeric import DimensionError, SeededStream
 from macforge import pipeline
 from macforge.pipeline import (
@@ -30,6 +30,7 @@ from macforge.pipeline import (
     image_path,
     load_images_dir,
     load_scenes_dir,
+    prepare_training,
     split_clusters,
     stage_embed,
     stage_mine,
@@ -457,13 +458,10 @@ class TestStageTrain:
                   in load_images_dir(str(out / "images")).items()}
         assert {image.shape for image in capped.values()} == {(3, 16, 16)}
         graphs = load_scenes_dir(str(out / "scenes"))
-        _, val_graphs = split_clusters(graphs, 0.25)
         spec, params0, _ = load_checkpoint(str(run / "init.mfck"))
         initial = {i: embed_image(params0, spec, capped[i]) for i in capped}
-        val_tuples, _ = build_tuples(
-            graphs, initial, MINE_CFG, "m3", "N2",
-            SeededStream(3).derive("valmine"),
-            query_clusters={g.cluster_id for g in val_graphs})
+        _, val_tuples = prepare_training(graphs, capped, initial, MINE_CFG,
+                                         "m3", "N2", 0.25, SeededStream(3))
         spec, best, meta = load_checkpoint(str(run / "best.mfck"))
         assert meta["val_map"] == validate(best, spec, val_tuples,
                                            capped.__getitem__)

@@ -167,18 +167,9 @@ class TestGenerate:
 
 
 def behind_camera_graph():
-    """Cameras on -z and +z looking at the origin; the one point sits
-    behind the -z camera, which still has a hand-added edge to it."""
-    cams = {}
-    for name, z in (("t/i000", -4.0), ("t/i001", 4.0)):
-        center = np.array([0.0, 0.0, z])
-        cams[name] = Camera(center=center,
-                            rotation=look_at(center, np.zeros(3)),
-                            focal=96.0)
-    pts = {"t/p000": np.array([0.0, 0.0, -8.0])}
-    edges = {("t/i000", "t/p000"), ("t/i001", "t/p000")}
-    return VisibilityGraph(cluster_id="t", images=cams, points=pts,
-                           edges=edges)
+    """The one point sits behind the -z camera, which still has an edge
+    to it."""
+    return two_camera_graph([(0.0, 0.0, -8.0)])
 
 
 def two_camera_graph(points, extra_edges=(), size=96):

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from testkit import central_difference, rel_err
 
 from macforge.backbone import NetParams, conv, forward, maxpool, relu
 from macforge.descriptor import l2n, mac, mac_backward
 from macforge.mining import TrainingTuple
-from macforge.numeric import DimensionError, SeededStream, central_difference
+from macforge.numeric import DimensionError, SeededStream
 from macforge.training import (
     EpochMetrics,
     LossConfig,
@@ -395,11 +396,8 @@ class TestChainRuleThroughDescriptor:
 
                 fdw = central_difference(f_w, params.weights[li])
                 fdb = central_difference(f_b, params.biases[li])
-                dw = np.max(np.abs(analytic.weights[li] - fdw)
-                            / np.maximum(np.abs(analytic.weights[li]) + np.abs(fdw), 1e-5))
-                db_ = np.max(np.abs(analytic.biases[li] - fdb)
-                             / np.maximum(np.abs(analytic.biases[li]) + np.abs(fdb), 1e-5))
-                worst = max(worst, float(dw), float(db_))
+                worst = max(worst, rel_err(analytic.weights[li], fdw, 1e-5),
+                            rel_err(analytic.biases[li], fdb, 1e-5))
             assert worst < 1e-3, f"trial {trial}: rel err {worst:.2e}"
             checked += 1
             if checked >= 5:

@@ -1,0 +1,78 @@
+"""Helpers shared by several test files: finite-difference gradients
+and random visibility graphs."""
+
+import numpy as np
+
+from macforge.mining import Camera, VisibilityGraph
+
+
+def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Gradient of a scalar function at x by central finite differences.
+
+    Works in 64-bit regardless of the input dtype. fn is called with a
+    temporarily perturbed copy of x and must not retain a reference to it.
+    """
+    x = np.array(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        hi = float(fn(x))
+        flat[i] = orig - h
+        lo = float(fn(x))
+        flat[i] = orig
+        gflat[i] = (hi - lo) / (2.0 * h)
+    return grad
+
+
+def rel_err(analytic, fd, floor=1e-6):
+    """Largest elementwise |analytic - fd| / max(|analytic| + |fd|, floor)."""
+    denom = np.maximum(np.abs(analytic) + np.abs(fd), floor)
+    return float(np.max(np.abs(analytic - fd) / denom))
+
+
+def look_at(center, target=(0.0, 0.0, 0.0), up=(0.0, 0.0, 1.0)):
+    """Rotation whose rows are camera axes, optical axis toward target."""
+    center = np.asarray(center, dtype=np.float64)
+    fwd = np.asarray(target, dtype=np.float64) - center
+    fwd = fwd / np.linalg.norm(fwd)
+    up = np.asarray(up, dtype=np.float64)
+    right = np.cross(fwd, up)
+    if np.linalg.norm(right) < 1e-9:
+        right = np.cross(fwd, np.array([1.0, 0.0, 0.0]))
+    right = right / np.linalg.norm(right)
+    down = np.cross(fwd, right)
+    return np.stack([right, down, fwd])
+
+
+def random_graph(stream, cluster_id="c0", n_images=8, n_points=30,
+                 all_edges=False):
+    """Cameras on a sphere looking at the origin, points in the unit ball."""
+    images = {}
+    for i in range(n_images):
+        s = stream.derive("cam", i)
+        direction = s.normal(size=3)
+        direction = direction / np.linalg.norm(direction)
+        center = direction * float(s.uniform(4.0, 8.0))
+        images[f"{cluster_id}/i{i:03d}"] = Camera(
+            center, look_at(center), float(s.uniform(80.0, 160.0)))
+    points = {}
+    for p in range(n_points):
+        points[p] = stream.derive("pt", p).uniform(-1.0, 1.0, 3)
+    ids = sorted(images)
+    edges = set()
+    for p in range(n_points):
+        if all_edges:
+            observers = ids
+        else:
+            s = stream.derive("edge", p)
+            count = int(s.integers(2, min(6, n_images) + 1))
+            order = s.permutation(n_images)
+            observers = [ids[int(j)] for j in order[:count]]
+        for img in observers:
+            edges.add((img, p))
+    g = VisibilityGraph(cluster_id, images, points, edges)
+    g.validate()
+    return g
