@@ -423,10 +423,11 @@ class TupleMiner:
     Queries, positives, the skipped queries and the candidate-negative
     universe are computed once at construction, as build_tuples computes
     them, from descriptors, an id -> vector map covering every image of
-    graphs; positives never change afterwards. remine() embeds the
-    universe with the caller's embedding and re-selects only negatives,
+    graphs; positives never change afterwards. remine() asks the caller
+    for the descriptor of each universe id and re-selects only negatives,
     over the same universe and with the same routine as the first
-    selection.
+    selection; the caller decides how (and whether again) an id is
+    embedded.
     """
 
     def __init__(self, graphs, images: dict, cfg: MiningConfig,
@@ -446,9 +447,10 @@ class TupleMiner:
     def image(self, image_id: str):
         return self.images[image_id]
 
-    def remine(self, embed) -> None:
-        """Re-select negatives under a fresh embedding; positives stay."""
-        descriptors = {i: embed(self.images[i]) for i in self.state.universe}
+    def remine(self, describe) -> None:
+        """Re-select negatives from describe, a function from image id to
+        its descriptor under the current network; positives stay."""
+        descriptors = {i: describe(i) for i in self.state.universe}
         self.tuples, self.skipped = self.state.select(descriptors,
                                                       self.negative_variant)
 

@@ -1,9 +1,17 @@
 """Contrastive/triplet losses with exact gradients and the SGD fine-tuning loop.
 
 The trainer consumes a tuple source (anything exposing current_tuples(),
-image(id), and remine(embed)), descends on whole-image descriptors built
-as l2n(mac(trunk(image))), re-mines hard negatives at evenly spaced batch
-boundaries, and keeps the checkpoint with the best validation mAP.
+image(id), and remine(describe), where describe maps an image id to its
+descriptor under the current network), descends on whole-image
+descriptors built as l2n(mac(trunk(image))), re-mines hard negatives at
+evenly spaced batch boundaries, and keeps the checkpoint with the best
+validation mAP.
+
+Each image is embedded at most once per parameter version outside the
+batch forwards: re-mining and validation share one id -> descriptor
+cache, dropped on every SGD step, and a re-mine with no SGD step since
+the tuples were last mined is skipped. The source's tuples on entry
+count as mined under the entry params.
 """
 
 from __future__ import annotations
@@ -187,20 +195,26 @@ def embed_image(params: NetParams, spec: list[LayerSpec], image: np.ndarray) -> 
     return l2n(mac(out))
 
 
-def validate(params: NetParams, spec: list[LayerSpec], tuples: list,
-             image_of) -> float:
-    """Validation mAP: per tuple, the positive is ranked among the
-    positive-plus-negatives set by similarity to the query (ties broken by
-    image-id) and scores 1/rank; mAP averages over tuples."""
-    if not tuples:
-        raise ValueError("validation tuple set is empty")
-    cache = {}
-
-    def desc(image_id):
+def _describer(params, spec, image_of, cache: dict):
+    """image id -> embed_image descriptor under params, memoised in cache."""
+    def describe(image_id):
         if image_id not in cache:
             cache[image_id] = embed_image(params, spec, image_of(image_id))
         return cache[image_id]
+    return describe
 
+
+def validate(params: NetParams, spec: list[LayerSpec], tuples: list,
+             image_of, cache: dict | None = None) -> float:
+    """Validation mAP: per tuple, the positive is ranked among the
+    positive-plus-negatives set by similarity to the query (ties broken by
+    image-id) and scores 1/rank; mAP averages over tuples.
+
+    cache, if given, is an id -> descriptor map valid for params; it is
+    read and filled, so a caller can reuse what validation embedded."""
+    if not tuples:
+        raise ValueError("validation tuple set is empty")
+    desc = _describer(params, spec, image_of, {} if cache is None else cache)
     total = 0.0
     for t in tuples:
         db = DescriptorDB({i: desc(i) for i in (t.positive,) + t.negatives})
@@ -295,17 +309,28 @@ def train(source, val_tuples: list, spec: list[LayerSpec], params: NetParams,
     boundaries, and validation mAP decides the best checkpoint (ties to
     the earliest epoch). Positives are fixed by the source and never
     reselected here.
+
+    The source's tuples on entry must be the ones it mines under params
+    (as pipeline.prepare_training builds them), so a re-mine before the
+    first SGD step is skipped. Re-mining and validation share one
+    id -> descriptor cache per parameter version, dropped on every SGD
+    step; the batch forwards keep their own tapes and do not use it.
     """
     if loss_kind not in ("contrastive", "triplet"):
         raise ValueError(f"unknown loss {loss_kind!r}")
     if not source.current_tuples():
         raise ValueError("tuple source has no training tuples")
+    if not val_tuples:
+        raise ValueError("validation tuple set is empty")
     params = params.copy()
     velocity = params.zeros_like()
     best_params = params.copy()
     best_epoch = -1
     best_val = -1.0
     metrics = []
+    # id -> descriptor under params; the entry tuples were mined under them
+    cache = {}
+    mined_current = True
     for epoch in range(cfg.max_epochs):
         lr = lr_at(epoch, cfg)
         tuples = source.current_tuples()
@@ -316,11 +341,10 @@ def train(source, val_tuples: list, spec: list[LayerSpec], params: NetParams,
         loss_sum = 0.0
         loss_batches = 0
         for b in range(n_batches):
-            if b in remine_at:
-                frozen = params.copy()
-                source.remine(lambda img: embed_image(frozen, spec, img))
-                refreshed = source.current_tuples()
-                by_query = {t.query: t for t in refreshed}
+            if b in remine_at and not mined_current:
+                source.remine(_describer(params, spec, source.image, cache))
+                mined_current = True
+                by_query = {t.query: t for t in source.current_tuples()}
                 tuples = [by_query[t.query] for t in tuples]
             batch = tuples[b * cfg.batch_tuples:(b + 1) * cfg.batch_tuples]
             if not batch:
@@ -333,7 +357,9 @@ def train(source, val_tuples: list, spec: list[LayerSpec], params: NetParams,
             loss_sum += loss
             loss_batches += 1
             params, velocity = sgd_step_net(params, grads, velocity, lr, cfg)
-        val_map = validate(params, spec, val_tuples, source.image)
+            cache = {}
+            mined_current = False
+        val_map = validate(params, spec, val_tuples, source.image, cache)
         metrics.append(EpochMetrics(epoch, lr, loss_sum / max(1, loss_batches),
                                     val_map))
         if val_map > best_val:

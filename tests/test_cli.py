@@ -6,6 +6,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -336,6 +338,25 @@ class TestExitCodes:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert "'b'" in err and "non-finite" in err
+
+    def test_non_finite_descriptor_exits_4_without_traceback(self,
+                                                              tmp_path):
+        # run_cli calls main() in-process, where a traceback could never
+        # reach stderr; a child interpreter shows what a user would see
+        db = str(tmp_path / "nan.macd")
+        save_descriptors(db, {"a": np.array([1.0, 0.0]),
+                              "b": np.array([np.nan, 0.0])})
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run(
+            [sys.executable, "-m", "macforge", "whiten", "--descriptors", db,
+             "--kind", "pcaw", "--out", str(tmp_path / "p.mfpw")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == EXIT_DATA == 4
+        assert "error:" in child.stderr
+        assert "Traceback" not in child.stderr
 
     def test_non_finite_scene_is_data_error(self, workspace, tmp_path,
                                             capsys):

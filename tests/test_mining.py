@@ -592,7 +592,7 @@ class TestTupleMiner:
         embed2 = random_unit_descriptors(stream.derive("after"), ids)
         cfg = MiningConfig(pool_size=5, negatives=2,
                            candidate_negatives_per_cluster=3)
-        # images are stand-ins: the re-mining embedding looks each id up
+        # images are stand-ins: remine() asks describe for each id
         miner = TupleMiner(graphs, {i: i for i in ids}, cfg, embed1, "m2",
                            variant, SeededStream(4))
         before = miner.current_tuples()

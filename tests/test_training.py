@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from testkit import central_difference, rel_err
 
-from macforge.backbone import NetParams, conv, forward, maxpool, relu
+from macforge import training
+from macforge.backbone import (NetParams, conv, forward, init_params, maxpool,
+                               relu, tiny_spec)
 from macforge.descriptor import l2n, mac, mac_backward
-from macforge.mining import TrainingTuple
+from macforge.mining import MiningConfig, TrainingTuple
 from macforge.numeric import DimensionError, SeededStream
+from macforge.pipeline import prepare_training, render_images
+from macforge.synthscene import SceneConfig, generate
 from macforge.training import (
     EpochMetrics,
     LossConfig,
@@ -420,9 +424,9 @@ class FakeSource:
     def current_tuples(self):
         return list(self.tuples)
 
-    def remine(self, embed):
+    def remine(self, describe):
         self.remine_calls += 1
-        embed(next(iter(self.images.values())))  # exercise the callback
+        describe(next(iter(self.images)))  # exercise the callback
         if self.alternates is not None:
             self.tuples = list(self.alternates)
 
@@ -451,6 +455,16 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="no training tuples"):
             train(source, tuples, spec, params, TrainConfig(max_epochs=2),
                   LossConfig(), SeededStream(0))
+        assert source.remine_calls == 0
+
+    def test_empty_validation_set_rejected_before_training(self):
+        spec, params = make_identity_net()
+        images, tuples = small_problem(SeededStream(86), n_tuples=4)
+        source = FakeSource(images, tuples)
+        with pytest.raises(ValueError, match="validation tuple set is empty"):
+            train(source, [], spec, params,
+                  TrainConfig(max_epochs=2, batch_tuples=2), LossConfig(),
+                  SeededStream(0))
         assert source.remine_calls == 0
 
     def test_zero_lr_is_noop(self):
@@ -485,8 +499,9 @@ class TestTrainLoop:
         source = FakeSource(images, tuples)
         cfg = TrainConfig(max_epochs=2, batch_tuples=4, remine_per_epoch=3)
         train(source, tuples, spec, params, cfg, LossConfig(), SeededStream(3))
-        # 12 tuples / 4 per batch = 3 batches; boundaries {0,1,2} -> 3 per epoch
-        assert source.remine_calls == 6
+        # 12 tuples / 4 per batch = 3 batches; boundaries {0,1,2} -> 3 per
+        # epoch, less the epoch-0 batch-0 one: no SGD step has run yet
+        assert source.remine_calls == 5
 
     def test_deterministic_given_seed(self):
         spec, params = make_identity_net()
@@ -541,10 +556,70 @@ class TestTrainLoop:
                                     (t.negatives[1], t.negatives[0]))
                       for t in tuples]
         source = FakeSource(images, tuples, alternates=alternates)
-        cfg = TrainConfig(base_lr=0.0, max_epochs=1, batch_tuples=2,
+        # the epoch-0 re-mine is skipped, so the one at epoch 1 swaps them
+        cfg = TrainConfig(base_lr=0.0, max_epochs=2, batch_tuples=2,
                           remine_per_epoch=1)
         train(source, tuples, spec, params, cfg, LossConfig(), SeededStream(8))
+        assert source.remine_calls == 1
         assert source.tuples == alternates
+
+
+class TestEmbeddingOncePerVersion:
+    """Outside the batch forwards, train() embeds each image at most once
+    per parameter version, and never before the first SGD step."""
+
+    def test_miner_from_prepare_training(self, monkeypatch):
+        graphs = generate(SceneConfig(clusters=4, images_per_cluster=(4, 5),
+                                      points_per_cluster=(30, 40),
+                                      image_size=24, seed=5))
+        images = render_images(graphs, 24)
+        spec = tiny_spec()
+        stream = SeededStream(5)
+        params0 = init_params(spec, stream.derive("init"))
+        initial = {i: embed_image(params0, spec, images[i]) for i in images}
+        miner, val_tuples = prepare_training(
+            graphs, images, initial,
+            MiningConfig(pool_size=10, negatives=2,
+                         candidate_negatives_per_cluster=8),
+            "m3", "N2", 0.25, stream)
+        id_of = {id(image): i for i, image in images.items()}
+        version = [0]  # sgd_step_net calls so far
+        embedded = []  # (version, image id) per embed_image call
+
+        def counting_sgd(*args):
+            version[0] += 1
+            return sgd_step_net(*args)
+
+        def recording_embed(params, spec, image):
+            embedded.append((version[0], id_of[id(image)]))
+            return embed_image(params, spec, image)
+
+        # epoch 0 validates after its last step; epoch 1 re-mines there
+        epoch0_steps = -(-len(miner.current_tuples()) // 2)
+        remines = []
+        original_remine = miner.remine
+
+        def recording_remine(describe):
+            remines.append(version[0])
+            return original_remine(describe)
+
+        monkeypatch.setattr(training, "sgd_step_net", counting_sgd)
+        monkeypatch.setattr(training, "embed_image", recording_embed)
+        monkeypatch.setattr(miner, "remine", recording_remine)
+        train(miner, val_tuples, spec, params0,
+              TrainConfig(batch_tuples=2, max_epochs=2, remine_per_epoch=2),
+              LossConfig(), stream.derive("train"))
+
+        assert epoch0_steps in remines and min(remines) > 0
+        assert embedded and min(v for v, _ in embedded) > 0
+        assert len(set(embedded)) == len(embedded)
+        # validation and the re-mine after it share that version's images
+        val_ids = {i for t in val_tuples
+                   for i in (t.query, t.positive) + t.negatives}
+        universe = set(miner.state.universe)
+        assert val_ids & universe
+        assert {i for v, i in embedded if v == epoch0_steps} == \
+            val_ids | universe
 
 
 class TestMetricsCsv:
