@@ -161,11 +161,9 @@ def resolve_config(args):
         cfg.update(parse_config_file(args.config))
     if getattr(args, "rmac", False) and cfg["rmac_scales"] == 0:
         cfg["rmac_scales"] = 3
-    # dedicated flags store under their config key
-    for key in ("seed", "threads", "loss", "mode", "positive_method",
-                "negative_variant", "whiten_kind", "dim"):
-        value = getattr(args, key, None)
-        if value is not None:
+    # a flag whose dest is a config key sets that key when given
+    for key, value in vars(args).items():
+        if key in DEFAULTS and value is not None:
             cfg[key] = value
     for item in getattr(args, "set", None) or []:
         if "=" not in item:

@@ -124,10 +124,10 @@ def rmac_regions(w: int, h: int, scales: int = 3) -> RegionGrid:
 def rmac(x: np.ndarray, grid: RegionGrid, region_transform=None) -> np.ndarray:
     """Aggregate per-region normalized MAC vectors and renormalize.
 
-    With region_transform set (an object exposing apply(vector)), each
-    region vector is projected and renormalized before aggregation; the
-    transform-free output is the plain form meant for post-aggregation
-    whitening.
+    With region_transform set (a function of one vector, e.g. a partial
+    of whitening.apply_projection), each region vector is projected and
+    renormalized before aggregation; the transform-free output is the
+    plain form meant for post-aggregation whitening.
     """
     x = np.asarray(x)
     k, height, width = x.shape
@@ -138,7 +138,7 @@ def rmac(x: np.ndarray, grid: RegionGrid, region_transform=None) -> np.ndarray:
                 f"region {(rx, ry, side)} outside {width}x{height} activations")
         v = l2n(mac(x[:, ry:ry + side, rx:rx + side]).astype(np.float64))
         if region_transform is not None:
-            v = l2n(region_transform.apply(v))
+            v = l2n(region_transform(v))
         # a transform may reduce dimensionality, so the accumulator is
         # sized from the first region vector
         acc = v.copy() if acc is None else acc + v

@@ -123,29 +123,33 @@ def sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def inv_sqrt_psd(
-    a: np.ndarray, rcond: float = 1e-10, return_rank: bool = False
-):
-    """Inverse square root of a symmetric PSD matrix.
+RCOND = 1e-10  # eigenvalues at or below RCOND * lambda_max count as zero
 
-    Eigenvalues below rcond * lambda_max are treated as zero, so on a
-    rank-deficient input this is the pseudo-inverse square root restricted
-    to the numerical range. Raises NotPSDError when an eigenvalue falls
-    below -rcond * lambda_max.
+
+def psd_spectrum(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors, lambda^{-1/2}) of a symmetric PSD matrix.
+
+    The eigenpairs are sym_eig's; lambda^{-1/2} is zero at or below the
+    RCOND cut-off. An eigenvalue below -RCOND * lambda_max is NotPSDError.
     """
     vals, vecs = sym_eig(a)
-    lam_max = float(vals[0]) if vals.size else 0.0
-    cutoff = rcond * max(lam_max, 0.0)
-    if vals.size and vals[-1] < -cutoff:
+    cutoff = RCOND * vals.max(initial=0.0)
+    if vals.min(initial=0.0) < -cutoff:
         raise NotPSDError(
-            f"eigenvalue {vals[-1]:.3e} below -rcond*lambda_max ({-cutoff:.3e})"
+            f"eigenvalue {vals[-1]:.3e} below -RCOND*lambda_max ({-cutoff:.3e})"
         )
     inv = np.zeros_like(vals)
     keep = vals > cutoff
     inv[keep] = 1.0 / np.sqrt(vals[keep])
-    b = (vecs * inv) @ vecs.T
-    b = (b + b.T) / 2.0
-    if return_rank:
-        return b, int(np.count_nonzero(vals > cutoff))
-    return b
+    return vals, vecs, inv
 
+
+def inv_sqrt_psd(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(B, rank): the inverse square root of a symmetric PSD matrix.
+
+    On a rank-deficient input B is the pseudo-inverse square root on the
+    numerical range: psd_spectrum's cut-off decides the rank.
+    """
+    _, vecs, inv = psd_spectrum(a)
+    b = (vecs * inv) @ vecs.T
+    return (b + b.T) / 2.0, int(np.count_nonzero(inv))

@@ -7,6 +7,7 @@ output, cluster train/val splitting, benchmark ground truth, and the
 stage functions the command-line layer calls.
 """
 
+import functools
 import glob
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -67,6 +68,8 @@ class Extractor:
 
     def __init__(self, spec, params, rmac_scales=0, projection=None,
                  out_dim=None, max_side=None):
+        if projection is None and out_dim is not None:
+            raise ValueError(f"out_dim {out_dim} needs a projection")
         self.spec = spec
         self.params = params
         self.rmac_scales = int(rmac_scales)
@@ -97,40 +100,37 @@ class Extractor:
         return image
 
     def _pool(self, activations):
+        project = None
+        if self.projection is not None:
+            project = functools.partial(apply_projection, self.projection,
+                                        d=self.out_dim)
         if self.rmac_scales < 1:
             f = l2n(mac(activations))
-            if self.projection is not None:
-                f = apply_projection(self.projection, f, self.out_dim)
-            return f
-        height, width = activations.shape[1], activations.shape[2]
-        transform = None
-        if self.projection is not None and self.projection.kind == KIND_PCAW:
-            transform = self.projection.reducer(self.out_dim)
-        grid = rmac_regions(width, height, self.rmac_scales)
-        f = rmac(activations, grid, region_transform=transform)
-        if self.projection is not None and self.projection.kind == KIND_LW:
-            f = apply_projection(self.projection, f, self.out_dim)
-        return f
+        else:
+            grid = rmac_regions(activations.shape[2], activations.shape[1],
+                                self.rmac_scales)
+            if project is not None and self.projection.kind == KIND_PCAW:
+                return rmac(activations, grid, region_transform=project)
+            f = rmac(activations, grid)
+        return f if project is None else project(f)
 
     def extract(self, image):
         out, _ = forward(self.params, self.spec, self._prepare(image))
         return self._pool(out)
 
     def extract_region(self, image, bbox):
-        image = np.asarray(image, dtype=np.float32)
+        resized = self._prepare(image)
+        height, width = np.shape(image)[1:]
         bbox = BBox(*bbox)
-        if self.max_side is not None:
-            resized = resize_max_side(image, self.max_side)
-            if resized.shape != image.shape:
-                sy = resized.shape[1] / image.shape[1]
-                sx = resized.shape[2] / image.shape[2]
-                x0 = int(round(bbox.x0 * sx))
-                y0 = int(round(bbox.y0 * sy))
-                bbox = BBox(x0, y0,
-                            max(x0 + 1, int(round(bbox.x1 * sx))),
-                            max(y0 + 1, int(round(bbox.y1 * sy))))
-            image = resized
-        out, _ = forward(self.params, self.spec, image)
+        if resized.shape[1:] != (height, width):
+            sy = resized.shape[1] / height
+            sx = resized.shape[2] / width
+            x0 = int(round(bbox.x0 * sx))
+            y0 = int(round(bbox.y0 * sy))
+            bbox = BBox(x0, y0,
+                        max(x0 + 1, int(round(bbox.x1 * sx))),
+                        max(y0 + 1, int(round(bbox.y1 * sy))))
+        out, _ = forward(self.params, self.spec, resized)
         return self._pool(crop_activations(out, bbox, self.geometry))
 
 

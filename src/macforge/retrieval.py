@@ -114,20 +114,12 @@ def average_precision(ranking, gt):
     return total / len(gt.relevant)
 
 
-def _crop_pixels(image, bbox):
-    x0, y0, x1, y1 = bbox
-    height, width = image.shape[1], image.shape[2]
-    if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
-        raise ValueError(f"bbox {tuple(bbox)} outside image "
-                         f"{width}x{height} or empty")
-    return image[:, y0:y1, x0:x1]
-
-
 def evaluate(db, queries, gt, mode, extractor):
     """Rank the database for each query and average the per-query APs.
 
     queries: list of (query_id, image, bbox-or-None); the extractor
-    must provide extract(image) and extract_region(image, bbox).
+    must provide extract(image) and extract_region(image, bbox). In the
+    crop modes a missing, empty or out-of-image bbox is a ProtocolError.
     Returns (mAP, list of (query_id, ap) in query order).
     """
     if mode not in MODES:
@@ -144,10 +136,17 @@ def evaluate(db, queries, gt, mode, extractor):
             if bbox is None:
                 raise ProtocolError(
                     f"mode {mode} requires a bbox for query {query_id!r}")
+            bbox = BBox(*bbox)
+            x0, y0, x1, y1 = bbox
+            height, width = image.shape[1], image.shape[2]
+            if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
+                raise ProtocolError(
+                    f"bbox {tuple(bbox)} of query {query_id!r} is empty "
+                    f"or outside its {width}x{height} image")
             if mode == MODE_CROP_I:
-                descriptor = extractor.extract(_crop_pixels(image, bbox))
+                descriptor = extractor.extract(image[:, y0:y1, x0:x1])
             else:
-                descriptor = extractor.extract_region(image, BBox(*bbox))
+                descriptor = extractor.extract_region(image, bbox)
         ranking = [image_id for image_id, _ in search(db, descriptor,
                                                       len(db))]
         per_query.append((query_id, average_precision(ranking,

@@ -7,8 +7,9 @@ Two ways to fit a linear projection on aggregated descriptors:
   part, the non-matching scatter (in whitened space) the rotation.
 * ``fit_pcaw``: plain PCA whitening of a descriptor set.
 
-Both yield a ``ProjectionModel`` applied as l2n(P[:, :d]^T (v - mean)),
-so dimensionality reduction is column truncation before renormalizing.
+Both yield a ``ProjectionModel``; ``apply_projection`` is the one way
+to apply it: l2n(P[:, :d]^T (v - mean)), so dimensionality reduction is
+column truncation before renormalizing.
 """
 
 import warnings
@@ -19,7 +20,7 @@ import numpy as np
 from . import ioutil
 from .descriptor import l2n
 from .ioutil import FormatError
-from .numeric import DimensionError, inv_sqrt_psd, sym_eig
+from .numeric import DimensionError, inv_sqrt_psd, psd_spectrum, sym_eig
 
 PROJECTION_MAGIC = b"MFPW"
 PROJECTION_VERSION = 1
@@ -36,7 +37,10 @@ class ProjectionModel:
 
     Columns of ``projection`` are ordered by descending ``spectrum``
     value, so truncating to the first d columns keeps the d strongest
-    directions. Models are immutable and safe to share across threads.
+    directions. A model is data only: apply it with
+    ``apply_projection(model, v, d)``, per region for R-MAC through
+    ``functools.partial``. Models are immutable and safe to share across
+    threads.
     """
 
     kind: str
@@ -70,24 +74,6 @@ class ProjectionModel:
     @property
     def dim(self):
         return self.mean.shape[0]
-
-    def reducer(self, d=None):
-        """Adapter exposing apply(v), e.g. for per-region projection."""
-        return ReducedProjection(self, self.dim if d is None else d)
-
-
-class ReducedProjection:
-    """Callable-style wrapper fixing the output dimensionality."""
-
-    def __init__(self, model, d):
-        if not 1 <= d <= model.dim:
-            raise DimensionError(
-                f"reduced dimension {d} out of range 1..{model.dim}")
-        self.model = model
-        self.d = int(d)
-
-    def apply(self, v):
-        return apply_projection(self.model, v, self.d)
 
 
 def _pair_diffs(pairs, what):
@@ -123,7 +109,7 @@ def _mean_vector(vectors, dim):
     return arr.mean(axis=0)
 
 
-def fit_lw(matching_pairs, nonmatching_pairs, mean_source, rcond=1e-10):
+def fit_lw(matching_pairs, nonmatching_pairs, mean_source):
     """Fit discriminative whitening from labeled descriptor pairs.
 
     The matching-pair scatter C_S is whitened by its inverse square
@@ -139,25 +125,21 @@ def fit_lw(matching_pairs, nonmatching_pairs, mean_source, rcond=1e-10):
         raise DimensionError("matching and non-matching pairs disagree "
                              f"on dimension: {dim} vs {d_d.shape[1]}")
     mu = _mean_vector(mean_source, dim)
-    c_s = _scatter(d_s)
-    c_d = _scatter(d_d)
-    whiten, rank = inv_sqrt_psd(0.5 * (c_s + c_s.T), rcond=rcond,
-                                return_rank=True)
+    whiten, rank = inv_sqrt_psd(_scatter(d_s))
     if rank < dim:
         warnings.warn(
             f"matching-pair scatter has rank {rank} < {dim}; "
             "using pseudo-inverse square root", RuntimeWarning)
-    inner = whiten @ c_d @ whiten
-    evals, evecs = sym_eig(0.5 * (inner + inner.T))
+    evals, evecs = sym_eig(whiten @ _scatter(d_d) @ whiten)
     return ProjectionModel(KIND_LW, mu, whiten @ evecs, evals)
 
 
-def fit_pcaw(vectors, rcond=1e-10):
+def fit_pcaw(vectors):
     """Fit PCA whitening on a descriptor set.
 
     P = V @ diag(lambda^{-1/2}) with eigenpairs of the unnormalized
-    centered scatter in descending order; near-zero eigenvalues get
-    zero columns instead of blowing up.
+    centered scatter in descending order (numeric.psd_spectrum);
+    near-zero eigenvalues get zero columns instead of blowing up.
     """
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] == 0:
@@ -166,15 +148,10 @@ def fit_pcaw(vectors, rcond=1e-10):
     if arr.shape[0] < 2:
         raise ValueError("need at least two vectors")
     mu = arr.mean(axis=0)
-    c = _scatter(arr - mu)
-    evals, evecs = sym_eig(0.5 * (c + c.T))
-    cutoff = rcond * max(float(evals[0]), 0.0)
-    keep = evals > cutoff
-    if not np.any(keep):
+    evals, evecs, inv_sqrt = psd_spectrum(_scatter(arr - mu))
+    if not np.any(inv_sqrt):
         warnings.warn("descriptor scatter has rank 0; projection is zero",
                       RuntimeWarning)
-    inv_sqrt = np.zeros_like(evals)
-    inv_sqrt[keep] = 1.0 / np.sqrt(evals[keep])
     return ProjectionModel(KIND_PCAW, mu, evecs * inv_sqrt[None, :], evals)
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line surface: config resolution, the full
 pipeline smoke run, exit codes, and artifact reproducibility."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 from macforge.cli import (
+    CHOICES,
+    DEFAULTS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_IO,
@@ -47,6 +50,16 @@ SMALL_ARGS = SCENE_ARGS + ["--set", "negatives=2", "--set", "pool_size=10",
                            "--set", "max_epochs=1",
                            "--set", "max_image_side=32",
                            "--set", "val_fraction=0.25"]
+
+
+def config_flags():
+    """(subcommand, option, key) for every flag whose dest is a config
+    key, read from the parser itself."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return [(command, action.option_strings[0], action.dest)
+            for command, parser in sorted(sub.choices.items())
+            for action in parser._actions if action.dest in DEFAULTS]
 
 
 class TestConfigResolution:
@@ -131,6 +144,22 @@ class TestConfigResolution:
         conf.write_text("clusters\n")
         with pytest.raises(ConfigError):
             parse_config_file(str(conf))
+
+    def test_config_flags_are_the_dedicated_keys(self):
+        assert {key for _, _, key in config_flags()} == {
+            "seed", "threads", "loss", "mode", "positive_method",
+            "negative_variant", "whiten_kind", "dim"}
+
+    @pytest.mark.parametrize("command,option,key", config_flags(),
+                             ids=str)
+    def test_config_flag_lands_in_cfg(self, command, option, key):
+        if key in CHOICES:
+            value = next(c for c in reversed(CHOICES[key])
+                         if c != DEFAULTS[key])
+        else:
+            value = DEFAULTS[key] + 3
+        cfg = self._resolve(command, option, str(value))
+        assert cfg[key] == value
 
     def test_rmac_flag_sets_three_scales(self):
         parser = build_parser()
@@ -328,6 +357,45 @@ class TestExitCodes:
                        "--projection", proj)
         assert code == EXIT_DATA
         assert "does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["embed", "eval"])
+    def test_dim_without_projection_is_config_error(self, workspace,
+                                                    tmp_path, command,
+                                                    capsys):
+        data, run = str(workspace / "data"), str(workspace / "run")
+        db = str(tmp_path / "db.macd")
+        save_descriptors(db, {"c00/i001": np.ones(32)})
+        args = {"embed": ["--out", db],
+                "eval": ["--db", db, "--gt", f"{data}/ground_truth.json",
+                         "--out", str(tmp_path / "eval.csv")]}[command]
+        before = file_sha(db)
+        code = run_cli(command, "--checkpoint", f"{run}/init.mfck",
+                       "--images", f"{data}/images", "--dim", "8", *args)
+        assert code == EXIT_CONFIG
+        assert "needs a projection" in capsys.readouterr().err
+        assert file_sha(db) == before
+        assert not (tmp_path / "eval.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["Crop_I", "Crop_X"])
+    @pytest.mark.parametrize("bbox", [[200, 200, 300, 300], [10, 10, 5, 5]])
+    def test_query_bbox_outside_image_is_data_error(self, workspace, tmp_path,
+                                                    mode, bbox, capsys):
+        # the 32-px corpus cannot hold either box; the bad value comes
+        # from the ground-truth file, so it is a data error in both modes
+        data, run = str(workspace / "data"), str(workspace / "run")
+        db = str(tmp_path / "db.macd")
+        save_descriptors(db, {"c00/i001": np.ones(32)})
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps(
+            {"c00/i000": {"relevant": ["c00/i001"], "bbox": bbox}}))
+        out = tmp_path / "eval.csv"
+        code = run_cli("eval", "--db", db, "--checkpoint", f"{run}/init.mfck",
+                       "--images", f"{data}/images", "--gt", str(gt),
+                       "--mode", mode, "--out", str(out),
+                       "--set", "max_image_side=32")
+        assert code == EXIT_DATA
+        assert "bbox" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_descriptor_is_data_error(self, tmp_path, capsys):
         db = str(tmp_path / "nan.macd")

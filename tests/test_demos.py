@@ -1,5 +1,6 @@
-"""The demos stay runnable: each imports against the current library, and
-the training demo still lifts held-out mAP."""
+"""The demos stay runnable: each imports against the current library, the
+training demo still lifts held-out mAP, and the retrieval demo drives the
+Extractor through all three query modes."""
 
 import importlib.util
 import pathlib
@@ -28,3 +29,11 @@ def test_training_demo_lifts_held_out_map(capsys):
         r"held-out mAP (?:before|after) training: +([0-9.]+)",
         capsys.readouterr().out))
     assert after > before
+
+
+def test_retrieval_demo_scores_every_mode(capsys):
+    load_demo(next(p for p in DEMOS if p.name == "06_retrieval_eval.py")).main()
+    rows = re.findall(r"^(Full|Crop_I|Crop_X) +([0-9.]+)$",
+                      capsys.readouterr().out, flags=re.MULTILINE)
+    assert [mode for mode, _ in rows] == ["Full", "Crop_I", "Crop_X"]
+    assert all(0.0 <= float(value) <= 1.0 for _, value in rows)

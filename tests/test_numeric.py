@@ -134,24 +134,26 @@ class TestSymEig:
 
 class TestInvSqrtPsd:
     def test_diagonal(self):
-        b = inv_sqrt_psd(np.diag([4.0, 9.0]))
+        b, _ = inv_sqrt_psd(np.diag([4.0, 9.0]))
         np.testing.assert_allclose(b, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
 
     def test_identity(self):
-        np.testing.assert_allclose(inv_sqrt_psd(np.eye(4)), np.eye(4), atol=1e-12)
+        b, rank = inv_sqrt_psd(np.eye(4))
+        np.testing.assert_allclose(b, np.eye(4), atol=1e-12)
+        assert rank == 4
 
     def test_random_psd_multiply_back(self):
         rng = np.random.default_rng(9)
         m = rng.normal(size=(16, 16))
         a = m @ m.T + 0.5 * np.eye(16)
-        b = inv_sqrt_psd(a)
+        b, _ = inv_sqrt_psd(a)
         np.testing.assert_allclose(b @ a @ b, np.eye(16), atol=1e-8)
 
     def test_result_symmetric(self):
         rng = np.random.default_rng(10)
         m = rng.normal(size=(8, 8))
         a = m @ m.T
-        b = inv_sqrt_psd(a)
+        b, _ = inv_sqrt_psd(a)
         assert np.max(np.abs(b - b.T)) < 1e-10
 
     def test_rank_deficient_pseudo_inverse(self):
@@ -159,7 +161,7 @@ class TestInvSqrtPsd:
         # its inverse square root.
         v = np.array([3.0, 4.0])
         a = np.outer(v, v)  # eigenvalue 25 on v/|v|
-        b, rank = inv_sqrt_psd(a, return_rank=True)
+        b, rank = inv_sqrt_psd(a)
         assert rank == 1
         u = v / 5.0
         np.testing.assert_allclose(b @ u, u / 5.0, atol=1e-10)

@@ -3,6 +3,7 @@ embedding, cluster splits, benchmark ground truth, and the stage
 functions chained over a small synthetic dataset."""
 
 import os
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -131,7 +132,8 @@ class TestExtractorRmac:
         model = random_pcaw(SeededStream(14))
         out, _ = forward(params, spec, image)
         grid = rmac_regions(out.shape[2], out.shape[1], 2)
-        expected = rmac(out, grid, region_transform=model.reducer(16))
+        expected = rmac(out, grid, region_transform=partial(
+            apply_projection, model, d=16))
         got = Extractor(spec, params, rmac_scales=2, projection=model,
                         out_dim=16).extract(image)
         npt.assert_allclose(got, expected, rtol=0, atol=0)
@@ -203,6 +205,11 @@ class TestExtractorValidation:
             Extractor(spec, params, projection=model, out_dim=33)
         with pytest.raises(DimensionError):
             Extractor(spec, params, projection=model, out_dim=0)
+
+    def test_out_dim_without_projection(self):
+        spec, params = make_net(28)
+        with pytest.raises(ValueError, match="needs a projection"):
+            Extractor(spec, params, out_dim=8)
 
 
 class TestEmbedImages:

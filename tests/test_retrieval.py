@@ -253,9 +253,13 @@ class TestEvaluate:
         for mode in (MODE_CROP_I, MODE_CROP_X):
             with pytest.raises(ProtocolError, match="bbox"):
                 evaluate(db, no_box, gt, mode, extractor)
-        oversized = [(queries[0][0], queries[0][1], BBox(0, 0, 99, 99))]
-        with pytest.raises(ValueError, match="bbox"):
-            evaluate(db, oversized, gt, MODE_CROP_I, extractor)
+        # a box from the data file that is empty or leaves the image is
+        # a protocol error in both crop modes, never a fallback ranking
+        for box in (BBox(0, 0, 99, 99), BBox(4, 4, 2, 2)):
+            bad = [(queries[0][0], queries[0][1], box)]
+            for mode in (MODE_CROP_I, MODE_CROP_X):
+                with pytest.raises(ProtocolError, match="bbox"):
+                    evaluate(db, bad, gt, mode, extractor)
 
 
 class TestGroundTruthFile:

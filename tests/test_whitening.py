@@ -229,14 +229,6 @@ class TestApplyProjection:
         with pytest.raises(DimensionError):
             apply_projection(model, np.zeros(4), 2)
 
-    def test_reducer_adapter(self):
-        model = self.identity_model()
-        reducer = model.reducer(2)
-        v = np.array([0.6, 0.8, 0.0])
-        np.testing.assert_allclose(reducer.apply(v), [0.6, 0.8])
-        with pytest.raises(DimensionError):
-            model.reducer(9)
-
 
 class TestProjectionModelValidation:
     def test_increasing_spectrum_rejected(self):
