@@ -86,8 +86,7 @@ class Extractor:
             self.out_dim = projection.dim if out_dim is None else int(out_dim)
             if not 1 <= self.out_dim <= projection.dim:
                 raise DimensionError(
-                    f"out_dim {out_dim} exceeds projection dim "
-                    f"{projection.dim}")
+                    f"out_dim {out_dim} out of range 1..{projection.dim}")
         else:
             self.out_dim = None
         self.max_side = max_side

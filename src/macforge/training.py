@@ -223,16 +223,6 @@ def validate(params: NetParams, spec: list[LayerSpec], tuples: list,
     return total / len(tuples)
 
 
-def _tuple_pairs(t, loss_kind):
-    if loss_kind == "contrastive":
-        yield (t.positive, 1)
-        for n in t.negatives:
-            yield (n, 0)
-    else:
-        for n in t.negatives:
-            yield (t.positive, n)
-
-
 def _batch_gradients(params, spec, batch, image_of, loss_cfg, loss_kind):
     """Mean pair loss and parameter gradients over one batch of tuples.
 
@@ -262,7 +252,8 @@ def _batch_gradients(params, spec, batch, image_of, loss_cfg, loss_kind):
     for t in batch:
         dq = ensure(t.query)[3]
         if loss_kind == "contrastive":
-            for other, label in _tuple_pairs(t, loss_kind):
+            pairs = [(t.positive, 1)] + [(n, 0) for n in t.negatives]
+            for other, label in pairs:
                 do = ensure(other)[3]
                 loss, ga, gb = contrastive_loss(dq, do, label, loss_cfg.tau)
                 total += loss
@@ -271,7 +262,7 @@ def _batch_gradients(params, spec, batch, image_of, loss_cfg, loss_kind):
                 add_grad(other, gb)
         else:
             dp = ensure(t.positive)[3]
-            for _, neg in _tuple_pairs(t, loss_kind):
+            for neg in t.negatives:
                 dn = ensure(neg)[3]
                 loss, (gq, gp, gn) = triplet_loss(dq, dp, dn,
                                                   loss_cfg.triplet_margin)

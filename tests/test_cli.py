@@ -30,6 +30,7 @@ from macforge.descriptor import save_descriptors
 from macforge.mining import MiningConfig, TrainingTuple, save_tuples
 from macforge.synthscene import SceneConfig
 from macforge.training import LossConfig, TrainConfig
+from testkit import child_env
 
 
 def run_cli(*argv):
@@ -202,7 +203,28 @@ def workspace(tmp_path_factory):
                    "--images", f"{data}/images", "--out", run,
                    "--seed", "44", *SMALL_ARGS)
     assert code == EXIT_OK
+    code = run_cli("embed", "--checkpoint", f"{run}/init.mfck",
+                   "--images", f"{data}/images", "--out", f"{run}/db.macd",
+                   "--set", "max_image_side=32")
+    assert code == EXIT_OK
     return root
+
+
+class TestPackageImports:
+
+    def test_module_import_loads_only_its_dependencies(self):
+        code = ("import macforge.numeric, sys; print(' '.join(sorted("
+                "m for m in sys.modules if m.split('.')[0] == 'macforge')))")
+        child = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["macforge", "macforge.numeric"]
+        # the package namespace is empty, yet the entry point still runs
+        child = subprocess.run([sys.executable, "-m", "macforge", "--help"],
+                               env=child_env(), capture_output=True,
+                               text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert "usage:" in child.stdout
 
 
 class TestPipelineSmoke:
@@ -414,14 +436,10 @@ class TestExitCodes:
         db = str(tmp_path / "nan.macd")
         save_descriptors(db, {"a": np.array([1.0, 0.0]),
                               "b": np.array([np.nan, 0.0])})
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         child = subprocess.run(
             [sys.executable, "-m", "macforge", "whiten", "--descriptors", db,
              "--kind", "pcaw", "--out", str(tmp_path / "p.mfpw")],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=child_env(), capture_output=True, text=True, timeout=120)
         assert child.returncode == EXIT_DATA == 4
         assert "error:" in child.stderr
         assert "Traceback" not in child.stderr

@@ -201,10 +201,10 @@ class TestExtractorValidation:
     def test_out_dim_out_of_range(self):
         spec, params = make_net(28)
         model = random_pcaw(SeededStream(29))
-        with pytest.raises(DimensionError):
-            Extractor(spec, params, projection=model, out_dim=33)
-        with pytest.raises(DimensionError):
-            Extractor(spec, params, projection=model, out_dim=0)
+        for out_dim in (33, 0, -3):
+            message = rf"out_dim {out_dim} out of range 1\.\.32"
+            with pytest.raises(DimensionError, match=message):
+                Extractor(spec, params, projection=model, out_dim=out_dim)
 
     def test_out_dim_without_projection(self):
         spec, params = make_net(28)

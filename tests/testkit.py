@@ -1,5 +1,7 @@
-"""Helpers shared by several test files: finite-difference gradients
-and random visibility graphs."""
+"""Helpers shared by several test files: finite-difference gradients,
+random visibility graphs and the environment of a child interpreter."""
+
+import os
 
 import numpy as np
 
@@ -76,3 +78,12 @@ def random_graph(stream, cluster_id="c0", n_images=8, n_points=30,
     g = VisibilityGraph(cluster_id, images, points, edges)
     g.validate()
     return g
+
+
+def child_env():
+    """The environment for a child interpreter that imports this
+    checkout's macforge."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
