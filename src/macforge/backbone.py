@@ -238,8 +238,12 @@ def _im2col(x: np.ndarray, kernel: int, stride: int):
 
 
 def _conv_forward(x, weight, bias, layer):
-    if layer.pad:
-        x_pad = np.pad(x, ((0, 0), (layer.pad, layer.pad), (layer.pad, layer.pad)))
+    p = layer.pad
+    if p:
+        # the bytes np.pad writes, without its per-call overhead
+        maps, h, w = x.shape
+        x_pad = np.zeros((maps, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        x_pad[:, p:p + h, p:p + w] = x
     else:
         x_pad = x
     cols, (out_h, out_w) = _im2col(x_pad, layer.kernel, layer.stride)
@@ -276,15 +280,25 @@ def _conv_backward(g, weight, layer, cache):
 
 def _maxpool_forward(x, layer):
     w, s = layer.window, layer.stride
-    win = np.lib.stride_tricks.sliding_window_view(x, (w, w), axis=(1, 2))
-    win = win[:, ::s, ::s]
-    maps, out_h, out_w = win.shape[0], win.shape[1], win.shape[2]
-    flat = win.reshape(maps, out_h, out_w, w * w)
-    # argmax returns the first maximum in row-major offset order, which is
-    # the lowest input linear index inside the window.
-    idxs = np.argmax(flat, axis=3)
-    y = np.take_along_axis(flat, idxs[..., None], axis=3)[..., 0]
-    y = np.ascontiguousarray(y)
+    maps, h, wd = x.shape
+    out_h = (h - w) // s + 1
+    out_w = (wd - w) // s + 1
+    # A running maximum over the window's w*w strided slices, in row-major
+    # offset order, follows np.argmax's rule: the first maximum wins, i.e.
+    # the lowest input linear index inside the window, and the first NaN
+    # wins its window. A later offset replaces the current one only if it
+    # is strictly greater, or if it is NaN while the current value is not;
+    # `cand > y` alone would keep a number over a NaN at a later offset.
+    y = x[:, 0:s * out_h:s, 0:s * out_w:s].copy()
+    idxs = np.zeros((maps, out_h, out_w), dtype=np.intp)
+    for di in range(w):
+        for dj in range(w):
+            if di == 0 and dj == 0:
+                continue
+            cand = x[:, di:di + s * out_h:s, dj:dj + s * out_w:s]
+            upd = (cand > y) | (np.isnan(cand) & ~np.isnan(y))
+            np.copyto(y, cand, where=upd)
+            idxs[upd] = di * w + dj
     cache = (MAXPOOL, idxs, x.shape, y.shape)
     return y, cache
 

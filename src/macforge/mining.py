@@ -527,9 +527,17 @@ def load_tuples(path) -> list:
                 continue
             try:
                 doc = json.loads(line)
-                out.append(TrainingTuple(doc["q"], doc["m"],
-                                         tuple(doc["negatives"])))
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    MiningError) as exc:
+                q, m, negatives = doc["q"], doc["m"], doc["negatives"]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise FormatError(f"bad tuple on line {lineno}: {exc}") from exc
+            # tuple() of a string would split it into characters
+            if not (isinstance(q, str) and isinstance(m, str)
+                    and isinstance(negatives, list)
+                    and all(isinstance(n, str) for n in negatives)):
+                raise FormatError(f"bad tuple on line {lineno}: q and m must "
+                                  "be image ids, negatives a list of them")
+            try:
+                out.append(TrainingTuple(q, m, tuple(negatives)))
+            except MiningError as exc:
                 raise FormatError(f"bad tuple on line {lineno}: {exc}") from exc
     return out

@@ -189,8 +189,10 @@ def load_ground_truth(path):
                                   "list of image ids")
         bbox = record.get("bbox")
         if bbox is not None:
+            # JSON true/false load as bool, which is an int subclass
             if not (isinstance(bbox, list) and len(bbox) == 4
-                    and all(isinstance(v, int) for v in bbox)):
+                    and all(isinstance(v, int) and not isinstance(v, bool)
+                            for v in bbox)):
                 raise FormatError(f"bbox of {query_id!r} must be four "
                                   "integers")
             bbox = BBox(*bbox)

@@ -41,6 +41,61 @@ def direct_conv(x, weight, bias, stride, pad):
     return y
 
 
+def reference_forward(params, spec, x):
+    """forward() as first written: np.pad for the conv border, and a
+    reshape copy of every pooling window read by argmax and
+    take_along_axis. Same tape layout as forward()."""
+    x = np.asarray(x)
+    tape = []
+    conv_i = 0
+    for layer in spec:
+        if layer.kind == "conv":
+            p, k, s = layer.pad, layer.kernel, layer.stride
+            x_pad = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
+            win = np.lib.stride_tricks.sliding_window_view(
+                x_pad, (k, k), axis=(1, 2))[:, ::s, ::s]
+            out_h, out_w = win.shape[1], win.shape[2]
+            cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2).reshape(
+                x.shape[0] * k * k, out_h * out_w))
+            y = (params.weights[conv_i].reshape(layer.out_maps, -1) @ cols
+                 + params.biases[conv_i][:, None])
+            y = np.ascontiguousarray(y.reshape(layer.out_maps, out_h, out_w))
+            tape.append(("conv", cols, x.shape, x_pad.shape, y.shape))
+            conv_i += 1
+        elif layer.kind == "relu":
+            tape.append(("relu", x > 0))
+            y = np.maximum(x, 0)
+        else:
+            w, s = layer.window, layer.stride
+            win = np.lib.stride_tricks.sliding_window_view(
+                x, (w, w), axis=(1, 2))[:, ::s, ::s]
+            flat = win.reshape(win.shape[0], win.shape[1], win.shape[2], w * w)
+            idxs = np.argmax(flat, axis=3)
+            y = np.ascontiguousarray(
+                np.take_along_axis(flat, idxs[..., None], axis=3)[..., 0])
+            tape.append(("maxpool", idxs, x.shape, y.shape))
+        x = y
+    return x, tape
+
+
+def assert_bits_equal(a, b):
+    """Same dtype, shape and bytes: tells -0.0 from 0.0 and NaN payloads."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_tapes_equal(tape, ref):
+    assert len(tape) == len(ref)
+    for entry, ref_entry in zip(tape, ref):
+        assert len(entry) == len(ref_entry)
+        for field, ref_field in zip(entry, ref_entry):
+            if isinstance(ref_field, np.ndarray):
+                assert_bits_equal(field, ref_field)
+            else:
+                assert field == ref_field
+
+
 class TestSpecAndInit:
     def test_validate_rejects_bad_chaining(self):
         with pytest.raises(SpecError):
@@ -190,6 +245,87 @@ class TestForward:
         assert shapes[-1][0] == 32
 
 
+POOLS = [(1, 1), (2, 2), (3, 2), (2, 3)]  # plain, tiling, overlapping, gapped
+
+
+def _oracle_instance(s, dtype, quantize):
+    """A random conv/relu/maxpool net on an odd, non-square input, with a
+    maxpool first so raw values (negatives, signed zeros) reach it."""
+    c1, c2, c3 = (int(s.integers(1, 4)) for _ in range(3))
+    p0, p1, p2 = (POOLS[int(s.integers(0, len(POOLS)))] for _ in range(3))
+    spec = [
+        maxpool(*p0),
+        conv(c1, c2, int(s.integers(1, 4)), stride=int(s.integers(1, 4)),
+             pad=int(s.integers(0, 3))),
+        relu(),
+        maxpool(*p1),
+        conv(c2, c3, int(s.integers(1, 3)), stride=int(s.integers(1, 4)),
+             pad=int(s.integers(0, 3))),
+        maxpool(*p2),
+        relu(),
+    ]
+    h, w = 2 * int(s.integers(8, 16)) + 1, 2 * int(s.integers(8, 16)) + 1
+    if h == w:
+        w += 2
+    x = s.normal(size=(c1, h, w))
+    if quantize:
+        # a coarse grid makes pooling windows tie, and rounds small
+        # negatives to -0.0
+        x = np.round(x * 2.0) / 2.0
+    params = init_params(spec, s.derive("params")).astype(dtype)
+    if quantize:
+        for i in range(len(params.weights)):
+            params.weights[i] = np.round(params.weights[i] * 8.0) / 8.0
+    return spec, params, x.astype(dtype)
+
+
+class TestForwardMatchesReference:
+    """forward() pads by slice assignment and pools by a running maximum;
+    its outputs, tapes and gradients must equal the np.pad/argmax
+    reference bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_random_nets(self, dtype, quantize):
+        stream = SeededStream(20161018).derive(np.dtype(dtype).name, quantize)
+        checked = 0
+        for trial in range(40):
+            s = stream.derive("trial", trial)
+            spec, params, x = _oracle_instance(s, dtype, quantize)
+            try:
+                output_shapes(spec, x.shape)
+            except ShapeError:
+                continue
+            out, tape = forward(params, spec, x)
+            ref_out, ref_tape = reference_forward(params, spec, x)
+            assert_bits_equal(out, ref_out)
+            assert_tapes_equal(tape, ref_tape)
+            gout = s.derive("gout").normal(size=out.shape).astype(dtype)
+            grads, gx = backward(params, spec, tape, gout)
+            ref_grads, ref_gx = backward(params, spec, ref_tape, gout)
+            assert_bits_equal(gx, ref_gx)
+            for g, ref_g in zip(grads.weights + grads.biases,
+                                ref_grads.weights + ref_grads.biases):
+                assert_bits_equal(g, ref_g)
+            checked += 1
+        assert checked >= 20
+
+    def test_tiny_spec_on_odd_input(self):
+        spec = tiny_spec()
+        params = init_params(spec, SeededStream(31))
+        x = SeededStream(32).random((3, 61, 47)).astype(np.float32)
+        out, tape = forward(params, spec, x)
+        ref_out, ref_tape = reference_forward(params, spec, x)
+        assert_bits_equal(out, ref_out)
+        assert_tapes_equal(tape, ref_tape)
+
+    def test_output_does_not_alias_input(self):
+        x = np.arange(12.0).reshape(1, 3, 4)
+        y, _ = forward(NetParams([], []), [maxpool(1, 1)], x)
+        y[...] = -1.0
+        np.testing.assert_array_equal(x, np.arange(12.0).reshape(1, 3, 4))
+
+
 class TestBackward:
     def test_zero_grad(self):
         spec = [conv(1, 2, 3, pad=1), relu()]
@@ -219,6 +355,37 @@ class TestBackward:
         want = np.zeros((1, 4, 4))
         want[0, 0, 0], want[0, 0, 2], want[0, 2, 0], want[0, 2, 2] = 1, 2, 3, 4
         np.testing.assert_array_equal(gx, want)
+
+    # Pooling follows np.argmax: inside a window, scanned in row-major
+    # offset order, the first maximum wins (the lowest input linear index)
+    # and the first NaN wins over every number, +inf included.
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_nan_at_later_offset_wins_its_window(self, dtype):
+        nan = np.nan
+        x = np.array([[[1.0, 0.0, 5.0, nan],
+                       [nan, 2.0, nan, 9.0],
+                       [np.inf, nan, 0.0, 0.0],
+                       [0.0, 0.0, -1.0, nan]]], dtype=dtype)
+        spec = [maxpool(2, 2)]
+        y, tape = forward(NetParams([], []), spec, x)
+        assert np.isnan(y).tolist() == [[[True, True], [True, True]]]
+        np.testing.assert_array_equal(tape[0][1], [[[2, 1], [1, 3]]])
+        _, gx = backward(NetParams([], []), spec, tape,
+                         np.ones_like(y))
+        np.testing.assert_array_equal(np.argwhere(gx[0] == 1.0),
+                                      [[0, 3], [1, 0], [2, 1], [3, 3]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_infinities(self, dtype):
+        inf = np.inf
+        x = np.array([[[-inf, -inf, -inf, 3.0],
+                       [-inf, -inf, inf, inf],
+                       [-inf, inf, 2.0, 2.0],
+                       [inf, -inf, 2.0, 2.0]]], dtype=dtype)
+        y, tape = forward(NetParams([], []), [maxpool(2, 2)], x)
+        np.testing.assert_array_equal(y, [[[-inf, inf], [inf, 2.0]]])
+        np.testing.assert_array_equal(tape[0][1], [[[0, 2], [1, 0]]])
 
     def test_tape_mismatch(self):
         spec = [conv(1, 1, 1), relu()]

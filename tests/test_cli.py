@@ -419,6 +419,25 @@ class TestExitCodes:
         assert "bbox" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_boolean_bbox_coordinate_is_data_error(self, workspace,
+                                                   tmp_path, capsys):
+        # JSON true loads as a Python int subclass; taken as x0 it would
+        # silently crop from pixel 1
+        data, run = str(workspace / "data"), str(workspace / "run")
+        db = str(tmp_path / "db.macd")
+        save_descriptors(db, {"c00/i001": np.ones(32)})
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({"c00/i000": {
+            "relevant": ["c00/i001"], "bbox": [True, 0, 10, 10]}}))
+        out = tmp_path / "eval.csv"
+        code = run_cli("eval", "--db", db, "--checkpoint", f"{run}/init.mfck",
+                       "--images", f"{data}/images", "--gt", str(gt),
+                       "--mode", "Crop_I", "--out", str(out),
+                       "--set", "max_image_side=32")
+        assert code == EXIT_DATA == 4
+        assert "bbox" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_descriptor_is_data_error(self, tmp_path, capsys):
         db = str(tmp_path / "nan.macd")
         save_descriptors(db, {"a": np.array([1.0, 0.0]),
@@ -552,6 +571,26 @@ class TestExitCodes:
                        "--kind", "lw", "--out", str(tmp_path / "p.mfpw"))
         assert code == EXIT_DATA
         assert "'zz' has no descriptor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [
+        '{"q": "a", "m": "b", "negatives": "b/2"}',
+        '{"q": 7, "m": "b", "negatives": ["a"]}'])
+    def test_lw_malformed_tuple_line_is_data_error(self, tmp_path, bad,
+                                                   capsys):
+        # a string of negatives must not load as its characters, nor a
+        # number as an id that only fails later by its value
+        db = str(tmp_path / "two.macd")
+        save_descriptors(db, {"a": np.array([1.0, 0.0]),
+                              "b": np.array([0.0, 1.0])})
+        tuples = tmp_path / "t.mftp"
+        tuples.write_text('{"q": "a", "m": "b", "negatives": ["a"]}\n'
+                          + bad + "\n")
+        out = tmp_path / "p.mfpw"
+        code = run_cli("whiten", "--descriptors", db, "--tuples", str(tuples),
+                       "--kind", "lw", "--out", str(out))
+        assert code == EXIT_DATA == 4
+        assert "bad tuple on line 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_scene_image_without_ppm_is_io_error(self, workspace,
                                                        tmp_path, capsys):
