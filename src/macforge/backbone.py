@@ -229,11 +229,16 @@ def output_shapes(spec: list[LayerSpec], in_shape: tuple[int, int, int]) -> list
 
 def _im2col(x: np.ndarray, kernel: int, stride: int):
     """Unfold (maps, h, w) into (maps*k*k, out_h*out_w) patch columns."""
-    maps = x.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(1, 2))
-    win = win[:, ::stride, ::stride]
-    out_h, out_w = win.shape[1], win.shape[2]
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(maps * kernel * kernel, out_h * out_w)
+    maps, h, w = x.shape
+    out_h = (h - kernel) // stride + 1
+    out_w = (w - kernel) // stride + 1
+    # as_strided keeps x's own strides, so a sliced or flipped input (a
+    # pad-0 first conv reads the caller's array) needs no copy first
+    sm, sh, sw = x.strides
+    win = np.lib.stride_tricks.as_strided(
+        x, (maps, kernel, kernel, out_h, out_w),
+        (sm, sh, sw, sh * stride, sw * stride), writeable=False)
+    cols = win.reshape(maps * kernel * kernel, out_h * out_w)
     return np.ascontiguousarray(cols), (out_h, out_w)
 
 
@@ -283,22 +288,29 @@ def _maxpool_forward(x, layer):
     maps, h, wd = x.shape
     out_h = (h - w) // s + 1
     out_w = (wd - w) // s + 1
-    # A running maximum over the window's w*w strided slices, in row-major
-    # offset order, follows np.argmax's rule: the first maximum wins, i.e.
-    # the lowest input linear index inside the window, and the first NaN
-    # wins its window. A later offset replaces the current one only if it
-    # is strictly greater, or if it is NaN while the current value is not;
-    # `cand > y` alone would keep a number over a NaN at a later offset.
-    y = x[:, 0:s * out_h:s, 0:s * out_w:s].copy()
-    idxs = np.zeros((maps, out_h, out_w), dtype=np.intp)
+    # Each window offset (di, dj), in row-major order, copied once into a
+    # contiguous plane: the comparisons below then run on contiguous
+    # memory instead of stride-s views.
+    phases = np.empty((w * w, maps, out_h, out_w), dtype=x.dtype)
     for di in range(w):
         for dj in range(w):
-            if di == 0 and dj == 0:
-                continue
-            cand = x[:, di:di + s * out_h:s, dj:dj + s * out_w:s]
-            upd = (cand > y) | (np.isnan(cand) & ~np.isnan(y))
-            np.copyto(y, cand, where=upd)
-            idxs[upd] = di * w + dj
+            phases[di * w + dj] = x[:, di:di + s * out_h:s, dj:dj + s * out_w:s]
+    # A running maximum over the planes follows np.argmax's rule: the
+    # first maximum wins, i.e. the lowest input linear index inside the
+    # window, and the first NaN wins its window. A later offset replaces
+    # the current one only if it is strictly greater, or if it is NaN
+    # while the current value is not; `cand > y` alone would keep a
+    # number over a NaN at a later offset.
+    has_nan = np.isnan(phases).any()
+    y = phases[0]
+    idxs = np.zeros((maps, out_h, out_w), dtype=np.intp)
+    for k in range(1, w * w):
+        cand = phases[k]
+        upd = cand > y
+        if has_nan:
+            upd |= np.isnan(cand) & ~np.isnan(y)
+        y = np.where(upd, cand, y)
+        idxs = np.where(upd, k, idxs)
     cache = (MAXPOOL, idxs, x.shape, y.shape)
     return y, cache
 

@@ -483,6 +483,19 @@ def save_scene(path, g: VisibilityGraph) -> None:
         f.write("\n")
 
 
+def _is_number(v) -> bool:
+    # JSON true/false load as bool, which is an int subclass
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(value, field: str) -> np.ndarray:
+    """A JSON list of numbers as float64; float() and np.array would also
+    take bools and numeric strings."""
+    if not (isinstance(value, list) and all(_is_number(v) for v in value)):
+        raise ValueError(f"{field} must be a list of numbers")
+    return np.array(value, dtype=np.float64)
+
+
 def load_scene(path) -> VisibilityGraph:
     try:
         with open(os.fspath(path)) as f:
@@ -492,16 +505,18 @@ def load_scene(path) -> VisibilityGraph:
     try:
         images = {}
         for rec in doc["images"]:
-            cam = rec["camera"]
-            images[rec["id"]] = Camera(
-                np.array(cam["center"], dtype=np.float64),
-                np.array(cam["rotation"], dtype=np.float64).reshape(3, 3),
+            cam, img = rec["camera"], rec["id"]
+            if not _is_number(cam["focal"]):
+                raise ValueError(f"focal of image {img!r} must be a number")
+            images[img] = Camera(
+                _numbers(cam["center"], f"center of image {img!r}"),
+                _numbers(cam["rotation"], f"rotation of image {img!r}").reshape(3, 3),
                 float(cam["focal"]))
-        points = {rec["id"]: np.array(rec["xyz"], dtype=np.float64)
+        points = {rec["id"]: _numbers(rec["xyz"], f"xyz of point {rec['id']!r}")
                   for rec in doc["points"]}
         edges = {(img, pid) for img, pid in doc["edges"]}
         g = VisibilityGraph(str(doc["cluster_id"]), images, points, edges)
-    except (KeyError, TypeError, ValueError, GraphError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, GraphError) as exc:
         raise FormatError(f"malformed scene file: {exc}") from exc
     try:
         g.validate()

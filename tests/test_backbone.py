@@ -96,6 +96,23 @@ def assert_tapes_equal(tape, ref):
                 assert field == ref_field
 
 
+def assert_matches_reference(params, spec, x, gout_stream):
+    """forward() and backward() against reference_forward, byte for byte:
+    output, every tape entry, input and parameter gradients."""
+    out, tape = forward(params, spec, x)
+    ref_out, ref_tape = reference_forward(params, spec, x)
+    assert_bits_equal(out, ref_out)
+    assert_tapes_equal(tape, ref_tape)
+    gout = gout_stream.normal(size=out.shape).astype(out.dtype)
+    grads, gx = backward(params, spec, tape, gout)
+    ref_grads, ref_gx = backward(params, spec, ref_tape, gout)
+    assert_bits_equal(gx, ref_gx)
+    for g, ref_g in zip(grads.weights + grads.biases,
+                        ref_grads.weights + ref_grads.biases):
+        assert_bits_equal(g, ref_g)
+    return out
+
+
 class TestSpecAndInit:
     def test_validate_rejects_bad_chaining(self):
         with pytest.raises(SpecError):
@@ -280,8 +297,9 @@ def _oracle_instance(s, dtype, quantize):
 
 
 class TestForwardMatchesReference:
-    """forward() pads by slice assignment and pools by a running maximum;
-    its outputs, tapes and gradients must equal the np.pad/argmax
+    """forward() pads by slice assignment, unfolds patches through one
+    as_strided view and pools by a running maximum over contiguous window
+    planes; its outputs, tapes and gradients must equal the np.pad/argmax
     reference bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -296,19 +314,47 @@ class TestForwardMatchesReference:
                 output_shapes(spec, x.shape)
             except ShapeError:
                 continue
-            out, tape = forward(params, spec, x)
-            ref_out, ref_tape = reference_forward(params, spec, x)
-            assert_bits_equal(out, ref_out)
-            assert_tapes_equal(tape, ref_tape)
-            gout = s.derive("gout").normal(size=out.shape).astype(dtype)
-            grads, gx = backward(params, spec, tape, gout)
-            ref_grads, ref_gx = backward(params, spec, ref_tape, gout)
-            assert_bits_equal(gx, ref_gx)
-            for g, ref_g in zip(grads.weights + grads.biases,
-                                ref_grads.weights + ref_grads.biases):
-                assert_bits_equal(g, ref_g)
+            assert_matches_reference(params, spec, x, s.derive("gout"))
             checked += 1
         assert checked >= 20
+
+    # A pad-0 first layer reads the caller's array as it is, so views with
+    # offset or negative strides reach the kernels directly.
+    FIRST_LAYERS = {
+        "conv": [conv(2, 3, 3, stride=2), relu(), maxpool(2, 2)],
+        "maxpool": [maxpool(3, 2), conv(2, 3, 2, stride=1, pad=1), relu()],
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("view", ["sliced", "flipped"])
+    @pytest.mark.parametrize("first", sorted(FIRST_LAYERS))
+    def test_non_contiguous_input(self, first, view, dtype):
+        spec = self.FIRST_LAYERS[first]
+        s = SeededStream(20161019).derive(first, view, np.dtype(dtype).name)
+        params = init_params(spec, s.derive("params")).astype(dtype)
+        x = s.derive("x").normal(size=(2, 17, 19)).astype(dtype)
+        x = x[:, 1:-2, 3:] if view == "sliced" else x[..., ::-1]
+        assert not x.flags.c_contiguous
+        assert_matches_reference(params, spec, x, s.derive("gout"))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_window_one_pool(self, stride):
+        spec = [conv(1, 2, 3, pad=1), maxpool(1, stride), relu()]
+        s = SeededStream(20161020).derive(stride)
+        params = init_params(spec, s.derive("params"))
+        x = s.derive("x").normal(size=(1, 9, 8)).astype(np.float32)
+        assert_matches_reference(params, spec, x, s.derive("gout"))
+
+    @pytest.mark.parametrize("pool", [(2, 2), (2, 3)])
+    def test_nan_outside_every_window(self, pool):
+        # the last row of a 5-row input falls outside every (2, 2) window,
+        # and row 2 between the (2, 3) windows' rows 0-1 and 3-4
+        spec = [maxpool(*pool)]
+        x = np.round(SeededStream(20161021).normal(size=(2, 5, 6)) * 2) / 2
+        x[:, 4 if pool == (2, 2) else 2, 1] = np.nan
+        out = assert_matches_reference(NetParams([], []), spec, x,
+                                       SeededStream(20161022))
+        assert not np.isnan(out).any()
 
     def test_tiny_spec_on_odd_input(self):
         spec = tiny_spec()

@@ -479,6 +479,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("where, value, field", [
+        ("xyz", [True, 0, 0], "xyz of point"),
+        ("xyz", ["0.5", "0", "0"], "xyz of point"),
+        ("focal", True, "focal of image"),
+        ("focal", "100", "focal of image"),
+        ("center", "0 0 0", "center of image"),
+        ("center", ["0", "0", "0"], "center of image"),
+        ("xyz", [10 ** 400, 0, 0], "too large to convert")],
+        ids=["xyz-bool", "xyz-strings", "focal-bool", "focal-string",
+             "center-string", "center-strings", "xyz-huge-int"])
+    def test_non_number_scene_field_is_data_error(self, workspace, tmp_path,
+                                                  where, value, field,
+                                                  capsys):
+        # float() and np.array(dtype=float64) take bools and numeric
+        # strings, so such a scene would load as if it held numbers; an
+        # integer beyond float64 raises OverflowError, not ValueError
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        with open(workspace / "data" / "scenes" / "c00.json") as f:
+            doc = json.load(f)
+        if where == "xyz":
+            doc["points"][0]["xyz"] = value
+        else:
+            doc["images"][0]["camera"][where] = value
+        (scenes / "c00.json").write_text(json.dumps(doc))
+        code = run_cli("mine", "--scenes", str(scenes),
+                       "--descriptors", str(tmp_path / "d.macd"),
+                       "--out", str(tmp_path / "t.mftp"))
+        assert code == EXIT_DATA == 4
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
     def test_corrupt_checkpoint_sidecar_is_data_error(self, workspace,
                                                       tmp_path, capsys):
         data, run = str(workspace / "data"), str(workspace / "run")
