@@ -2,8 +2,9 @@
 
 Activations are channels-first float arrays of shape (maps, height, width).
 backward() returns the gradients of the scalar <output_grad, output> with
-respect to the parameters and the input; running it under float64 inputs
-is the gradient-check mode, float32 is the production mode.
+respect to the parameters and the input, or, given lowest_conv, only the
+parameter gradients from that conv layer up; running it under float64
+inputs is the gradient-check mode, float32 is the production mode.
 """
 
 from __future__ import annotations
@@ -259,12 +260,15 @@ def _conv_forward(x, weight, bias, layer):
     return y, cache
 
 
-def _conv_backward(g, weight, layer, cache):
+def _conv_backward(g, weight, layer, cache, input_grad):
+    """(dx, dw, db) of one conv; dx is None when input_grad is false."""
     _, cols, x_shape, pad_shape, out_shape = cache
     out_maps, out_h, out_w = out_shape
     g_mat = g.reshape(out_maps, out_h * out_w)
     dw = (g_mat @ cols.T).reshape(weight.shape)
     db = g_mat.sum(axis=1)
+    if not input_grad:
+        return None, dw, db
     w_mat = weight.reshape(out_maps, -1)
     dcols = (w_mat.T @ g_mat).reshape(
         layer.in_maps, layer.kernel, layer.kernel, out_h, out_w)
@@ -358,10 +362,31 @@ def _cache_out_shape(cache):
     return cache[-1]
 
 
-def backward(params: NetParams, spec: list[LayerSpec], tape, output_grad: np.ndarray):
-    """Gradients of <output_grad, output> w.r.t. params and input."""
+def _cache_in_shape(cache):
+    if cache[0] == RELU:
+        return cache[1].shape
+    return cache[2]
+
+
+def backward(params: NetParams, spec: list[LayerSpec], tape, output_grad: np.ndarray,
+             *, lowest_conv: int | None = None):
+    """Gradients of <output_grad, output> w.r.t. params and input.
+
+    lowest_conv=k (counting conv layers from 0) names the lowest conv
+    whose gradients the caller reads. The walk stops once conv k has its
+    weight and bias gradients: conv k's input gradient and the layers
+    below it are not computed, and the gradient entries of the convs
+    below k are None. The second result is then not a gradient but a
+    read-only zero array of the input's shape that allocates nothing; it
+    stands in for the input gradient only because the benchmark's span
+    wrapper reads its shape, and becomes None once the benchmark reads
+    the program's own spans (ROADMAP item 3). None walks every layer.
+    """
     if len(tape) != len(spec):
         raise TapeError(f"tape has {len(tape)} entries for {len(spec)} layers")
+    if lowest_conv is not None and not 0 <= lowest_conv < len(params.weights):
+        raise ValueError(f"lowest_conv {lowest_conv} outside the"
+                         f" {len(params.weights)} conv layers")
     g = np.asarray(output_grad)
     expected = _cache_out_shape(tape[-1])
     if g.shape != expected:
@@ -375,9 +400,15 @@ def backward(params: NetParams, spec: list[LayerSpec], tape, output_grad: np.nda
             raise TapeError(f"layer {i}: tape says {cache[0]!r}, spec says {layer.kind!r}")
         if layer.kind == CONV:
             conv_i -= 1
-            g, dw, db = _conv_backward(g, params.weights[conv_i], layer, cache)
+            dtype = g.dtype
+            g, dw, db = _conv_backward(g, params.weights[conv_i], layer, cache,
+                                       input_grad=conv_i != lowest_conv)
             weight_grads[conv_i] = dw
             bias_grads[conv_i] = db
+            if g is None:
+                placeholder = np.broadcast_to(np.zeros((), dtype),
+                                              _cache_in_shape(tape[0]))
+                return NetParams(weight_grads, bias_grads), placeholder
         elif layer.kind == RELU:
             g = g * cache[1]
         else:

@@ -7,7 +7,7 @@ rewriting.
 
 import numpy as np
 
-from .ioutil import FormatError
+from .ioutil import FormatError, read_exact
 from .numeric import DimensionError
 
 PPM_MAXVAL = 255
@@ -60,9 +60,7 @@ def read_ppm(path):
             raise FormatError("PPM dimensions must be positive")
         if maxval != PPM_MAXVAL:
             raise FormatError(f"unsupported PPM maxval {maxval}")
-        data = f.read(width * height * 3)
-        if len(data) != width * height * 3:
-            raise FormatError("PPM pixel data truncated")
+        data = read_exact(f, width * height * 3, "PPM pixel data")
         if f.read(1) != b"":
             raise FormatError("trailing data after PPM pixels")
     pixels = np.frombuffer(data, dtype=np.uint8)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+import os
+
 import numpy as np
 
 
@@ -10,6 +13,19 @@ class FormatError(ValueError):
 
 
 def read_exact(f, n: int, what: str) -> bytes:
+    """Exactly n bytes from f, or a FormatError naming what was wanted.
+
+    A count above one buffer comes from a size the file declares, so it
+    is checked against the bytes left before f.read allocates it; a
+    smaller short read is caught after the read.
+    """
+    if n > io.DEFAULT_BUFFER_SIZE:
+        pos = f.tell()
+        left = f.seek(0, os.SEEK_END) - pos
+        f.seek(pos)
+        if n > left:
+            raise FormatError(
+                f"truncated file: wanted {n} bytes for {what}, {left} left")
     data = f.read(n)
     if len(data) != n:
         raise FormatError(f"truncated file: wanted {n} bytes for {what}, got {len(data)}")

@@ -46,7 +46,7 @@ from .mining import (
 from .numeric import DimensionError, SeededStream
 from .retrieval import QueryGroundTruth, save_ground_truth
 from .synthscene import generate, render
-from .training import embed_image, train, write_metrics_csv
+from .training import check_trainable, embed_image, train, write_metrics_csv
 from .whitening import (
     KIND_LW,
     KIND_PCAW,
@@ -311,6 +311,7 @@ def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
     else:
         spec = tiny_spec()
         params = init_params(spec, stream.derive("init"))
+    check_trainable(spec, train_cfg)
 
     params0 = params.copy()
     # negatives for a held-out query may come from any cluster, so the

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import LayerSpec, NetParams, backward, forward
+from .backbone import CONV, LayerSpec, NetParams, backward, forward
 from .descriptor import l2n, mac, mac_backward
 from .numeric import DimensionError, SeededStream
 from .retrieval import DescriptorDB, search
@@ -189,6 +189,16 @@ def sgd_step_net(params: NetParams, grads: NetParams, velocity: NetParams,
     return NetParams(new_w, new_b), NetParams(vel_w, vel_b)
 
 
+def check_trainable(spec: list[LayerSpec], cfg: TrainConfig) -> None:
+    """ValueError unless cfg.freeze_conv_layers leaves at least one conv
+    layer of spec to train."""
+    n_conv = sum(layer.kind == CONV for layer in spec)
+    if cfg.freeze_conv_layers >= n_conv:
+        raise ValueError(
+            f"freeze_conv_layers={cfg.freeze_conv_layers} freezes every conv"
+            f" layer: the network has {n_conv}")
+
+
 def embed_image(params: NetParams, spec: list[LayerSpec], image: np.ndarray) -> np.ndarray:
     """Whole-image descriptor: l2n(mac(trunk(image)))."""
     out, _ = forward(params, spec, image)
@@ -223,12 +233,15 @@ def validate(params: NetParams, spec: list[LayerSpec], tuples: list,
     return total / len(tuples)
 
 
-def _batch_gradients(params, spec, batch, image_of, loss_cfg, loss_kind):
+def _batch_gradients(params, spec, batch, image_of, loss_cfg, loss_kind,
+                     lowest_conv):
     """Mean pair loss and parameter gradients over one batch of tuples.
 
     Images are forwarded once each; descriptor-space gradients accumulate
     per image in tuple order, then flow back through one backward pass per
-    image. Returns (mean_loss, grads: NetParams).
+    image that stops after conv layer lowest_conv. Returns (mean_loss,
+    grads: NetParams); the gradients of the convs below lowest_conv stay
+    zero.
     """
     acts = {}
 
@@ -278,8 +291,9 @@ def _batch_gradients(params, spec, batch, image_of, loss_cfg, loss_kind):
         out, tape, f, _ = acts[image_id]
         g_f = l2n_backward(f, desc_grads[image_id] * inv)
         g_out = mac_backward(out, g_f)
-        pg, _ = backward(params, spec, tape, g_out.astype(out.dtype))
-        for i in range(len(grads.weights)):
+        pg, _ = backward(params, spec, tape, g_out.astype(out.dtype),
+                         lowest_conv=lowest_conv)
+        for i in range(lowest_conv, len(grads.weights)):
             grads.weights[i] += pg.weights[i]
             grads.biases[i] += pg.biases[i]
     return total * inv, grads
@@ -309,6 +323,7 @@ def train(source, val_tuples: list, spec: list[LayerSpec], params: NetParams,
     """
     if loss_kind not in ("contrastive", "triplet"):
         raise ValueError(f"unknown loss {loss_kind!r}")
+    check_trainable(spec, cfg)
     if not source.current_tuples():
         raise ValueError("tuple source has no training tuples")
     if not val_tuples:
@@ -341,7 +356,8 @@ def train(source, val_tuples: list, spec: list[LayerSpec], params: NetParams,
             if not batch:
                 continue
             loss, grads = _batch_gradients(params, spec, batch, source.image,
-                                           loss_cfg, loss_kind)
+                                           loss_cfg, loss_kind,
+                                           cfg.freeze_conv_layers)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {b}")

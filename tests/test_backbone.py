@@ -444,6 +444,80 @@ class TestBackward:
             backward(params, spec, tape, np.ones((1, 9, 9), np.float32))
 
 
+def _stop_instance(s, first, dtype, quantize):
+    """A random three-conv net whose first layer is of kind `first`, on an
+    odd, non-square input."""
+    head = {"conv": [], "relu": [relu()],
+            "maxpool": [maxpool(*POOLS[int(s.integers(0, len(POOLS)))])]}
+    c0, c1, c2, c3 = (int(s.integers(1, 4)) for _ in range(4))
+    for attempt in range(100):
+        a = s.derive("shape", attempt)
+        spec = head[first] + [
+            conv(c0, c1, int(a.integers(1, 4)), stride=int(a.integers(1, 3)),
+                 pad=int(a.integers(0, 3))),
+            relu(),
+            maxpool(*POOLS[int(a.integers(0, len(POOLS)))]),
+            conv(c1, c2, int(a.integers(1, 4)), pad=int(a.integers(0, 2))),
+            relu(),
+            conv(c2, c3, int(a.integers(1, 3)), stride=int(a.integers(1, 3))),
+        ]
+        shape = (c0, 2 * int(a.integers(7, 14)) + 1,
+                 2 * int(a.integers(7, 14)) + 3)
+        try:
+            output_shapes(spec, shape)
+        except ShapeError:
+            continue
+        x = s.normal(size=shape)
+        params = init_params(spec, s.derive("params"))
+        if quantize:
+            # ties in the pooling windows, -0.0 in the upstream gradient
+            x = np.round(x * 2.0) / 2.0
+            for i in range(len(params.weights)):
+                params.weights[i] = np.round(params.weights[i] * 8.0) / 8.0
+        return spec, params.astype(dtype), x.astype(dtype)
+    raise AssertionError("could not build a valid instance")
+
+
+class TestBackwardStop:
+    """backward(lowest_conv=k) returns the default call's parameter
+    gradients from conv k up, byte for byte, and None below."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("first", ["conv", "relu", "maxpool"])
+    def test_matches_full_walk(self, first, dtype):
+        stream = SeededStream(20160425, 13)
+        for trial in range(12):
+            s = stream.derive(first, trial)
+            spec, params, x = _stop_instance(s, first, dtype,
+                                             quantize=trial % 2 == 1)
+            out, tape = forward(params, spec, x)
+            gout = s.derive("gout").normal(size=out.shape)
+            if trial % 2:
+                gout = np.round(gout * 2.0) / 2.0
+            gout = gout.astype(dtype)
+            full, gx = backward(params, spec, tape, gout)
+            for k in range(len(params.weights)):
+                grads, placeholder = backward(params, spec, tape, gout,
+                                              lowest_conv=k)
+                assert grads.weights[:k] == [None] * k
+                assert grads.biases[:k] == [None] * k
+                for g, ref in zip(grads.weights[k:] + grads.biases[k:],
+                                  full.weights[k:] + full.biases[k:]):
+                    assert_bits_equal(g, ref)
+                assert placeholder.shape == x.shape == gx.shape
+                assert placeholder.dtype == x.dtype == gx.dtype
+                assert not placeholder.any()
+                assert not placeholder.flags.writeable
+
+    @pytest.mark.parametrize("lowest", [-1, 2])
+    def test_rejects_layer_outside_the_net(self, lowest):
+        spec = [conv(1, 2, 1), relu(), conv(2, 2, 1)]
+        params = init_params(spec, SeededStream(14))
+        out, tape = forward(params, spec, np.ones((1, 3, 3), np.float32))
+        with pytest.raises(ValueError, match="lowest_conv"):
+            backward(params, spec, tape, np.ones_like(out), lowest_conv=lowest)
+
+
 def _margins_ok(spec, params, x, margin=1e-3):
     """Reject instances where a relu kink or pooling tie sits near the
     finite-difference step, which would invalidate the oracle."""

@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -637,3 +638,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "'c01/i002'" in err and str(missing) in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("freeze", [3, 4])
+    def test_freezing_every_conv_is_config_error(self, workspace, tmp_path,
+                                                 freeze, capsys):
+        # sgd_step_net would leave every layer untouched and best.mfck
+        # would hold the initial weights
+        data = str(workspace / "data")
+        run = tmp_path / "run"
+        code = run_cli("train", "--scenes", f"{data}/scenes",
+                       "--images", f"{data}/images", "--out", str(run),
+                       *SMALL_ARGS, "--set", f"freeze_conv_layers={freeze}")
+        assert code == EXIT_CONFIG
+        assert "freezes every conv layer: the network has 3" in \
+            capsys.readouterr().err
+        assert not run.exists()
+
+    @pytest.mark.parametrize("which", ["ppm", "mfck"])
+    def test_size_beyond_any_index_is_data_error(self, workspace, tmp_path,
+                                                 which, capsys):
+        # a declared size too large for an index made f.read raise
+        # OverflowError; it is checked against the bytes left first
+        data, run = str(workspace / "data"), str(workspace / "run")
+        images, ckpt = f"{data}/images", f"{run}/init.mfck"
+        if which == "ppm":
+            images = tmp_path / "images"
+            images.mkdir()
+            (images / "a.ppm").write_bytes(
+                b"P6\n99999999999 99999999999\n255\n")
+        else:
+            ckpt = tmp_path / "huge.mfck"
+            big = 2 ** 32 - 1
+            # one conv layer: in, out, kernel, stride, pad; no weights
+            ckpt.write_bytes(struct.pack("<4sIIB5I", b"MFCK", 1, 1, 0,
+                                         3, big, big, 1, 0))
+        out = tmp_path / "o.macd"
+        code = run_cli("embed", "--checkpoint", str(ckpt),
+                       "--images", str(images), "--out", str(out))
+        assert code == EXIT_DATA == 4
+        err = capsys.readouterr().err
+        assert "truncated file" in err and "left" in err
+        assert not out.exists()

@@ -369,3 +369,11 @@ class TestDescriptorDb:
         trail.write_bytes(data + b"\x01")
         with pytest.raises(FormatError):
             load_descriptors(trail)
+        # a large declared dim or id length is checked against the bytes
+        # left before it is read: header magic, version, count, then dim
+        claims = tmp_path / "claims.macd"
+        for offset, what in ((16, "record 0 values"), (20, "record 0 id")):
+            claims.write_bytes(data[:offset] + (2 ** 24).to_bytes(4, "little")
+                               + data[offset + 4:])
+            with pytest.raises(FormatError, match=f"for {what}, .* left"):
+                load_descriptors(claims)

@@ -56,6 +56,10 @@ class TestPpmRoundTrip:
         path.write_bytes(b"P6\n2 2\n255\n\x00\x00")
         with pytest.raises(FormatError, match="truncated"):
             read_ppm(path)
+        # a large declared size is checked before the pixels are read
+        path.write_bytes(b"P6\n4096 4096\n255\n" + bytes(12))
+        with pytest.raises(FormatError, match="12 left"):
+            read_ppm(path)
         path.write_bytes(b"P6\n1 1\n255\n" + bytes(4))
         with pytest.raises(FormatError, match="trailing"):
             read_ppm(path)

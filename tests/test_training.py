@@ -622,6 +622,77 @@ class TestEmbeddingOncePerVersion:
             val_ids | universe
 
 
+@pytest.fixture(scope="module")
+def tiny_scene():
+    """A 4-cluster scene at 24 px, the tiny_spec trunk and its initial
+    descriptors."""
+    graphs = generate(SceneConfig(clusters=4, images_per_cluster=(4, 5),
+                                  points_per_cluster=(30, 40),
+                                  image_size=24, seed=5))
+    images = render_images(graphs, 24)
+    spec = tiny_spec()
+    params0 = init_params(spec, SeededStream(5).derive("init"))
+    initial = {i: embed_image(params0, spec, images[i]) for i in images}
+    return graphs, images, spec, params0, initial
+
+
+class TestBackwardStopInTrain:
+    """Stopping each batch backward after conv freeze_conv_layers changes
+    no byte of what train() returns."""
+
+    @staticmethod
+    def _train(tiny_scene, loss_kind, freeze):
+        graphs, images, spec, params0, initial = tiny_scene
+        stream = SeededStream(6)
+        miner, val_tuples = prepare_training(
+            graphs, images, initial,
+            MiningConfig(pool_size=10, negatives=2,
+                         candidate_negatives_per_cluster=8),
+            "m3", "N2", 0.25, stream)
+        # no weight decay: a layer moves only through its gradients
+        cfg = TrainConfig(base_lr=0.01, weight_decay=0.0, batch_tuples=2,
+                          max_epochs=3, remine_per_epoch=2,
+                          freeze_conv_layers=freeze)
+        return train(miner, val_tuples, spec, params0, cfg, LossConfig(),
+                     stream.derive("train"), loss_kind=loss_kind)
+
+    @pytest.mark.parametrize("freeze", [0, 1, 2])
+    @pytest.mark.parametrize("loss_kind", ["contrastive", "triplet"])
+    def test_matches_full_walk(self, tiny_scene, loss_kind, freeze,
+                               monkeypatch):
+        calls = []
+
+        def full_walk(params, spec, tape, output_grad, *, lowest_conv=None):
+            calls.append(lowest_conv)
+            return backward(params, spec, tape, output_grad)
+
+        stopped = self._train(tiny_scene, loss_kind, freeze)
+        monkeypatch.setattr(training, "backward", full_walk)
+        full = self._train(tiny_scene, loss_kind, freeze)
+        assert calls and set(calls) == {freeze}
+        for a, b in zip(stopped.best_params.weights + stopped.best_params.biases,
+                        full.best_params.weights + full.best_params.biases):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert stopped.best_epoch == full.best_epoch
+        assert stopped.best_val_map == full.best_val_map
+        assert stopped.metrics == full.metrics
+        # the frozen layers keep the entry weights; the others moved
+        params0 = tiny_scene[3]
+        for i, (w, w0) in enumerate(zip(stopped.best_params.weights,
+                                        params0.weights)):
+            assert np.array_equal(w, w0) == (i < freeze)
+
+    def test_freezing_every_conv_is_rejected(self):
+        spec, params = make_identity_net()
+        images, tuples = small_problem(SeededStream(95), n_tuples=2)
+        source = FakeSource(images, tuples)
+        with pytest.raises(ValueError, match="the network has 1"):
+            train(source, tuples, spec, params,
+                  TrainConfig(max_epochs=1, freeze_conv_layers=1),
+                  LossConfig(), SeededStream(0))
+        assert source.remine_calls == 0
+
+
 class TestMetricsCsv:
     def test_format(self, tmp_path):
         rows = [EpochMetrics(0, 0.001, 0.25, 0.5),
