@@ -4,7 +4,11 @@ bytes as the version that recorded tests/golden/parity.json.
 The gate covers the synthesized scene (scene JSON, PPMs, ground truth)
 and, for seeds 0-2, the `best.mfck` checkpoint, its JSON sidecar and
 `metrics.csv` of two training runs: m3/N2 with the contrastive loss, and
-m1/N1 with the triplet loss and the first conv layer frozen. The golden
+m1/N1 with the triplet loss and the first conv layer frozen. It also
+covers mining: the MAC `.macd` that `embed` writes from seed 0's m3/N2
+checkpoint and, for seeds 0-2, the tuple files `mine` writes from it for
+every positive method and negative variant, once with the per-cluster
+query sample and once with every image as a query. The golden
 file also records the numpy version and BLAS build it was made under,
 so a mismatch on another build can be told from a changed program.
 
@@ -43,6 +47,12 @@ RUNS = {
 }
 SEEDS = (0, 1, 2)
 TRAIN_ARTIFACTS = ("best.mfck", "best.mfck.json", "metrics.csv")
+MINE_ARGS = ["--set", "pool_size=10", "--set", "negatives=2",
+             "--set", "candidate_negatives_per_cluster=8"]
+MINE_RUNS = [(positive, negative, queries)
+             for positive in ("m1", "m2", "m3")
+             for negative in ("N1", "N2")
+             for queries in ("sample", "all")]
 
 
 def file_sha(path):
@@ -71,8 +81,9 @@ def environment():
 
 
 def parity_hashes(root):
-    """Run synth once and train for every seed and run under root;
-    returns artifact name -> SHA-256."""
+    """Run synth once, train for every seed and run, then embed once and
+    mine for every seed and mining run under root; returns artifact
+    name -> SHA-256."""
     data = os.path.join(root, "data")
     code = main(["synth", "--out", data, "--seed", str(SCENE_SEED),
                  *SCENE_ARGS])
@@ -89,6 +100,27 @@ def parity_hashes(root):
             for artifact in TRAIN_ARTIFACTS:
                 hashes[f"seed{seed}/{run}/{artifact}"] = file_sha(
                     os.path.join(out, artifact))
+    for seed in SEEDS:
+        os.makedirs(os.path.join(root, "mine", f"seed{seed}"))
+    db = os.path.join(root, "mine", "db.macd")
+    code = main(["embed", "--images", os.path.join(data, "images"),
+                 "--checkpoint", os.path.join(root, "seed0",
+                                              "m3-N2-contrastive",
+                                              "best.mfck"),
+                 "--out", db])
+    assert code == EXIT_OK, f"embed exited {code}"
+    hashes["mine/db.macd"] = file_sha(db)
+    for seed in SEEDS:
+        for positive, negative, queries in MINE_RUNS:
+            name = f"mine/seed{seed}/{positive}-{negative}-{queries}.mftp"
+            out = os.path.join(root, name)
+            code = main(["mine", "--scenes", os.path.join(data, "scenes"),
+                         "--descriptors", db, "--out", out,
+                         "--seed", str(seed), "--positive", positive,
+                         "--negative", negative, *MINE_ARGS,
+                         "--set", f"mine_all_queries={queries == 'all'}"])
+            assert code == EXIT_OK, f"mine {name} exited {code}"
+            hashes[name] = file_sha(out)
     return hashes
 
 
