@@ -61,15 +61,16 @@ def main():
     # negatives
     mining_cfg = MiningConfig(pool_size=8, negatives=3,
                               candidate_negatives_per_cluster=8)
-    miner, val_tuples = prepare_training(graphs, images, all0, mining_cfg,
-                                         "m3", "N2", 0.3, stream)
+    miner, val_tuples = prepare_training(graphs, all0, mining_cfg, "m3",
+                                         "N2", 0.3, stream)
     print(f"mined {len(miner.current_tuples())} training tuples "
           f"({len(miner.skipped)} queries skipped)")
 
     cfg = TrainConfig(batch_tuples=2, max_epochs=6, remine_per_epoch=2,
                       max_image_side=48)
-    result = train(miner, val_tuples, spec, params0, cfg, LossConfig(),
-                   stream.derive("train"), loss_kind="contrastive")
+    result = train(miner, images.__getitem__, val_tuples, spec, params0,
+                   cfg, LossConfig(), stream.derive("train"),
+                   loss_kind="contrastive")
 
     print(f"\n{'epoch':>5}{'lr':>10}{'train loss':>12}{'val mAP':>9}")
     for m in result.metrics:

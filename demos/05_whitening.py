@@ -57,9 +57,9 @@ def main():
     mining_cfg = MiningConfig()
     all0 = {i: embed_image(params0, spec, images[i])
             for g in graphs for i in g.images}
-    miner, val_tuples = prepare_training(graphs, images, all0, mining_cfg,
-                                         "m3", "N2", 0.2, stream)
-    result = train(miner, val_tuples, spec, params0,
+    miner, val_tuples = prepare_training(graphs, all0, mining_cfg, "m3",
+                                         "N2", 0.2, stream)
+    result = train(miner, images.__getitem__, val_tuples, spec, params0,
                    TrainConfig(max_epochs=5), LossConfig(),
                    stream.derive("train"), loss_kind="contrastive")
     best = result.best_params

@@ -6,8 +6,9 @@ library tunables come from the config dataclasses (SceneConfig,
 MiningConfig, TrainConfig, LossConfig), one key per field and two for
 a (lo, hi) range; only the stage arguments are declared here. The
 resolved map and its hash are echoed to stderr so every run is
-auditable. Exit codes: 0 success, 2 config or usage error, 3 I/O
-error, 4 data-shape or file-format error.
+auditable. Exit codes: 0 success, 2 config or usage error (a diverged
+training loss included), 3 I/O error, 4 data-shape or file-format
+error.
 """
 
 import argparse
@@ -40,7 +41,7 @@ from .retrieval import (
     write_eval_csv,
 )
 from .synthscene import GenerationError, SceneConfig
-from .training import LossConfig, TrainConfig
+from .training import LossConfig, TrainConfig, TrainingDivergedError
 from .whitening import KIND_LW, KIND_PCAW, load_projection
 
 EXIT_OK = 0
@@ -384,7 +385,7 @@ def main(argv=None):
             GridError, ProtocolError, MiningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (GenerationError, ValueError) as exc:
+    except (GenerationError, TrainingDivergedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

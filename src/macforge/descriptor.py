@@ -243,6 +243,9 @@ def load_descriptors(path) -> dict[str, np.ndarray]:
             raise FormatError(f"unsupported descriptor db version {version}")
         count = read_u64(f, "record count")
         dim = read_u32(f, "descriptor dim")
+        if count and not dim:
+            raise FormatError(f"descriptor db declares dim 0 for {count} "
+                              "records")
         for i in range(count):
             id_len = read_u32(f, f"record {i} id length")
             try:

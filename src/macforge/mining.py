@@ -337,42 +337,55 @@ def build_tuples(graphs: list, descriptors: dict, cfg: MiningConfig,
     a tuple for every image; whitening fits need the denser pair set to
     estimate a stable intraclass scatter, training does not.
     """
-    state = _MiningState(graphs, descriptors, cfg, positive_method, stream,
-                         query_clusters, all_images_as_queries)
-    return state.select(descriptors, negative_variant)
+    miner = TupleMiner(graphs, descriptors, cfg, positive_method,
+                       negative_variant, stream, query_clusters,
+                       all_images_as_queries)
+    return miner.tuples, miner.skipped
 
 
-class _MiningState:
-    """The descriptor-independent part of one mining run, fixed once
-    computed: queries in cluster order, positives, the queries skipped
-    for want of a positive, the negative universe and image -> cluster."""
+class TupleMiner:
+    """One mining run: build_tuples' first selection, then re-mining.
 
-    def __init__(self, graphs, descriptors, cfg, positive_method, stream,
+    Construction takes build_tuples' arguments, fixes the queries in
+    cluster order, their positives, the queries without one, the
+    candidate-negative universe and image -> cluster, then selects hard
+    negatives into tuples/skipped. remine() asks the caller for the
+    descriptor of each universe id and re-selects only negatives, over
+    the same universe with the same routine.
+    """
+
+    def __init__(self, graphs, descriptors: dict, cfg: MiningConfig,
+                 positive_method="m3", negative_variant="N2", stream=None,
                  query_clusters=None, all_images_as_queries=False):
         if positive_method not in ("m1", "m2", "m3"):
             raise ValueError(f"unknown positive method {positive_method!r}")
         if stream is None:
             stream = SeededStream(0)
         self.negatives = cfg.negatives
-        self.cluster_of = {img: g.cluster_id
-                           for g in graphs for img in g.images}
+        self.negative_variant = negative_variant
+        self.cluster_of = {}
+        by_cluster = {}
+        for g in graphs:
+            if by_cluster.setdefault(g.cluster_id, g) is not g:
+                raise GraphError(
+                    f"cluster id {g.cluster_id!r} names two clusters")
+            for img in g.images:
+                cid = self.cluster_of.setdefault(img, g.cluster_id)
+                if cid != g.cluster_id:
+                    raise GraphError(f"image {img!r} is in clusters {cid!r} "
+                                     f"and {g.cluster_id!r}")
         missing = [i for i in sorted(self.cluster_of) if i not in descriptors]
         if missing:
             raise FormatError(f"scene image {missing[0]!r} has no descriptor")
-        by_cluster = {g.cluster_id: g for g in graphs}
-        queries = {
-            cid: (sorted(by_cluster[cid].images) if all_images_as_queries
-                  else choose_queries(by_cluster[cid],
-                                      stream.derive("queries", cid)))
-            for cid in sorted(by_cluster) if query_clusters is None
-            or cid in query_clusters}
-        self.queries = []
+        queries = []
         self.positives = {}
-        self.skipped = []
-        for cid, cluster_queries in queries.items():
-            g = by_cluster[cid]
-            for q in cluster_queries:
-                self.queries.append(q)
+        self.no_positive = []
+        for cid, g in sorted(by_cluster.items()):
+            if query_clusters is not None and cid not in query_clusters:
+                continue
+            for q in (sorted(g.images) if all_images_as_queries
+                      else choose_queries(g, stream.derive("queries", cid))):
+                queries.append(q)
                 pool = candidate_pool(g, q, cfg.pool_size)
                 try:
                     if positive_method == "m1":
@@ -383,76 +396,44 @@ class _MiningState:
                         self.positives[q] = positive_m3(
                             q, pool, g, cfg, stream.derive("m3", q))
                 except NoPositiveError as exc:
-                    self.skipped.append((q, str(exc)))
+                    self.no_positive.append((q, str(exc)))
         # a seeded sample per cluster plus every query and positive, so
-        # select() reads descriptors of the universe only
-        universe = set(self.queries) | set(self.positives.values())
-        for g in graphs:
+        # a selection reads descriptors of the universe only
+        universe = set(queries) | set(self.positives.values())
+        for cid, g in by_cluster.items():
             ids = sorted(g.images)
             take = min(cfg.candidate_negatives_per_cluster, len(ids))
-            order = stream.derive("negpool", g.cluster_id).permutation(len(ids))
+            order = stream.derive("negpool", cid).permutation(len(ids))
             universe.update(ids[int(j)] for j in order[:take])
         self.universe = sorted(universe)
-
-    def select(self, descriptors: dict, variant: str):
-        """(tuples, skipped): hard negatives for every query with a
-        positive, ranked over one DescriptorDB of the universe; a query
-        with too few candidates joins the skipped list."""
-        skipped = list(self.skipped)
-        if not self.positives:
-            return [], skipped
-        db = DescriptorDB({i: descriptors[i] for i in self.universe})
-        tuples = []
-        for q in self.queries:
-            if q not in self.positives:
-                continue
-            try:
-                negs = _hard_negatives(q, descriptors[q], db,
-                                       self.cluster_of.__getitem__,
-                                       self.negatives, variant)
-            except ShortListError as exc:
-                skipped.append((q, str(exc)))
-                continue
-            tuples.append(TrainingTuple(q, self.positives[q], tuple(negs)))
-        return tuples, skipped
-
-
-class TupleMiner:
-    """Owns the fixed mining state across a training run.
-
-    Queries, positives, the skipped queries and the candidate-negative
-    universe are computed once at construction, as build_tuples computes
-    them, from descriptors, an id -> vector map covering every image of
-    graphs; positives never change afterwards. remine() asks the caller
-    for the descriptor of each universe id and re-selects only negatives,
-    over the same universe and with the same routine as the first
-    selection; the caller decides how (and whether again) an id is
-    embedded.
-    """
-
-    def __init__(self, graphs, images: dict, cfg: MiningConfig,
-                 descriptors: dict, positive_method: str = "m3",
-                 negative_variant: str = "N2",
-                 stream: SeededStream | None = None):
-        self.images = images
-        self.negative_variant = negative_variant
-        self.state = _MiningState(list(graphs), descriptors, cfg,
-                                  positive_method, stream)
-        self.tuples, self.skipped = self.state.select(descriptors,
-                                                      negative_variant)
+        self._select(descriptors)
 
     def current_tuples(self) -> list:
         return list(self.tuples)
 
-    def image(self, image_id: str):
-        return self.images[image_id]
-
     def remine(self, describe) -> None:
         """Re-select negatives from describe, a function from image id to
         its descriptor under the current network; positives stay."""
-        descriptors = {i: describe(i) for i in self.state.universe}
-        self.tuples, self.skipped = self.state.select(descriptors,
-                                                      self.negative_variant)
+        self._select({i: describe(i) for i in self.universe})
+
+    def _select(self, descriptors: dict) -> None:
+        """Set tuples and skipped: hard negatives for every query with a
+        positive, ranked over one DescriptorDB of the universe; a query
+        with too few candidates joins the skipped list."""
+        self.tuples = []
+        self.skipped = list(self.no_positive)
+        if not self.positives:
+            return
+        db = DescriptorDB({i: descriptors[i] for i in self.universe})
+        for q, positive in self.positives.items():
+            try:
+                negs = _hard_negatives(q, descriptors[q], db,
+                                       self.cluster_of.__getitem__,
+                                       self.negatives, self.negative_variant)
+            except ShortListError as exc:
+                self.skipped.append((q, str(exc)))
+                continue
+            self.tuples.append(TrainingTuple(q, positive, negs))
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +479,10 @@ def _numbers(value, field: str) -> np.ndarray:
 
 def load_scene(path) -> VisibilityGraph:
     try:
-        with open(os.fspath(path)) as f:
+        with open(os.fspath(path), encoding="utf-8") as f:
             doc = json.load(f)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"scene file is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"scene file is not valid JSON: {exc}") from exc
     try:
@@ -534,25 +517,29 @@ def save_tuples(path, tuples: list) -> None:
 
 
 def load_tuples(path) -> list:
+    try:
+        with open(os.fspath(path), encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"tuple file is not valid UTF-8: {exc}") from exc
     out = []
-    with open(os.fspath(path)) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                q, m, negatives = doc["q"], doc["m"], doc["negatives"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"bad tuple on line {lineno}: {exc}") from exc
-            # tuple() of a string would split it into characters
-            if not (isinstance(q, str) and isinstance(m, str)
-                    and isinstance(negatives, list)
-                    and all(isinstance(n, str) for n in negatives)):
-                raise FormatError(f"bad tuple on line {lineno}: q and m must "
-                                  "be image ids, negatives a list of them")
-            try:
-                out.append(TrainingTuple(q, m, tuple(negatives)))
-            except MiningError as exc:
-                raise FormatError(f"bad tuple on line {lineno}: {exc}") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+            q, m, negatives = doc["q"], doc["m"], doc["negatives"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise FormatError(f"bad tuple on line {lineno}: {exc}") from exc
+        # tuple() of a string would split it into characters
+        if not (isinstance(q, str) and isinstance(m, str)
+                and isinstance(negatives, list)
+                and all(isinstance(n, str) for n in negatives)):
+            raise FormatError(f"bad tuple on line {lineno}: q and m must "
+                              "be image ids, negatives a list of them")
+        try:
+            out.append(TrainingTuple(q, m, tuple(negatives)))
+        except MiningError as exc:
+            raise FormatError(f"bad tuple on line {lineno}: {exc}") from exc
     return out

@@ -268,7 +268,7 @@ def stage_mine(scenes_dir, descriptors_path, out_path, mining_cfg,
     return tuples, skipped
 
 
-def prepare_training(graphs, images, initial, mining_cfg, positive_method,
+def prepare_training(graphs, initial, mining_cfg, positive_method,
                      negative_variant, val_fraction, stream):
     """Split graphs and mine under the initial network: the training
     TupleMiner on stream "mine", the held-out tuples on stream "valmine"
@@ -276,9 +276,8 @@ def prepare_training(graphs, images, initial, mining_cfg, positive_method,
     maps every image id of graphs to its descriptor. Returns (miner,
     val_tuples); a split without tuples is a ValueError."""
     train_graphs, val_graphs = split_clusters(graphs, val_fraction)
-    miner = TupleMiner(train_graphs, images, mining_cfg, initial,
-                       positive_method, negative_variant,
-                       stream.derive("mine"))
+    miner = TupleMiner(train_graphs, initial, mining_cfg, positive_method,
+                       negative_variant, stream.derive("mine"))
     if not miner.current_tuples():
         raise ValueError("training split produced no tuples")
     val_tuples, _ = build_tuples(
@@ -319,14 +318,15 @@ def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
     initial = {image_id: embed_image(params0, spec, images[image_id])
                for graph in graphs for image_id in sorted(graph.images)}
     miner, val_tuples = prepare_training(
-        graphs, images, initial, mining_cfg, positive_method,
-        negative_variant, val_fraction, stream)
+        graphs, initial, mining_cfg, positive_method, negative_variant,
+        val_fraction, stream)
 
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "init.mfck"), spec, params0,
                     meta={"epoch": 0, "loss": loss_kind})
-    result = train(miner, val_tuples, spec, params, train_cfg, loss_cfg,
-                   stream.derive("train"), loss_kind=loss_kind)
+    result = train(miner, images.__getitem__, val_tuples, spec, params,
+                   train_cfg, loss_cfg, stream.derive("train"),
+                   loss_kind=loss_kind)
     save_checkpoint(os.path.join(out_dir, "best.mfck"), spec,
                     result.best_params,
                     meta={"epoch": result.best_epoch,

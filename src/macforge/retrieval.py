@@ -172,6 +172,9 @@ def load_ground_truth(path):
     with open(path, "r", encoding="utf-8") as f:
         try:
             payload = json.load(f)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"ground truth is not valid UTF-8: {exc}") \
+                from None
         except json.JSONDecodeError as exc:
             raise FormatError(f"ground truth is not valid JSON: {exc}") \
                 from None

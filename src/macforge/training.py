@@ -1,8 +1,9 @@
 """Contrastive/triplet losses with exact gradients and the SGD fine-tuning loop.
 
-The trainer consumes a tuple source (anything exposing current_tuples(),
-image(id), and remine(describe), where describe maps an image id to its
-descriptor under the current network), descends on whole-image
+The trainer consumes a tuple source (anything exposing current_tuples()
+and remine(describe), where describe maps an image id to its descriptor
+under the current network) and reads pixels through image_of, an image
+id -> image function, as validate does. It descends on whole-image
 descriptors built as l2n(mac(trunk(image))), re-mines hard negatives at
 evenly spaced batch boundaries, and keeps the checkpoint with the best
 validation mAP.
@@ -304,10 +305,11 @@ def _remine_batches(n_batches: int, per_epoch: int) -> set:
     return {i * n_batches // per_epoch for i in range(per_epoch)}
 
 
-def train(source, val_tuples: list, spec: list[LayerSpec], params: NetParams,
-          cfg: TrainConfig, loss_cfg: LossConfig, stream: SeededStream,
-          loss_kind: str = "contrastive"):
-    """Fine-tune the trunk; returns a TrainResult.
+def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
+          params: NetParams, cfg: TrainConfig, loss_cfg: LossConfig,
+          stream: SeededStream, loss_kind: str = "contrastive"):
+    """Fine-tune the trunk on the pixels image_of returns; returns a
+    TrainResult.
 
     Per epoch the tuple order is reshuffled with a derived seed, hard
     negatives are re-mined remine_per_epoch times at evenly spaced batch
@@ -348,14 +350,14 @@ def train(source, val_tuples: list, spec: list[LayerSpec], params: NetParams,
         loss_batches = 0
         for b in range(n_batches):
             if b in remine_at and not mined_current:
-                source.remine(_describer(params, spec, source.image, cache))
+                source.remine(_describer(params, spec, image_of, cache))
                 mined_current = True
                 by_query = {t.query: t for t in source.current_tuples()}
                 tuples = [by_query[t.query] for t in tuples]
             batch = tuples[b * cfg.batch_tuples:(b + 1) * cfg.batch_tuples]
             if not batch:
                 continue
-            loss, grads = _batch_gradients(params, spec, batch, source.image,
+            loss, grads = _batch_gradients(params, spec, batch, image_of,
                                            loss_cfg, loss_kind,
                                            cfg.freeze_conv_layers)
             if not np.isfinite(loss):
@@ -366,7 +368,7 @@ def train(source, val_tuples: list, spec: list[LayerSpec], params: NetParams,
             params, velocity = sgd_step_net(params, grads, velocity, lr, cfg)
             cache = {}
             mined_current = False
-        val_map = validate(params, spec, val_tuples, source.image, cache)
+        val_map = validate(params, spec, val_tuples, image_of, cache)
         metrics.append(EpochMetrics(epoch, lr, loss_sum / max(1, loss_batches),
                                     val_map))
         if val_map > best_val:

@@ -127,9 +127,9 @@ def benchmark_runs():
         for pm, nv in (("m3", "N2"), ("m1", "N1")):
             t1 = time.perf_counter()
             miner, val_tuples = prepare_training(
-                graphs, images, all0, MiningConfig(), pm, nv, 0.2, stream)
-            result = train(miner, val_tuples, spec, params0,
-                           TrainConfig(max_epochs=5), LossConfig(),
+                graphs, all0, MiningConfig(), pm, nv, 0.2, stream)
+            result = train(miner, images.__getitem__, val_tuples, spec,
+                           params0, TrainConfig(max_epochs=5), LossConfig(),
                            stream.derive("train"), loss_kind="contrastive")
             trained = {i: embed_image(result.best_params, spec, images[i])
                        for i in sorted(gt_val)}

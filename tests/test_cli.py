@@ -29,6 +29,7 @@ from macforge.cli import (
 )
 from macforge.descriptor import save_descriptors
 from macforge.mining import MiningConfig, TrainingTuple, save_tuples
+from macforge.pipeline import load_scenes_dir
 from macforge.synthscene import SceneConfig
 from macforge.training import LossConfig, TrainConfig
 from testkit import child_env
@@ -332,6 +333,31 @@ class TestReproducibility:
         assert file_sha(out) == file_sha(f"{run}/db.macd")
 
 
+def scenes_with(workspace, tmp_path, edit):
+    """A copy of the workspace scenes with c01.json passed through edit,
+    a function of the parsed document."""
+    scenes = tmp_path / "scenes"
+    shutil.copytree(workspace / "data" / "scenes", scenes)
+    path = scenes / "c01.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(scenes)
+
+
+def rename_first_image(doc):
+    """c01/i000 becomes c00/i000, an id c00.json also holds."""
+    for rec in doc["images"]:
+        if rec["id"] == "c01/i000":
+            rec["id"] = "c00/i000"
+    doc["edges"] = [["c00/i000" if img == "c01/i000" else img, pid]
+                    for img, pid in doc["edges"]]
+
+
+def rename_cluster(doc):
+    doc["cluster_id"] = "c00"
+
+
 class TestExitCodes:
 
     def test_zero_clusters_is_config_error(self, tmp_path, capsys):
@@ -592,6 +618,90 @@ class TestExitCodes:
                        "--descriptors", db, "--out", str(tmp_path / "t.mftp"))
         assert code == EXIT_DATA
         assert "'c00/i000' has no descriptor" in capsys.readouterr().err
+
+    def test_dim_zero_descriptor_db_is_data_error(self, workspace, tmp_path,
+                                                   capsys):
+        # ranked on empty vectors, every negative was the lowest id of
+        # its cluster
+        scenes = workspace / "data" / "scenes"
+        db = str(tmp_path / "empty.macd")
+        save_descriptors(db, {i: np.zeros(0, dtype=np.float32)
+                              for g in load_scenes_dir(str(scenes))
+                              for i in g.images})
+        out = tmp_path / "t.mftp"
+        code = run_cli("mine", "--scenes", str(scenes), "--descriptors", db,
+                       "--out", str(out), "--set", "negatives=2")
+        assert code == EXIT_DATA
+        assert "dim 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (rename_first_image, "image 'c00/i000' is in clusters 'c00' "
+                             "and 'c01'"),
+        (rename_cluster, "cluster id 'c00' names two clusters")],
+        ids=["image", "cluster"])
+    def test_id_in_two_scene_files_is_data_error_in_mine(
+            self, workspace, tmp_path, edit, message, capsys):
+        scenes = scenes_with(workspace, tmp_path, edit)
+        out = tmp_path / "t.mftp"
+        code = run_cli("mine", "--scenes", scenes,
+                       "--descriptors", str(workspace / "run" / "db.macd"),
+                       "--out", str(out), "--set", "negatives=2",
+                       "--set", "mine_all_queries=true")
+        assert code == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_image_in_two_scene_files_fails_train_before_any_write(
+            self, workspace, tmp_path, capsys):
+        scenes = scenes_with(workspace, tmp_path, rename_first_image)
+        run = tmp_path / "run"
+        code = run_cli("train", "--scenes", scenes,
+                       "--images", str(workspace / "data" / "images"),
+                       "--out", str(run), *SMALL_ARGS)
+        assert code == EXIT_DATA
+        assert "'c00/i000' is in clusters" in capsys.readouterr().err
+        assert not run.exists()
+
+    def test_diverged_train_is_config_error(self, workspace, tmp_path,
+                                            capsys):
+        data = workspace / "data"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("train", "--scenes", str(data / "scenes"),
+                           "--images", str(data / "images"),
+                           "--out", str(tmp_path / "run"), *SMALL_ARGS,
+                           "--set", "base_lr=1e30", "--set", "max_epochs=2")
+        assert code == EXIT_CONFIG
+        assert "error: non-finite loss at epoch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loader", ["scene", "ground truth", "tuple"])
+    def test_invalid_utf8_is_data_error(self, workspace, tmp_path, loader,
+                                        capsys):
+        data, run = workspace / "data", workspace / "run"
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        if loader == "scene":
+            (bad / "c00.json").write_bytes(b"\xff\xfe{}")
+            argv = ["mine", "--scenes", str(bad),
+                    "--descriptors", str(run / "db.macd"),
+                    "--out", str(tmp_path / "t.mftp")]
+        elif loader == "ground truth":
+            (bad / "gt.json").write_bytes(b"\xff\xfe{}")
+            argv = ["eval", "--db", str(run / "db.macd"),
+                    "--checkpoint", str(run / "init.mfck"),
+                    "--images", str(data / "images"),
+                    "--gt", str(bad / "gt.json"), "--mode", "Full"]
+        else:
+            (bad / "t.mftp").write_bytes(
+                b'{"q": "c00/i000", "m": "c00/i001", '
+                b'"negatives": ["c01/\xff"]}\n')
+            argv = ["whiten", "--descriptors", str(run / "db.macd"),
+                    "--tuples", str(bad / "t.mftp"), "--kind", "lw",
+                    "--out", str(tmp_path / "p.mfpw")]
+        code = run_cli(*argv)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"error: {loader}" in err and "is not valid UTF-8" in err
 
     def test_lw_tuple_id_missing_from_descriptors_is_data_error(
             self, tmp_path, capsys):

@@ -592,9 +592,8 @@ class TestTupleMiner:
         embed2 = random_unit_descriptors(stream.derive("after"), ids)
         cfg = MiningConfig(pool_size=5, negatives=2,
                            candidate_negatives_per_cluster=3)
-        # images are stand-ins: remine() asks describe for each id
-        miner = TupleMiner(graphs, {i: i for i in ids}, cfg, embed1, "m2",
-                           variant, SeededStream(4))
+        miner = TupleMiner(graphs, embed1, cfg, "m2", variant,
+                           SeededStream(4))
         before = miner.current_tuples()
         assert before
         miner.remine(embed2.__getitem__)
@@ -603,13 +602,40 @@ class TestTupleMiner:
             [(t.query, t.positive) for t in before]
         cluster_of = {i: g.cluster_id for g in graphs for i in g.images}
         for t in after:
-            cand = {i: embed2[i] for i in miner.state.universe}
+            cand = {i: embed2[i] for i in miner.universe}
             cand[t.query] = embed2[t.query]
             assert list(t.negatives) == mine_negatives(
                 t.query, cand, cluster_of.__getitem__, cfg.negatives,
                 variant)
         assert any(a.negatives != b.negatives
                    for a, b in zip(before, after))
+
+    @staticmethod
+    def _renamed(g, cluster_id, rename):
+        return VisibilityGraph(cluster_id,
+                               {rename.get(i, i): c for i, c in g.images.items()},
+                               g.points,
+                               {(rename.get(i, i), p) for i, p in g.edges})
+
+    def test_image_in_two_clusters_is_rejected(self):
+        graphs, cfg = random_case()
+        graphs[1] = self._renamed(graphs[1], "c1", {"c1/i000": "c0/i000"})
+        ids = [i for g in graphs for i in g.images]
+        descs = random_unit_descriptors(SeededStream(79), ids)
+        with pytest.raises(GraphError,
+                           match="'c0/i000' is in clusters 'c0' and 'c1'"):
+            TupleMiner(graphs, descs, cfg)
+        with pytest.raises(GraphError, match="'c0/i000'"):
+            build_tuples(graphs, descs, cfg, all_images_as_queries=True)
+
+    def test_cluster_id_of_two_clusters_is_rejected(self):
+        graphs, cfg = random_case()
+        graphs[1] = self._renamed(graphs[1], "c0", {})
+        ids = [i for g in graphs for i in g.images]
+        descs = random_unit_descriptors(SeededStream(79), ids)
+        with pytest.raises(GraphError,
+                           match="cluster id 'c0' names two clusters"):
+            TupleMiner(graphs, descs, cfg)
 
 
 def universe_oracle(graphs, cfg, stream):
@@ -654,8 +680,8 @@ def skipped_cluster_case():
 
 
 class TestMiningState:
-    """build_tuples and TupleMiner mine from one state: the same queries,
-    positives, skip list and negative universe."""
+    """build_tuples is TupleMiner's first selection, and remine() keeps
+    its queries, positives, skip list and negative universe."""
 
     CASES = {"random": random_case, "skipped_cluster": skipped_cluster_case}
 
@@ -664,6 +690,23 @@ class TestMiningState:
         ids = sorted(i for g in graphs for i in g.images)
         descs = random_unit_descriptors(SeededStream(77), ids)
         return graphs, cfg, ids, descs
+
+    @pytest.mark.parametrize("positive", ["m1", "m2", "m3"])
+    @pytest.mark.parametrize("variant", ["N1", "N2"])
+    @pytest.mark.parametrize("query_clusters", [None, {"c1", "c3"}])
+    @pytest.mark.parametrize("all_queries", [False, True])
+    def test_first_selection_equals_build_tuples(
+            self, positive, variant, query_clusters, all_queries):
+        graphs, cfg, _, descs = self._setup("random")
+
+        def args():
+            return (graphs, descs, cfg, positive, variant, SeededStream(0),
+                    query_clusters, all_queries)
+
+        built = build_tuples(*args())
+        assert built[0]
+        miner = TupleMiner(*args())
+        assert (miner.current_tuples(), miner.skipped) == built
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("variant", ["N1", "N2"])
@@ -675,8 +718,8 @@ class TestMiningState:
         assert built[0]
         if case == "skipped_cluster":
             assert [q for q, _ in built[1]] == ["c00/i005"]
-        miner = TupleMiner(graphs, {i: i for i in ids}, cfg, descs, "m3",
-                           variant, SeededStream(0))
+        miner = TupleMiner(graphs, descs, cfg, "m3", variant,
+                           SeededStream(0))
         assert (miner.current_tuples(), miner.skipped) == built
         miner.remine(descs.__getitem__)
         assert (miner.current_tuples(), miner.skipped) == built
@@ -699,8 +742,8 @@ class TestMiningState:
         assert built
         for t in built:
             assert list(t.negatives) == oracle(t, descs)
-        miner = TupleMiner(graphs, {i: i for i in ids}, cfg, descs, "m3",
-                           variant, SeededStream(0))
+        miner = TupleMiner(graphs, descs, cfg, "m3", variant,
+                           SeededStream(0))
         fresh = random_unit_descriptors(SeededStream(78), ids)
         miner.remine(fresh.__getitem__)
         after = miner.current_tuples()
@@ -739,6 +782,13 @@ class TestSceneIO:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(FormatError):
+            load_scene(path)
+
+    def test_invalid_utf8(self, tmp_path):
+        # UnicodeDecodeError is a ValueError but not a JSONDecodeError
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(FormatError, match="scene file is not valid UTF-8"):
             load_scene(path)
 
     def test_missing_fields(self, tmp_path):
@@ -807,4 +857,11 @@ class TestTupleIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"q": "a", "m": "a", "negatives": ["c"]}\n')
         with pytest.raises(FormatError):
+            load_tuples(path)
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"q": "a", "m": "b", "negatives": ["c"]}\n'
+                         b'{"q": "\xff", "m": "b", "negatives": ["c"]}\n')
+        with pytest.raises(FormatError, match="tuple file is not valid UTF-8"):
             load_tuples(path)

@@ -467,8 +467,8 @@ class TestStageTrain:
         graphs = load_scenes_dir(str(out / "scenes"))
         spec, params0, _ = load_checkpoint(str(run / "init.mfck"))
         initial = {i: embed_image(params0, spec, capped[i]) for i in capped}
-        _, val_tuples = prepare_training(graphs, capped, initial, MINE_CFG,
-                                         "m3", "N2", 0.25, SeededStream(3))
+        _, val_tuples = prepare_training(graphs, initial, MINE_CFG, "m3",
+                                         "N2", 0.25, SeededStream(3))
         spec, best, meta = load_checkpoint(str(run / "best.mfck"))
         assert meta["val_map"] == validate(best, spec, val_tuples,
                                            capped.__getitem__)

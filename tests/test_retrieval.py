@@ -299,6 +299,10 @@ class TestGroundTruthFile:
         path.write_text('{"q": {"relevant": ["a"], "ignored": ["a"]}}')
         with pytest.raises(FormatError):
             load_ground_truth(path)
+        # UnicodeDecodeError is a ValueError but not a JSONDecodeError
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(FormatError, match="not valid UTF-8"):
+            load_ground_truth(path)
 
 
 class TestEvalCsv:

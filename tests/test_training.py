@@ -410,23 +410,20 @@ class TestChainRuleThroughDescriptor:
 
 
 class FakeSource:
-    """Tuple source over pixel images; remine() optionally swaps negatives."""
+    """Tuple source with no pixels of its own; remine() optionally swaps
+    negatives."""
 
-    def __init__(self, images, tuples, alternates=None):
-        self.images = images
+    def __init__(self, tuples, alternates=None):
         self.tuples = list(tuples)
         self.alternates = alternates
         self.remine_calls = 0
-
-    def image(self, image_id):
-        return self.images[image_id]
 
     def current_tuples(self):
         return list(self.tuples)
 
     def remine(self, describe):
         self.remine_calls += 1
-        describe(next(iter(self.images)))  # exercise the callback
+        describe(self.tuples[0].query)  # exercise the callback
         if self.alternates is not None:
             self.tuples = list(self.alternates)
 
@@ -451,44 +448,63 @@ class TestTrainLoop:
     def test_empty_source_rejected(self):
         spec, params = make_identity_net()
         images, tuples = small_problem(SeededStream(86), n_tuples=2)
-        source = FakeSource(images, [])
+        source = FakeSource([])
         with pytest.raises(ValueError, match="no training tuples"):
-            train(source, tuples, spec, params, TrainConfig(max_epochs=2),
-                  LossConfig(), SeededStream(0))
+            train(source, images.__getitem__, tuples, spec, params,
+                  TrainConfig(max_epochs=2), LossConfig(), SeededStream(0))
         assert source.remine_calls == 0
 
     def test_empty_validation_set_rejected_before_training(self):
         spec, params = make_identity_net()
         images, tuples = small_problem(SeededStream(86), n_tuples=4)
-        source = FakeSource(images, tuples)
+        source = FakeSource(tuples)
         with pytest.raises(ValueError, match="validation tuple set is empty"):
-            train(source, [], spec, params,
+            train(source, images.__getitem__, [], spec, params,
                   TrainConfig(max_epochs=2, batch_tuples=2), LossConfig(),
                   SeededStream(0))
         assert source.remine_calls == 0
 
+    def test_pixels_come_from_image_of_not_the_source(self):
+        spec, params = make_identity_net()
+        images, tuples = small_problem(SeededStream(96), n_tuples=4)
+        source = FakeSource(tuples)
+        assert not hasattr(source, "image")
+        read = []
+
+        def image_of(image_id):
+            read.append(image_id)
+            return images[image_id]
+
+        cfg = TrainConfig(base_lr=0.01, max_epochs=2, batch_tuples=2,
+                          remine_per_epoch=1)
+        result = train(source, image_of, tuples, spec, params, cfg,
+                       LossConfig(), SeededStream(9))
+        assert source.remine_calls == 1
+        assert len(result.metrics) == 2
+        assert set(read) == set(images)
+
     def test_zero_lr_is_noop(self):
         spec, params = make_identity_net()
         images, tuples = small_problem(SeededStream(87))
-        source = FakeSource(images, tuples)
+        source = FakeSource(tuples)
         cfg = TrainConfig(base_lr=0.0, max_epochs=1, batch_tuples=4,
                           remine_per_epoch=1)
-        result = train(source, tuples, spec, params, cfg, LossConfig(),
-                       SeededStream(1))
+        result = train(source, images.__getitem__, tuples, spec, params,
+                       cfg, LossConfig(), SeededStream(1))
         for a, b in zip(result.best_params.weights, params.weights):
             np.testing.assert_array_equal(a, b)
-        base_map = validate(params, spec, tuples, source.image)
+        base_map = validate(params, spec, tuples, images.__getitem__)
         assert result.metrics[0].val_map == pytest.approx(base_map)
         assert result.best_epoch == 0
 
     def test_metrics_lr_column_matches_schedule(self):
         spec, params = make_identity_net()
         images, tuples = small_problem(SeededStream(88), n_tuples=6)
-        source = FakeSource(images, tuples)
+        source = FakeSource(tuples)
         cfg = TrainConfig(base_lr=0.01, lr_divisor=2.0, lr_period=2,
                           max_epochs=5, batch_tuples=3, remine_per_epoch=1)
-        result = train(source, tuples, spec, params, cfg, LossConfig(),
-                       SeededStream(2))
+        result = train(source, images.__getitem__, tuples, spec, params,
+                       cfg, LossConfig(), SeededStream(2))
         assert len(result.metrics) == 5
         for m in result.metrics:
             assert m.lr == pytest.approx(lr_at(m.epoch, cfg))
@@ -496,9 +512,10 @@ class TestTrainLoop:
     def test_remine_count_per_epoch(self):
         spec, params = make_identity_net()
         images, tuples = small_problem(SeededStream(89), n_tuples=12)
-        source = FakeSource(images, tuples)
+        source = FakeSource(tuples)
         cfg = TrainConfig(max_epochs=2, batch_tuples=4, remine_per_epoch=3)
-        train(source, tuples, spec, params, cfg, LossConfig(), SeededStream(3))
+        train(source, images.__getitem__, tuples, spec, params, cfg,
+              LossConfig(), SeededStream(3))
         # 12 tuples / 4 per batch = 3 batches; boundaries {0,1,2} -> 3 per
         # epoch, less the epoch-0 batch-0 one: no SGD step has run yet
         assert source.remine_calls == 5
@@ -508,10 +525,10 @@ class TestTrainLoop:
         images, tuples = small_problem(SeededStream(90))
         cfg = TrainConfig(base_lr=0.05, max_epochs=3, batch_tuples=4,
                           remine_per_epoch=2)
-        r1 = train(FakeSource(images, tuples), tuples, spec, params.copy(),
-                   cfg, LossConfig(), SeededStream(4))
-        r2 = train(FakeSource(images, tuples), tuples, spec, params.copy(),
-                   cfg, LossConfig(), SeededStream(4))
+        r1 = train(FakeSource(tuples), images.__getitem__, tuples, spec,
+                   params.copy(), cfg, LossConfig(), SeededStream(4))
+        r2 = train(FakeSource(tuples), images.__getitem__, tuples, spec,
+                   params.copy(), cfg, LossConfig(), SeededStream(4))
         for a, b in zip(r1.best_params.weights, r2.best_params.weights):
             assert np.array_equal(a, b)
         assert r1.metrics == r2.metrics
@@ -519,32 +536,32 @@ class TestTrainLoop:
     def test_tie_prefers_earliest_epoch(self):
         spec, params = make_identity_net()
         images, tuples = small_problem(SeededStream(91), n_tuples=5)
-        source = FakeSource(images, tuples)
+        source = FakeSource(tuples)
         cfg = TrainConfig(base_lr=0.0, max_epochs=3, batch_tuples=5,
                           remine_per_epoch=1)
-        result = train(source, tuples, spec, params, cfg, LossConfig(),
-                       SeededStream(5))
+        result = train(source, images.__getitem__, tuples, spec, params,
+                       cfg, LossConfig(), SeededStream(5))
         assert result.best_epoch == 0
 
     def test_divergence_guard(self):
         spec, params = make_identity_net()
         images, tuples = small_problem(SeededStream(92), n_tuples=6)
-        source = FakeSource(images, tuples)
+        source = FakeSource(tuples)
         cfg = TrainConfig(base_lr=1e30, max_epochs=2, batch_tuples=3,
                           remine_per_epoch=1)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match="epoch"):
-                train(source, tuples, spec, params, cfg, LossConfig(),
-                      SeededStream(6))
+                train(source, images.__getitem__, tuples, spec, params,
+                      cfg, LossConfig(), SeededStream(6))
 
     def test_triplet_loss_path_runs(self):
         spec, params = make_identity_net()
         images, tuples = small_problem(SeededStream(93), n_tuples=6)
-        source = FakeSource(images, tuples)
+        source = FakeSource(tuples)
         cfg = TrainConfig(base_lr=0.01, max_epochs=2, batch_tuples=3,
                           remine_per_epoch=1)
-        result = train(source, tuples, spec, params, cfg, LossConfig(),
-                       SeededStream(7), loss_kind="triplet")
+        result = train(source, images.__getitem__, tuples, spec, params,
+                       cfg, LossConfig(), SeededStream(7), loss_kind="triplet")
         assert len(result.metrics) == 2
         assert all(np.isfinite(m.train_loss) for m in result.metrics)
 
@@ -555,11 +572,12 @@ class TestTrainLoop:
         alternates = [TrainingTuple(t.query, t.positive,
                                     (t.negatives[1], t.negatives[0]))
                       for t in tuples]
-        source = FakeSource(images, tuples, alternates=alternates)
+        source = FakeSource(tuples, alternates=alternates)
         # the epoch-0 re-mine is skipped, so the one at epoch 1 swaps them
         cfg = TrainConfig(base_lr=0.0, max_epochs=2, batch_tuples=2,
                           remine_per_epoch=1)
-        train(source, tuples, spec, params, cfg, LossConfig(), SeededStream(8))
+        train(source, images.__getitem__, tuples, spec, params, cfg,
+              LossConfig(), SeededStream(8))
         assert source.remine_calls == 1
         assert source.tuples == alternates
 
@@ -578,7 +596,7 @@ class TestEmbeddingOncePerVersion:
         params0 = init_params(spec, stream.derive("init"))
         initial = {i: embed_image(params0, spec, images[i]) for i in images}
         miner, val_tuples = prepare_training(
-            graphs, images, initial,
+            graphs, initial,
             MiningConfig(pool_size=10, negatives=2,
                          candidate_negatives_per_cluster=8),
             "m3", "N2", 0.25, stream)
@@ -606,7 +624,7 @@ class TestEmbeddingOncePerVersion:
         monkeypatch.setattr(training, "sgd_step_net", counting_sgd)
         monkeypatch.setattr(training, "embed_image", recording_embed)
         monkeypatch.setattr(miner, "remine", recording_remine)
-        train(miner, val_tuples, spec, params0,
+        train(miner, images.__getitem__, val_tuples, spec, params0,
               TrainConfig(batch_tuples=2, max_epochs=2, remine_per_epoch=2),
               LossConfig(), stream.derive("train"))
 
@@ -616,7 +634,7 @@ class TestEmbeddingOncePerVersion:
         # validation and the re-mine after it share that version's images
         val_ids = {i for t in val_tuples
                    for i in (t.query, t.positive) + t.negatives}
-        universe = set(miner.state.universe)
+        universe = set(miner.universe)
         assert val_ids & universe
         assert {i for v, i in embedded if v == epoch0_steps} == \
             val_ids | universe
@@ -645,7 +663,7 @@ class TestBackwardStopInTrain:
         graphs, images, spec, params0, initial = tiny_scene
         stream = SeededStream(6)
         miner, val_tuples = prepare_training(
-            graphs, images, initial,
+            graphs, initial,
             MiningConfig(pool_size=10, negatives=2,
                          candidate_negatives_per_cluster=8),
             "m3", "N2", 0.25, stream)
@@ -653,8 +671,9 @@ class TestBackwardStopInTrain:
         cfg = TrainConfig(base_lr=0.01, weight_decay=0.0, batch_tuples=2,
                           max_epochs=3, remine_per_epoch=2,
                           freeze_conv_layers=freeze)
-        return train(miner, val_tuples, spec, params0, cfg, LossConfig(),
-                     stream.derive("train"), loss_kind=loss_kind)
+        return train(miner, images.__getitem__, val_tuples, spec, params0,
+                     cfg, LossConfig(), stream.derive("train"),
+                     loss_kind=loss_kind)
 
     @pytest.mark.parametrize("freeze", [0, 1, 2])
     @pytest.mark.parametrize("loss_kind", ["contrastive", "triplet"])
@@ -685,9 +704,9 @@ class TestBackwardStopInTrain:
     def test_freezing_every_conv_is_rejected(self):
         spec, params = make_identity_net()
         images, tuples = small_problem(SeededStream(95), n_tuples=2)
-        source = FakeSource(images, tuples)
+        source = FakeSource(tuples)
         with pytest.raises(ValueError, match="the network has 1"):
-            train(source, tuples, spec, params,
+            train(source, images.__getitem__, tuples, spec, params,
                   TrainConfig(max_epochs=1, freeze_conv_layers=1),
                   LossConfig(), SeededStream(0))
         assert source.remine_calls == 0
