@@ -612,10 +612,9 @@ class TestTupleMiner:
 
     @staticmethod
     def _renamed(g, cluster_id, rename):
-        return VisibilityGraph(cluster_id,
-                               {rename.get(i, i): c for i, c in g.images.items()},
-                               g.points,
-                               {(rename.get(i, i), p) for i, p in g.edges})
+        images = {rename.get(i, i): cam for i, cam in g.images.items()}
+        edges = {(rename.get(i, i), p) for i, p in g.edges}
+        return VisibilityGraph(cluster_id, images, g.points, edges)
 
     def test_image_in_two_clusters_is_rejected(self):
         graphs, cfg = random_case()
@@ -698,14 +697,11 @@ class TestMiningState:
     def test_first_selection_equals_build_tuples(
             self, positive, variant, query_clusters, all_queries):
         graphs, cfg, _, descs = self._setup("random")
-
-        def args():
-            return (graphs, descs, cfg, positive, variant, SeededStream(0),
-                    query_clusters, all_queries)
-
-        built = build_tuples(*args())
+        args = (graphs, descs, cfg, positive, variant, SeededStream(0),
+                query_clusters, all_queries)
+        built = build_tuples(*args)
         assert built[0]
-        miner = TupleMiner(*args())
+        miner = TupleMiner(*args)
         assert (miner.current_tuples(), miner.skipped) == built
 
     @pytest.mark.parametrize("case", sorted(CASES))
