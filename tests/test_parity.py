@@ -8,7 +8,12 @@ m1/N1 with the triplet loss and the first conv layer frozen. It also
 covers mining: the MAC `.macd` that `embed` writes from seed 0's m3/N2
 checkpoint and, for seeds 0-2, the tuple files `mine` writes from it for
 every positive method and negative variant, once with the per-cluster
-query sample and once with every image as a query. The golden
+query sample and once with every image as a query. From the same
+checkpoint it covers the R-MAC `.macd`, the Lw (from seed 0's m3/N2
+tuples) and PCAw `.mfpw` fitted on it, the projected `.macd` files
+(Lw after aggregation, PCAw per region, and a reduced dimension), and
+the `eval` CSVs in the Full, Crop_I and Crop_X modes on a ground truth
+with sub-image boxes that the gate writes itself. The golden
 file also records the numpy version and BLAS build it was made under,
 so a mismatch on another build can be told from a changed program.
 
@@ -20,6 +25,7 @@ artifacts in CHANGES.md.
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -53,6 +59,22 @@ MINE_RUNS = [(positive, negative, queries)
              for positive in ("m1", "m2", "m3")
              for negative in ("N1", "N2")
              for queries in ("sample", "all")]
+# projected embeds: name -> (embed flags, projection file); Lw applies
+# after aggregation, PCAw per R-MAC region
+PROJECTED_EMBEDS = {
+    "rmac-lw": (["--rmac"], "lw"),
+    "rmac-pcaw-dim16": (["--rmac", "--dim", "16"], "pcaw"),
+    "mac-lw-dim16": (["--dim", "16"], "lw"),
+}
+# eval runs: name -> (database, extractor flags, projection or None),
+# each in every query mode
+EVAL_RUNS = {
+    "mac": ("mine/db.macd", [], None),
+    "rmac-lw": ("embed/rmac-lw.macd", ["--rmac"], "lw"),
+    "rmac-pcaw-dim16": ("embed/rmac-pcaw-dim16.macd",
+                        ["--rmac", "--dim", "16"], "pcaw"),
+}
+EVAL_MODES = ("Full", "Crop_I", "Crop_X")
 
 
 def file_sha(path):
@@ -80,9 +102,23 @@ def environment():
             "blas": f"{blas['name']} {blas.get('version', '?')}"}
 
 
+def write_crop_ground_truth(data, path):
+    """The synthesized ground truth with each query's full-image box
+    replaced by a sub-image box that differs from query to query."""
+    with open(os.path.join(data, "ground_truth.json"), encoding="utf-8") as f:
+        gt = json.load(f)
+    for j, query_id in enumerate(sorted(gt)):
+        x0, y0 = 2 + (3 * j) % 9, 1 + (5 * j) % 9
+        gt[query_id]["bbox"] = [x0, y0, x0 + 12 + (7 * j) % 9,
+                                y0 + 14 + j % 5]
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(gt, f, sort_keys=True)
+
+
 def parity_hashes(root):
     """Run synth once, train for every seed and run, then embed once and
-    mine for every seed and mining run under root; returns artifact
+    mine for every seed and mining run, then embed R-MAC, whiten, embed
+    projected and eval in every mode under root; returns artifact
     name -> SHA-256."""
     data = os.path.join(root, "data")
     code = main(["synth", "--out", data, "--seed", str(SCENE_SEED),
@@ -121,6 +157,58 @@ def parity_hashes(root):
                          "--set", f"mine_all_queries={queries == 'all'}"])
             assert code == EXIT_OK, f"mine {name} exited {code}"
             hashes[name] = file_sha(out)
+    hashes.update(projection_hashes(root, data))
+    return hashes
+
+
+def projection_hashes(root, data):
+    """R-MAC embed, Lw and PCAw whiten, projected embeds and eval, all
+    from seed 0's m3/N2 checkpoint; returns artifact name -> SHA-256."""
+    hashes = {}
+    images = os.path.join(data, "images")
+    checkpoint = os.path.join(root, "seed0", "m3-N2-contrastive", "best.mfck")
+    for sub in ("embed", "whiten", "eval"):
+        os.makedirs(os.path.join(root, sub))
+
+    def run(name, argv):
+        code = main(argv)
+        assert code == EXIT_OK, f"{name} exited {code}"
+        hashes[name] = file_sha(os.path.join(root, name))
+
+    def embed(name, flags):
+        run(name, ["embed", "--images", images, "--checkpoint", checkpoint,
+                   "--out", os.path.join(root, name), *flags])
+
+    embed("embed/rmac.macd", ["--rmac"])
+    rmac_db = os.path.join(root, "embed", "rmac.macd")
+    tuples = os.path.join(root, "mine", "seed0", "m3-N2-all.mftp")
+    with warnings.catch_warnings():
+        # few tuples at K=32 leave the matching scatter rank-deficient
+        warnings.simplefilter("ignore", RuntimeWarning)
+        run("whiten/lw.mfpw", ["whiten", "--descriptors", rmac_db,
+                               "--tuples", tuples, "--kind", "lw",
+                               "--out", os.path.join(root, "whiten/lw.mfpw")])
+    run("whiten/pcaw.mfpw", ["whiten", "--descriptors", rmac_db,
+                             "--kind", "pcaw",
+                             "--out", os.path.join(root, "whiten/pcaw.mfpw")])
+
+    def projection(kind):
+        return os.path.join(root, "whiten", f"{kind}.mfpw")
+
+    for name, (flags, kind) in PROJECTED_EMBEDS.items():
+        embed(f"embed/{name}.macd",
+              [*flags, "--projection", projection(kind)])
+    gt = os.path.join(root, "eval", "ground_truth.json")
+    write_crop_ground_truth(data, gt)
+    for name, (db, flags, kind) in EVAL_RUNS.items():
+        if kind is not None:
+            flags = [*flags, "--projection", projection(kind)]
+        for mode in EVAL_MODES:
+            csv = f"eval/{name}-{mode}.csv"
+            run(csv, ["eval", "--db", os.path.join(root, db),
+                      "--checkpoint", checkpoint, "--images", images,
+                      "--gt", gt, "--mode", mode, *flags,
+                      "--out", os.path.join(root, csv)])
     return hashes
 
 
