@@ -1,8 +1,12 @@
 """Miniature fully-convolutional trunk: forward, backward, checkpoint files.
 
 Activations are channels-first float arrays of shape (maps, height, width).
-backward() returns the gradients of the scalar <output_grad, output> with
-respect to the parameters and the input, or, given lowest_conv, only the
+forward() records a tape for backward(). forward(..., tape=False) records
+none and returns the same output bytes; the forwards that nothing
+back-propagates (re-mining, validation, the initial embedding of
+training, descriptor extraction) skip the tape that way. backward()
+returns the gradients of the scalar <output_grad, output> with respect
+to the parameters and the input, or, given lowest_conv, only the
 parameter gradients from that conv layer up; running it under float64
 inputs is the gradient-check mode, float32 is the production mode.
 """
@@ -319,6 +323,30 @@ def _maxpool_forward(x, layer):
     return y, cache
 
 
+def _maxpool_forward_untaped(x, layer):
+    """_maxpool_forward's output without its tape.
+
+    A running maximum of the window offsets taken on the strided views
+    in place: np.maximum(later, earlier) returns its second operand on a
+    tie, so the earlier offset wins as in _maxpool_forward, -0.0 against
+    0.0 included. NaN payloads are not ordered that way, so a window
+    that holds a NaN sends the whole input through _maxpool_forward.
+    """
+    w, s = layer.window, layer.stride
+    _, h, wd = x.shape
+    out_h = (h - w) // s + 1
+    out_w = (wd - w) // s + 1
+    y = x[:, :s * out_h:s, :s * out_w:s].copy()
+    for di in range(w):
+        for dj in range(w):
+            if di or dj:
+                np.maximum(x[:, di:di + s * out_h:s, dj:dj + s * out_w:s],
+                           y, out=y)
+    if np.isnan(y).any():
+        y, _ = _maxpool_forward(x, layer)
+    return y
+
+
 def _maxpool_backward(g, layer, cache):
     _, idxs, x_shape, out_shape = cache
     w, s = layer.window, layer.stride
@@ -333,27 +361,36 @@ def _maxpool_backward(g, layer, cache):
     return dx
 
 
-def forward(params: NetParams, spec: list[LayerSpec], image: np.ndarray):
-    """Run the trunk on one image; returns (output, tape) for backward."""
+def forward(params: NetParams, spec: list[LayerSpec], image: np.ndarray,
+            *, tape: bool = True):
+    """Run the trunk on one image; returns (output, tape) for backward.
+
+    tape=False records nothing and returns (output, None) with the same
+    output bytes: no ReLU masks, and max-pools keep no offset tape (a
+    window holding a NaN still pools through the taped routine, whose
+    tape is dropped). Callers that never call backward pass it.
+    """
     validate_spec(spec)
     x = np.asarray(image)
     if x.ndim != 3:
         raise ShapeError(f"input must be (maps, h, w), got shape {x.shape}")
     output_shapes(spec, x.shape)  # raises naming the offending layer
-    tape = []
+    caches = [] if tape else None
     conv_i = 0
     for layer in spec:
         if layer.kind == CONV:
             x, cache = _conv_forward(x, params.weights[conv_i], params.biases[conv_i], layer)
             conv_i += 1
         elif layer.kind == RELU:
-            mask = x > 0
+            cache = (RELU, x > 0) if tape else None
             x = np.maximum(x, 0)
-            cache = (RELU, mask)
-        else:
+        elif tape:
             x, cache = _maxpool_forward(x, layer)
-        tape.append(cache)
-    return x, tape
+        else:
+            x = _maxpool_forward_untaped(x, layer)
+        if tape:
+            caches.append(cache)
+    return x, caches
 
 
 def _cache_out_shape(cache):

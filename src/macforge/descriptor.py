@@ -128,23 +128,32 @@ def rmac(x: np.ndarray, grid: RegionGrid, region_transform=None) -> np.ndarray:
     of whitening.apply_projection), each region vector is projected and
     renormalized before aggregation; the transform-free output is the
     plain form meant for post-aggregation whitening.
+
+    The region MACs are stacked into one (regions, maps) float64 array
+    and normalized row by row with l2n's norm and zero cut-off; the sum
+    over axis 0 adds the rows in region order, so the result has the
+    bits of a per-region l2n-and-add loop.
     """
     x = np.asarray(x)
     k, height, width = x.shape
-    acc = None
     for rx, ry, side in grid.regions:
         if rx < 0 or ry < 0 or rx + side > width or ry + side > height:
             raise GridError(
                 f"region {(rx, ry, side)} outside {width}x{height} activations")
-        v = l2n(mac(x[:, ry:ry + side, rx:rx + side]).astype(np.float64))
-        if region_transform is not None:
-            v = l2n(region_transform(v))
-        # a transform may reduce dimensionality, so the accumulator is
-        # sized from the first region vector
-        acc = v.copy() if acc is None else acc + v
-    if acc is None:
+    if not grid.regions:
         raise GridError("empty region grid")
-    return l2n(acc).astype(x.dtype)
+    macs = np.empty((len(grid.regions), k), dtype=np.float64)
+    for r, (rx, ry, side) in enumerate(grid.regions):
+        macs[r] = mac(x[:, ry:ry + side, rx:rx + side])
+    norms = np.sqrt(np.sum(macs ** 2, axis=1))
+    degenerate = norms < 1e-12
+    rows = macs / np.where(degenerate, 1.0, norms)[:, None]
+    rows[degenerate] = 0.0
+    if region_transform is not None:
+        # one transform call per region: a stacked matrix product need
+        # not round like the vector products the transform makes
+        rows = np.stack([l2n(region_transform(v)) for v in rows])
+    return l2n(rows.sum(axis=0)).astype(x.dtype)
 
 
 def receptive_geometry(spec: list[LayerSpec]) -> tuple[int, int, float]:
@@ -213,7 +222,10 @@ def top_contributions(a: np.ndarray, b: np.ndarray, n: int) -> list[tuple[int, f
 
 
 def save_descriptors(path, descriptors: dict[str, np.ndarray]) -> None:
-    """Write an id -> vector map; records are sorted by id for stable bytes."""
+    """Write an id -> vector map; records are sorted by id for stable bytes.
+
+    Zero-length vectors are a DimensionError, as load_descriptors refuses
+    a file that declares dim 0 for its records."""
     items = sorted(descriptors.items())
     dim = int(np.asarray(items[0][1]).shape[0]) if items else 0
     for name, vec in items:
@@ -221,6 +233,8 @@ def save_descriptors(path, descriptors: dict[str, np.ndarray]) -> None:
         if v.ndim != 1 or v.shape[0] != dim:
             raise DimensionError(
                 f"descriptor {name!r} has shape {v.shape}, expected ({dim},)")
+    if items and not dim:
+        raise DimensionError(f"descriptor {items[0][0]!r} has length 0")
     with open(os.fspath(path), "wb") as f:
         f.write(DB_MAGIC)
         write_u32(f, DB_VERSION)

@@ -63,7 +63,8 @@ class Extractor:
     MAC by default; rmac_scales switches to the regional grid. A fitted
     projection is applied per region before aggregation for PCAw and to
     the aggregated descriptor for Lw. extract_region implements the
-    activation-space crop used by the Crop_X query mode.
+    activation-space crop used by the Crop_X query mode. Both forward
+    the trunk without a backward tape.
     """
 
     def __init__(self, spec, params, rmac_scales=0, projection=None,
@@ -114,7 +115,8 @@ class Extractor:
         return f if project is None else project(f)
 
     def extract(self, image):
-        out, _ = forward(self.params, self.spec, self._prepare(image))
+        out, _ = forward(self.params, self.spec, self._prepare(image),
+                         tape=False)
         return self._pool(out)
 
     def extract_region(self, image, bbox):
@@ -129,7 +131,7 @@ class Extractor:
             bbox = BBox(x0, y0,
                         max(x0 + 1, int(round(bbox.x1 * sx))),
                         max(y0 + 1, int(round(bbox.y1 * sy))))
-        out, _ = forward(self.params, self.spec, resized)
+        out, _ = forward(self.params, self.spec, resized, tape=False)
         return self._pool(crop_activations(out, bbox, self.geometry))
 
 

@@ -201,8 +201,9 @@ def check_trainable(spec: list[LayerSpec], cfg: TrainConfig) -> None:
 
 
 def embed_image(params: NetParams, spec: list[LayerSpec], image: np.ndarray) -> np.ndarray:
-    """Whole-image descriptor: l2n(mac(trunk(image)))."""
-    out, _ = forward(params, spec, image)
+    """Whole-image descriptor: l2n(mac(trunk(image))), from a forward
+    that records no tape."""
+    out, _ = forward(params, spec, image, tape=False)
     return l2n(mac(out))
 
 

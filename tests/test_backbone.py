@@ -98,11 +98,15 @@ def assert_tapes_equal(tape, ref):
 
 def assert_matches_reference(params, spec, x, gout_stream):
     """forward() and backward() against reference_forward, byte for byte:
-    output, every tape entry, input and parameter gradients."""
+    output, every tape entry, input and parameter gradients; and
+    forward(..., tape=False) returns the same output bytes and no tape."""
     out, tape = forward(params, spec, x)
     ref_out, ref_tape = reference_forward(params, spec, x)
     assert_bits_equal(out, ref_out)
     assert_tapes_equal(tape, ref_tape)
+    untaped, no_tape = forward(params, spec, x, tape=False)
+    assert no_tape is None
+    assert_bits_equal(untaped, out)
     gout = gout_stream.normal(size=out.shape).astype(out.dtype)
     grads, gx = backward(params, spec, tape, gout)
     ref_grads, ref_gx = backward(params, spec, ref_tape, gout)
@@ -296,11 +300,26 @@ def _oracle_instance(s, dtype, quantize):
     return spec, params, x.astype(dtype)
 
 
+# quiet NaNs that differ only in sign and payload bits
+NAN_WORDS = {
+    np.float32: (np.uint32, [0xFFC00001, 0x7FC00002, 0x7FC00003]),
+    np.float64: (np.uint64, [0xFFF8000000000001, 0x7FF8000000000002,
+                             0x7FF8000000000003]),
+}
+
+
+def _nans(dtype):
+    bits, words = NAN_WORDS[dtype]
+    return np.array(words, bits).view(dtype)
+
+
 class TestForwardMatchesReference:
     """forward() pads by slice assignment, unfolds patches through one
     as_strided view and pools by a running maximum over contiguous window
     planes; its outputs, tapes and gradients must equal the np.pad/argmax
-    reference bit for bit."""
+    reference bit for bit. Without a tape it pools by an in-place running
+    np.maximum on the strided views, and its outputs must equal the taped
+    ones bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("quantize", [False, True])
@@ -356,6 +375,37 @@ class TestForwardMatchesReference:
                                        SeededStream(20161022))
         assert not np.isnan(out).any()
 
+    # Palettes of values that np.maximum might order differently from the
+    # taped pool: signed zeros tie, NaNs differ only in their payload
+    # bits, and infinities tie with each other.
+    SPECIAL = {
+        "signed_zeros": lambda dtype: np.array([0.0, -0.0, -1.0], dtype),
+        "nan_payloads": lambda dtype: np.concatenate(
+            [_nans(dtype), np.array([1.0, 0.0, -0.0], dtype)]),
+        "infinities": lambda dtype: np.array(
+            [np.inf, -np.inf, 0.0, -0.0, 1.0], dtype),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("values", sorted(SPECIAL))
+    @pytest.mark.parametrize("pool", POOLS)
+    @pytest.mark.parametrize("relu_pool", [False, True])
+    def test_special_values(self, relu_pool, pool, values, dtype):
+        # the raw input reaches the first pool, whose output shows the
+        # sign of a zero; a ReLU turns negatives into ties of zeros for a
+        # second pool
+        spec = [maxpool(*pool)] + ([relu(), maxpool(2, 2)] if relu_pool
+                                   else [])
+        palette = self.SPECIAL[values](dtype)
+        s = SeededStream(20161023).derive(values, *pool, np.dtype(dtype).name)
+        nan_outputs = 0
+        for trial in range(6):
+            x = palette[s.derive(trial).integers(0, len(palette), (2, 9, 11))]
+            out = assert_matches_reference(NetParams([], []), spec, x,
+                                           s.derive("gout", trial))
+            nan_outputs += bool(np.isnan(out).any())
+        assert nan_outputs or values != "nan_payloads"
+
     def test_tiny_spec_on_odd_input(self):
         spec = tiny_spec()
         params = init_params(spec, SeededStream(31))
@@ -364,12 +414,14 @@ class TestForwardMatchesReference:
         ref_out, ref_tape = reference_forward(params, spec, x)
         assert_bits_equal(out, ref_out)
         assert_tapes_equal(tape, ref_tape)
+        assert_bits_equal(forward(params, spec, x, tape=False)[0], out)
 
     def test_output_does_not_alias_input(self):
         x = np.arange(12.0).reshape(1, 3, 4)
-        y, _ = forward(NetParams([], []), [maxpool(1, 1)], x)
-        y[...] = -1.0
-        np.testing.assert_array_equal(x, np.arange(12.0).reshape(1, 3, 4))
+        for tape in (True, False):
+            y, _ = forward(NetParams([], []), [maxpool(1, 1)], x, tape=tape)
+            y[...] = -1.0
+            np.testing.assert_array_equal(x, np.arange(12.0).reshape(1, 3, 4))
 
 
 class TestBackward:

@@ -209,7 +209,69 @@ class TestRmacRegions:
                 assert 0 <= y and y + side <= max(h, side)
 
 
+def reference_rmac(x, grid, region_transform=None):
+    """rmac() as first written: one mac, l2n and vector add per region."""
+    x = np.asarray(x)
+    k, height, width = x.shape
+    acc = None
+    for rx, ry, side in grid.regions:
+        if rx < 0 or ry < 0 or rx + side > width or ry + side > height:
+            raise GridError(
+                f"region {(rx, ry, side)} outside {width}x{height} activations")
+        v = l2n(mac(x[:, ry:ry + side, rx:rx + side]).astype(np.float64))
+        if region_transform is not None:
+            v = l2n(region_transform(v))
+        acc = v.copy() if acc is None else acc + v
+    if acc is None:
+        raise GridError("empty region grid")
+    return l2n(acc).astype(x.dtype)
+
+
+def _rmac_instance(s, dtype, kind):
+    """Activations with ties, zero maps, tiny values or all-zero input,
+    over a random extent."""
+    k = int(s.integers(1, 40))
+    h, w = int(s.integers(1, 14)), int(s.integers(1, 14))
+    x = s.normal(size=(k, h, w))
+    if kind == "ties":
+        x = np.round(x * 2.0) / 2.0
+    elif kind == "zero_maps":
+        # maps that are all zero or all negative have a zero MAC, and a
+        # small region may see only such cells
+        x = np.maximum(x, 0.0) * (s.random(size=(k, 1, 1)) < 0.5)
+        x[:, :h // 2] = -np.abs(x[:, :h // 2])
+    elif kind == "tiny":
+        # region norms on both sides of l2n's 1e-12 cut-off
+        x = x * 10.0 ** -int(s.integers(11, 14))
+    elif kind == "zeros":
+        x = np.zeros_like(x)
+    return x.astype(dtype)
+
+
 class TestRmac:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["random", "ties", "zero_maps", "tiny",
+                                      "zeros"])
+    @pytest.mark.parametrize("transform", [None, "square", "reducing"])
+    def test_bit_equal_to_region_loop(self, transform, kind, dtype):
+        s = SeededStream(20161024).derive(transform or "none", kind,
+                                          np.dtype(dtype).name)
+        for trial in range(20):
+            t = s.derive(trial)
+            x = _rmac_instance(t, dtype, kind)
+            k = x.shape[0]
+            region_transform = None
+            if transform is not None:
+                d = k if transform == "square" else int(t.integers(1, k + 1))
+                matrix, mean = t.normal(size=(k, d)), t.normal(size=k)
+                region_transform = lambda v: matrix.T @ (v - mean)  # noqa: E731
+            for scales in (1, 2, 3):
+                grid = rmac_regions(x.shape[2], x.shape[1], scales)
+                got = rmac(x, grid, region_transform)
+                want = reference_rmac(x, grid, region_transform)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
     def test_single_region_equals_mac(self):
         x = np.abs(SeededStream(38).normal(size=(8, 6, 6)))
         grid = RegionGrid(1, [(0, 0, 6)])
@@ -347,6 +409,12 @@ class TestDescriptorDb:
         path = tmp_path / "empty.macd"
         save_descriptors(path, {})
         assert load_descriptors(path) == {}
+
+    def test_zero_length_vectors_rejected_on_save(self, tmp_path):
+        path = tmp_path / "empty.macd"
+        with pytest.raises(DimensionError, match="'a' has length 0"):
+            save_descriptors(path, {"b": np.zeros(0), "a": np.zeros(0)})
+        assert not path.exists()
 
     def test_dim_mismatch_on_save(self, tmp_path):
         with pytest.raises(DimensionError):

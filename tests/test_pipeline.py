@@ -190,6 +190,48 @@ class TestExtractorRegion:
                             rtol=0, atol=0)
 
 
+class TestExtractorTapeFree:
+    """The Extractor forwards without a tape; forcing its forwards onto
+    the taped path changes no byte of a MAC, R-MAC, Lw or PCAw
+    descriptor, whole-image or cropped, resized or not."""
+
+    CONFIGS = {
+        "mac": lambda: {},
+        "rmac": lambda: {"rmac_scales": 3},
+        "mac-lw": lambda: {"projection": random_lw(SeededStream(42)),
+                           "out_dim": 16},
+        "rmac-lw": lambda: {"rmac_scales": 2,
+                            "projection": random_lw(SeededStream(43))},
+        "rmac-pcaw": lambda: {"rmac_scales": 3, "out_dim": 16,
+                              "projection": random_pcaw(SeededStream(44))},
+    }
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_matches_taped_forward(self, config, monkeypatch):
+        spec, params = make_net(40)
+        ex = Extractor(spec, params, max_side=48, **self.CONFIGS[config]())
+        images = [random_image(SeededStream(41).derive(size), size=size)
+                  for size in (48, 61)]
+        bbox = BBox(5, 3, 40, 30)
+
+        def descriptors():
+            return [f for image in images
+                    for f in (ex.extract(image),
+                              ex.extract_region(image, bbox))]
+
+        tape_free = descriptors()
+        asked = []
+
+        def taped(params, spec, image, *, tape=True):
+            asked.append(tape)
+            return forward(params, spec, image)
+
+        monkeypatch.setattr(pipeline, "forward", taped)
+        for got, want in zip(tape_free, descriptors(), strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert asked == [False] * 4
+
+
 class TestExtractorValidation:
 
     def test_projection_dim_mismatch(self):

@@ -654,26 +654,37 @@ def tiny_scene():
     return graphs, images, spec, params0, initial
 
 
+def train_tiny(tiny_scene, loss_kind, freeze):
+    """train() on tiny_scene: m3/N2 tuples, 3 epochs, 2 re-mines each."""
+    graphs, images, spec, params0, initial = tiny_scene
+    stream = SeededStream(6)
+    miner, val_tuples = prepare_training(
+        graphs, initial,
+        MiningConfig(pool_size=10, negatives=2,
+                     candidate_negatives_per_cluster=8),
+        "m3", "N2", 0.25, stream)
+    # no weight decay: a layer moves only through its gradients
+    cfg = TrainConfig(base_lr=0.01, weight_decay=0.0, batch_tuples=2,
+                      max_epochs=3, remine_per_epoch=2,
+                      freeze_conv_layers=freeze)
+    return train(miner, images.__getitem__, val_tuples, spec, params0,
+                 cfg, LossConfig(), stream.derive("train"),
+                 loss_kind=loss_kind)
+
+
+def assert_same_result(a, b):
+    """Two TrainResults agree byte for byte."""
+    for x, y in zip(a.best_params.weights + a.best_params.biases,
+                    b.best_params.weights + b.best_params.biases):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert a.best_epoch == b.best_epoch
+    assert a.best_val_map == b.best_val_map
+    assert a.metrics == b.metrics
+
+
 class TestBackwardStopInTrain:
     """Stopping each batch backward after conv freeze_conv_layers changes
     no byte of what train() returns."""
-
-    @staticmethod
-    def _train(tiny_scene, loss_kind, freeze):
-        graphs, images, spec, params0, initial = tiny_scene
-        stream = SeededStream(6)
-        miner, val_tuples = prepare_training(
-            graphs, initial,
-            MiningConfig(pool_size=10, negatives=2,
-                         candidate_negatives_per_cluster=8),
-            "m3", "N2", 0.25, stream)
-        # no weight decay: a layer moves only through its gradients
-        cfg = TrainConfig(base_lr=0.01, weight_decay=0.0, batch_tuples=2,
-                          max_epochs=3, remine_per_epoch=2,
-                          freeze_conv_layers=freeze)
-        return train(miner, images.__getitem__, val_tuples, spec, params0,
-                     cfg, LossConfig(), stream.derive("train"),
-                     loss_kind=loss_kind)
 
     @pytest.mark.parametrize("freeze", [0, 1, 2])
     @pytest.mark.parametrize("loss_kind", ["contrastive", "triplet"])
@@ -685,16 +696,11 @@ class TestBackwardStopInTrain:
             calls.append(lowest_conv)
             return backward(params, spec, tape, output_grad)
 
-        stopped = self._train(tiny_scene, loss_kind, freeze)
+        stopped = train_tiny(tiny_scene, loss_kind, freeze)
         monkeypatch.setattr(training, "backward", full_walk)
-        full = self._train(tiny_scene, loss_kind, freeze)
+        full = train_tiny(tiny_scene, loss_kind, freeze)
         assert calls and set(calls) == {freeze}
-        for a, b in zip(stopped.best_params.weights + stopped.best_params.biases,
-                        full.best_params.weights + full.best_params.biases):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert stopped.best_epoch == full.best_epoch
-        assert stopped.best_val_map == full.best_val_map
-        assert stopped.metrics == full.metrics
+        assert_same_result(stopped, full)
         # the frozen layers keep the entry weights; the others moved
         params0 = tiny_scene[3]
         for i, (w, w0) in enumerate(zip(stopped.best_params.weights,
@@ -710,6 +716,29 @@ class TestBackwardStopInTrain:
                   TrainConfig(max_epochs=1, freeze_conv_layers=1),
                   LossConfig(), SeededStream(0))
         assert source.remine_calls == 0
+
+
+class TestTapeFreeForwardsInTrain:
+    """Re-mining, validation and the initial embedding forward without a
+    tape, the batch forwards with one; forcing every forward of train()
+    onto the taped path changes no byte of what it returns."""
+
+    def test_matches_taped_forwards(self, tiny_scene, monkeypatch):
+        tape_free = train_tiny(tiny_scene, "contrastive", 0)
+        asked = []
+
+        def taped(params, spec, image, *, tape=True):
+            asked.append(tape)
+            return forward(params, spec, image)
+
+        monkeypatch.setattr(training, "forward", taped)
+        graphs, images, spec, params0, initial = tiny_scene
+        for image_id, vector in initial.items():
+            assert embed_image(params0, spec, images[image_id]).tobytes() \
+                == vector.tobytes()
+        assert set(asked) == {False}
+        assert_same_result(tape_free, train_tiny(tiny_scene, "contrastive", 0))
+        assert set(asked) == {False, True}
 
 
 class TestMetricsCsv:
