@@ -327,10 +327,11 @@ def _maxpool_forward_untaped(x, layer):
     """_maxpool_forward's output without its tape.
 
     A running maximum of the window offsets taken on the strided views
-    in place: np.maximum(later, earlier) returns its second operand on a
-    tie, so the earlier offset wins as in _maxpool_forward, -0.0 against
-    0.0 included. NaN payloads are not ordered that way, so a window
-    that holds a NaN sends the whole input through _maxpool_forward.
+    in place. On a tie np.maximum(later, earlier) returns its second
+    operand, so the earlier offset wins as in _maxpool_forward, -0.0
+    against 0.0 included (test_backbone pins this). NaN payloads are not
+    ordered that way, so a window that holds a NaN sends the whole input
+    through _maxpool_forward.
     """
     w, s = layer.window, layer.stride
     _, h, wd = x.shape
