@@ -129,10 +129,17 @@ def rmac(x: np.ndarray, grid: RegionGrid, region_transform=None) -> np.ndarray:
     renormalized before aggregation; the transform-free output is the
     plain form meant for post-aggregation whitening.
 
-    The region MACs are stacked into one (regions, maps) float64 array
-    and normalized row by row with l2n's norm and zero cut-off; the sum
-    over axis 0 adds the rows in region order, so the result has the
-    bits of a per-region l2n-and-add loop.
+    The region MACs are stacked into one (regions, maps) float64 array:
+    each region's maximum is taken over the contiguous rows of one
+    channels-last copy of x, and all regions are clamped at 0 at once. A
+    maximum does not round and keeps the sign of a zero as mac() does,
+    but which NaN payload wins depends on the reduction order, so an
+    input with a NaN in any region takes the per-region mac() loop. The
+    rows are normalized with l2n's norm and zero cut-off and added one by
+    one in region order, so the result has the bits of a per-region
+    l2n-and-add loop: rows.sum(axis=0) adds a single column pairwise, and
+    an in-place add meets two NaNs in another operand order, which
+    decides the payload that survives.
     """
     x = np.asarray(x)
     k, height, width = x.shape
@@ -143,8 +150,14 @@ def rmac(x: np.ndarray, grid: RegionGrid, region_transform=None) -> np.ndarray:
     if not grid.regions:
         raise GridError("empty region grid")
     macs = np.empty((len(grid.regions), k), dtype=np.float64)
+    xt = np.ascontiguousarray(x.transpose(1, 2, 0))
     for r, (rx, ry, side) in enumerate(grid.regions):
-        macs[r] = mac(x[:, ry:ry + side, rx:rx + side])
+        macs[r] = xt[ry:ry + side, rx:rx + side].max(axis=(0, 1))
+    if np.isnan(macs).any():
+        for r, (rx, ry, side) in enumerate(grid.regions):
+            macs[r] = mac(x[:, ry:ry + side, rx:rx + side])
+    else:
+        np.maximum(macs, 0, out=macs)
     norms = np.sqrt(np.sum(macs ** 2, axis=1))
     degenerate = norms < 1e-12
     rows = macs / np.where(degenerate, 1.0, norms)[:, None]
@@ -153,7 +166,10 @@ def rmac(x: np.ndarray, grid: RegionGrid, region_transform=None) -> np.ndarray:
         # one transform call per region: a stacked matrix product need
         # not round like the vector products the transform makes
         rows = np.stack([l2n(region_transform(v)) for v in rows])
-    return l2n(rows.sum(axis=0)).astype(x.dtype)
+    total = rows[0]
+    for row in rows[1:]:
+        total = total + row
+    return l2n(total).astype(x.dtype)
 
 
 def receptive_geometry(spec: list[LayerSpec]) -> tuple[int, int, float]:

@@ -1,8 +1,10 @@
-"""Helpers for the binary file formats. All integers and floats little-endian."""
+"""Helpers for the file formats: the binary ones, all integers and floats
+little-endian, and the checks shared by the JSON ones."""
 
 from __future__ import annotations
 
 import io
+import json
 import os
 
 import numpy as np
@@ -78,6 +80,38 @@ def write_f32_array(f, arr: np.ndarray) -> None:
 
 def write_f64_array(f, arr: np.ndarray) -> None:
     f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def read_text(path, what: str) -> str:
+    """The text of the file at path, newlines as "\n"; invalid UTF-8 is a
+    FormatError naming what the file holds."""
+    with open(os.fspath(path), encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{what} is not valid UTF-8: {exc}") from exc
+
+
+def load_json(path, what: str):
+    """The JSON document at path, as read_text reads it; invalid JSON is
+    a FormatError too."""
+    try:
+        return json.loads(read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def is_number(v) -> bool:
+    # JSON true/false load as bool, which is an int subclass
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def numbers(value, field: str) -> np.ndarray:
+    """A JSON list of numbers as float64; float() and np.array would also
+    take bools and numeric strings."""
+    if not (isinstance(value, list) and all(is_number(v) for v in value)):
+        raise ValueError(f"{field} must be a list of numbers")
+    return np.array(value, dtype=np.float64)
 
 
 def expect_eof(f, what: str) -> None:

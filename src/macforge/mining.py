@@ -16,11 +16,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .ioutil import FormatError
+from .ioutil import FormatError, is_number, load_json, numbers, read_text
 from .numeric import SeededStream
 from .retrieval import DescriptorDB, search
 
@@ -90,8 +92,8 @@ class VisibilityGraph:
     """One reconstructed cluster: images with cameras, points, and the
     image-observes-point edge set.
 
-    Tables derived from the fields (observations, depths, appearance)
-    are computed once and kept on the graph until a field is reassigned;
+    Tables derived from the fields (tables(), depths, appearance) are
+    computed once and kept on the graph until a field is reassigned;
     mutating `images`, `points` or `edges` in place is not tracked, so
     assign a new container instead.
     """
@@ -122,38 +124,51 @@ class VisibilityGraph:
         for pid, xyz in self.points.items():
             if np.shape(xyz) != (3,) or not np.isfinite(xyz).all():
                 raise GraphError(f"point {pid!r} needs 3 finite coordinates")
-        observers = {pid: 0 for pid in self.points}
-        for _, pid in self.edges:
-            observers[pid] += 1
-        thin = sorted(pid for pid, n in observers.items() if n < 2)
+        observers = Counter(pid for _, pid in self.edges)
+        thin = sorted(pid for pid in self.points if observers[pid] < 2)
         if thin:
             raise GraphError(
                 f"points observed by fewer than 2 images: {thin[:5]}"
                 + ("..." if len(thin) > 5 else ""))
 
-    def observation_map(self) -> dict:
-        """image-id -> frozenset of observed point-ids (cached)."""
-        return self.derived("observations", _observations)
-
-    def depth_map(self) -> dict:
-        """image-id -> {point-id: depth in that camera} over the edges
-        (cached)."""
-        return self.derived("depths", _depths)
+    def tables(self) -> SimpleNamespace:
+        """The graph as arrays (cached): image ids[r] (ascending) has row r
+        of centers, focals and incidence, whose [r, c] holds when it sees
+        point point_ids[c]; row maps an image id to its row."""
+        return self.derived("tables", _tables)
 
 
-def _observations(g: VisibilityGraph) -> dict:
-    sets = {img: set() for img in g.images}
-    for img, pid in g.edges:
-        sets[img].add(pid)
-    return {img: frozenset(s) for img, s in sets.items()}
+def _tables(g: VisibilityGraph) -> SimpleNamespace:
+    ids = sorted(g.images)
+    row = {img: r for r, img in enumerate(ids)}
+    col = {pid: c for c, pid in enumerate(dict.fromkeys(p for _, p in g.edges))}
+    incidence = np.zeros((len(ids), len(col)), dtype=bool)
+    incidence[[row[i] for i, _ in g.edges], [col[p] for _, p in g.edges]] = True
+    cams = [g.images[i] for i in ids]
+    return SimpleNamespace(
+        ids=ids, row=row, point_ids=list(col), incidence=incidence,
+        centers=np.array([c.center for c in cams]).reshape(-1, 3),
+        focals=np.array([c.focal for c in cams], dtype=np.float64))
 
 
-def _depths(g: VisibilityGraph) -> dict:
-    table = {}
-    for img, pids in g.observation_map().items():
-        cam = g.images[img]
-        table[img] = {pid: cam.depth_of(g.points[pid]) for pid in pids}
-    return table
+def _depths(g: VisibilityGraph) -> np.ndarray:
+    """Depths of the points in the cameras that see them, NaN elsewhere."""
+    t = g.tables()
+    xyz = np.array([g.points[p] for p in t.point_ids], np.float64).reshape(-1, 3)
+    depths = np.full(t.incidence.shape, np.nan)
+    for r, img in enumerate(t.ids):
+        cam, cols = g.images[img], np.flatnonzero(t.incidence[r])
+        # one dot per edge, as Camera.depth_of takes it: a matrix-vector
+        # product over the camera's points rounds some depths differently
+        axis = cam.rotation[2]
+        depths[r, cols] = [axis.dot(d) for d in xyz[cols] - cam.center]
+    return depths
+
+
+def _row(t: SimpleNamespace, image_id) -> int:
+    if image_id not in t.row:
+        raise GraphError(f"unknown image {image_id!r}")
+    return t.row[image_id]
 
 
 @dataclass(frozen=True)
@@ -190,22 +205,21 @@ class TrainingTuple:
 
 def observed_points(g: VisibilityGraph, image_id: str) -> frozenset:
     """Point-ids with an edge to the image."""
-    obs = g.observation_map()
-    if image_id not in obs:
-        raise GraphError(f"unknown image {image_id!r}")
-    return obs[image_id]
+    t = g.tables()
+    seen = np.flatnonzero(t.incidence[_row(t, image_id)])
+    return frozenset(t.point_ids[c] for c in seen)
 
 
 def candidate_pool(g: VisibilityGraph, query: str, k: int) -> list:
-    """The k cluster images with camera centers closest to the query's."""
-    if query not in g.images:
-        raise GraphError(f"unknown image {query!r}")
-    qc = g.images[query].center
-    ranked = sorted(
-        (float(np.linalg.norm(cam.center - qc)), img)
-        for img, cam in g.images.items() if img != query
-    )
-    return [img for _, img in ranked[:k]]
+    """The k cluster images with camera centers closest to the query's,
+    nearest first; equal distances rank the lower image id first."""
+    t = g.tables()
+    q = _row(t, query)
+    # np.linalg.norm's value, the root of one dot per row: a norm along
+    # an axis rounds some distances differently
+    dist = np.array([math.sqrt(d.dot(d)) for d in t.centers - t.centers[q]])
+    order = np.argsort(dist, kind="stable")
+    return [t.ids[r] for r in order[order != q][:k]]
 
 
 def positive_m1(query: str, pool: list, descriptors: dict) -> str:
@@ -224,9 +238,11 @@ def positive_m2(query: str, pool: list, g: VisibilityGraph) -> str:
     """Pool member co-observing the most 3D points with the query."""
     if not pool:
         raise NoPositiveError(f"empty candidate pool for {query!r}")
-    pq = observed_points(g, query)
-    best = min((-len(pq & observed_points(g, i)), i) for i in pool)
-    return best[1]
+    t = g.tables()
+    seen = t.incidence[_row(t, query)]
+    counts = (t.incidence[[_row(t, i) for i in pool]] & seen).sum(axis=1)
+    most = counts.max()
+    return min(i for i, n in zip(pool, counts) if n == most)
 
 
 def scale_change(g: VisibilityGraph, i: str, q: str) -> float:
@@ -236,24 +252,36 @@ def scale_change(g: VisibilityGraph, i: str, q: str) -> float:
     view; the result is the larger of the ratio and its inverse, so it is
     symmetric and >= 1.
     """
-    shared = observed_points(g, i) & observed_points(g, q)
-    if not shared:
+    t = g.tables()
+    ri, rq = np.array([_row(t, i)]), _row(t, q)
+    shared = t.incidence[ri] & t.incidence[rq]
+    if not shared.any():
         raise NoSharedPointsError(f"{i!r} and {q!r} share no points")
-    depth_map = g.depth_map()
-    scales = {}
-    for img in (i, q):
-        of_img = depth_map[img]
-        depths = sorted(of_img[pid] for pid in shared)
-        if depths[0] <= 0:
-            raise GeometryError(f"shared point behind camera {img!r}")
-        # the middle depth, or the mean of the middle two: np.median's
-        # arithmetic, without its per-call overhead
-        mid = len(depths) // 2
-        median = (depths[mid] if len(depths) % 2
-                  else (depths[mid - 1] + depths[mid]) / 2)
-        scales[img] = g.images[img].focal / median
-    r = scales[i] / scales[q]
-    return max(r, 1.0 / r)
+    return float(_scale_changes(g, ri, rq, shared)[0])
+
+
+def _scale_changes(g: VisibilityGraph, rows, q: int, shared) -> np.ndarray:
+    """scale_change of each image row against image row q over that row
+    of the (rows, points) mask shared, none empty; a point behind either
+    camera raises GeometryError for the first such row, naming its image
+    before q's. A median is np.median's: the middle depth or the mean of
+    the middle two."""
+    t, depths = g.tables(), g.derived("depths", _depths)
+    pair = np.stack([rows, np.full_like(rows, q)])  # the rows, then q
+    ordered = np.sort(np.where(shared, depths[pair], np.inf), axis=2)
+    counts = shared.sum(axis=1)
+    mid, at = counts // 2, np.arange(len(rows))
+    upper = ordered[:, at, mid]
+    lower = ordered[:, at, np.maximum(mid - 1, 0)]
+    median = np.where(counts % 2, upper, (lower + upper) / 2)
+    behind = ordered[:, :, 0] <= 0
+    if behind.any():
+        j = int(np.argmax(behind.any(axis=0)))
+        img = t.ids[rows[j]] if behind[0, j] else t.ids[q]
+        raise GeometryError(f"shared point behind camera {img!r}")
+    scale = t.focals[pair] / median
+    r = scale[0] / scale[1]
+    return np.maximum(r, 1.0 / r)
 
 
 def positive_m3(query: str, pool: list, g: VisibilityGraph, cfg: MiningConfig,
@@ -263,15 +291,16 @@ def positive_m3(query: str, pool: list, g: VisibilityGraph, cfg: MiningConfig,
     image-id order."""
     if not pool:
         raise NoPositiveError(f"empty candidate pool for {query!r}")
-    pq = observed_points(g, query)
-    feasible = []
-    for i in sorted(pool):
-        shared = pq & observed_points(g, i)
-        if not pq or len(shared) / len(pq) < cfg.inlier_overlap:
-            continue
-        if scale_change(g, i, query) > cfg.scale_threshold:
-            continue
-        feasible.append(i)
+    t, members = g.tables(), sorted(pool)
+    q = _row(t, query)
+    rows = np.array([_row(t, i) for i in members])
+    shared = t.incidence[rows] & t.incidence[q]
+    # a query that sees nothing overlaps nothing: inlier_overlap is > 0
+    overlap = shared.sum(axis=1) / max(int(t.incidence[q].sum()), 1)
+    near = np.flatnonzero(overlap >= cfg.inlier_overlap)
+    changes = _scale_changes(g, rows[near], q, shared[near]) if near.size else []
+    feasible = [members[j] for j, change in zip(near, changes)
+                if change <= cfg.scale_threshold]
     if not feasible:
         raise NoPositiveError(f"no feasible positive for {query!r}")
     return feasible[int(stream.integers(0, len(feasible)))]
@@ -444,19 +473,13 @@ class TupleMiner:
 def save_scene(path, g: VisibilityGraph) -> None:
     doc = {
         "cluster_id": g.cluster_id,
-        "images": [
-            {"id": img,
-             "camera": {
-                 "center": [float(v) for v in cam.center],
-                 "rotation": [float(v) for v in cam.rotation.reshape(-1)],
-                 "focal": float(cam.focal),
-             }}
-            for img, cam in sorted(g.images.items())
-        ],
-        "points": [
-            {"id": pid, "xyz": [float(v) for v in xyz]}
-            for pid, xyz in sorted(g.points.items())
-        ],
+        "images": [{"id": img, "camera": {
+                        "center": cam.center.tolist(),
+                        "rotation": cam.rotation.reshape(-1).tolist(),
+                        "focal": cam.focal}}
+                   for img, cam in sorted(g.images.items())],
+        "points": [{"id": pid, "xyz": np.asarray(xyz, np.float64).tolist()}
+                   for pid, xyz in sorted(g.points.items())],
         "edges": sorted([img, pid] for img, pid in g.edges),
     }
     with open(os.fspath(path), "w") as f:
@@ -464,38 +487,19 @@ def save_scene(path, g: VisibilityGraph) -> None:
         f.write("\n")
 
 
-def _is_number(v) -> bool:
-    # JSON true/false load as bool, which is an int subclass
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _numbers(value, field: str) -> np.ndarray:
-    """A JSON list of numbers as float64; float() and np.array would also
-    take bools and numeric strings."""
-    if not (isinstance(value, list) and all(_is_number(v) for v in value)):
-        raise ValueError(f"{field} must be a list of numbers")
-    return np.array(value, dtype=np.float64)
-
-
 def load_scene(path) -> VisibilityGraph:
-    try:
-        with open(os.fspath(path), encoding="utf-8") as f:
-            doc = json.load(f)
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"scene file is not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"scene file is not valid JSON: {exc}") from exc
+    doc = load_json(path, "scene file")
     try:
         images = {}
         for rec in doc["images"]:
             cam, img = rec["camera"], rec["id"]
-            if not _is_number(cam["focal"]):
+            if not is_number(cam["focal"]):
                 raise ValueError(f"focal of image {img!r} must be a number")
             images[img] = Camera(
-                _numbers(cam["center"], f"center of image {img!r}"),
-                _numbers(cam["rotation"], f"rotation of image {img!r}").reshape(3, 3),
+                numbers(cam["center"], f"center of image {img!r}"),
+                numbers(cam["rotation"], f"rotation of image {img!r}").reshape(3, 3),
                 float(cam["focal"]))
-        points = {rec["id"]: _numbers(rec["xyz"], f"xyz of point {rec['id']!r}")
+        points = {rec["id"]: numbers(rec["xyz"], f"xyz of point {rec['id']!r}")
                   for rec in doc["points"]}
         edges = {(img, pid) for img, pid in doc["edges"]}
         g = VisibilityGraph(str(doc["cluster_id"]), images, points, edges)
@@ -517,11 +521,7 @@ def save_tuples(path, tuples: list) -> None:
 
 
 def load_tuples(path) -> list:
-    try:
-        with open(os.fspath(path), encoding="utf-8") as f:
-            lines = f.readlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"tuple file is not valid UTF-8: {exc}") from exc
+    lines = read_text(path, "tuple file").split("\n")
     out = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .descriptor import BBox
-from .ioutil import FormatError
+from .ioutil import FormatError, load_json
 from .numeric import DimensionError
 
 MODE_FULL = "Full"
@@ -169,15 +169,7 @@ def save_ground_truth(path, gt):
 
 
 def load_ground_truth(path):
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"ground truth is not valid UTF-8: {exc}") \
-                from None
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"ground truth is not valid JSON: {exc}") \
-                from None
+    payload = load_json(path, "ground truth")
     if not isinstance(payload, dict):
         raise FormatError("ground truth must be a JSON object")
     gt = {}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mining import Camera, GraphError, VisibilityGraph
+from .mining import Camera, GraphError, VisibilityGraph, observed_points
 from .numeric import SeededStream
 
 DEFAULT_IMAGE_SIZE = 96
@@ -227,7 +227,7 @@ def render(graph, image_id, size=DEFAULT_IMAGE_SIZE):
     colors = graph.derived("point_colors", _point_colors)
 
     splats = []
-    for point_id in sorted(graph.observation_map()[image_id]):
+    for point_id in sorted(observed_points(graph, image_id)):
         u, v, depth = project(camera, graph.points[point_id], size)
         if depth <= 0.0:
             continue

@@ -227,11 +227,32 @@ def reference_rmac(x, grid, region_transform=None):
     return l2n(acc).astype(x.dtype)
 
 
+def _with_nans(s, x):
+    """x with about a tenth of its cells set to quiet NaNs of distinct
+    payloads and either sign."""
+    bits = np.dtype(x.dtype).itemsize * 8
+    uint = np.uint32 if bits == 32 else np.uint64
+    mantissa = 23 if bits == 32 else 52
+    exponent = ((1 << (bits - mantissa - 1)) - 1) << mantissa
+    quiet = 1 << (mantissa - 1)
+    payload = s.integers(1, quiet, size=x.shape).astype(uint)
+    sign = (s.random(size=x.shape) < 0.5).astype(uint) << uint(bits - 1)
+    nans = (uint(exponent | quiet) | payload | sign).view(x.dtype)
+    return np.where(s.random(size=x.shape) < 0.1, nans, x)
+
+
 def _rmac_instance(s, dtype, kind):
-    """Activations with ties, zero maps, tiny values or all-zero input,
-    over a random extent."""
-    k = int(s.integers(1, 40))
+    """Activations with ties, zero maps, tiny values, all-zero input,
+    signed zeros, NaNs, infinities, a cropped view or a degenerate
+    extent, over a random extent."""
+    # a single map: numpy adds one column of region rows pairwise
+    k = 1 if kind == "nans" and s.random() < 0.3 else int(s.integers(1, 40))
     h, w = int(s.integers(1, 14)), int(s.integers(1, 14))
+    if kind == "one_cell":
+        h = w = 1
+    elif kind == "non_square":
+        h, w = sorted((int(s.integers(1, 4)), int(s.integers(6, 14))),
+                      key=lambda _: s.random())
     x = s.normal(size=(k, h, w))
     if kind == "ties":
         x = np.round(x * 2.0) / 2.0
@@ -245,13 +266,31 @@ def _rmac_instance(s, dtype, kind):
         x = x * 10.0 ** -int(s.integers(11, 14))
     elif kind == "zeros":
         x = np.zeros_like(x)
+    elif kind == "signed_zeros":
+        # a region whose maximum is zero keeps the sign of the zero it
+        # meets first; whole maps of -0.0 and 0.0 mixed with negatives
+        x = np.where(s.random(size=x.shape) < 0.5, -0.0, 0.0)
+        x[s.random(size=x.shape) < 0.3] = -1.0
+        x[s.random(size=(k, 1, 1)).repeat(h, 1).repeat(w, 2) < 0.2] = -0.0
+    elif kind == "nans":
+        return _with_nans(s, x.astype(dtype))
+    elif kind == "infs":
+        x[s.random(size=x.shape) < 0.1] = np.inf
+        x[s.random(size=x.shape) < 0.1] = -np.inf
+    elif kind == "cropped":
+        # a view of a larger map, as crop_activations returns it
+        big = s.normal(size=(k, h + 5, w + 5)).astype(dtype)
+        y0, x0 = int(s.integers(0, 6)), int(s.integers(0, 6))
+        return crop_activations(big, (x0, y0, x0 + w, y0 + h), (1, 1, 0.0))
     return x.astype(dtype)
 
 
 class TestRmac:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["random", "ties", "zero_maps", "tiny",
-                                      "zeros"])
+                                      "zeros", "signed_zeros", "nans",
+                                      "infs", "cropped", "one_cell",
+                                      "non_square"])
     @pytest.mark.parametrize("transform", [None, "square", "reducing"])
     def test_bit_equal_to_region_loop(self, transform, kind, dtype):
         s = SeededStream(20161024).derive(transform or "none", kind,
@@ -267,8 +306,10 @@ class TestRmac:
                 region_transform = lambda v: matrix.T @ (v - mean)  # noqa: E731
             for scales in (1, 2, 3):
                 grid = rmac_regions(x.shape[2], x.shape[1], scales)
-                got = rmac(x, grid, region_transform)
-                want = reference_rmac(x, grid, region_transform)
+                # inf / inf and inf - inf make NaNs, on both sides alike
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got = rmac(x, grid, region_transform)
+                    want = reference_rmac(x, grid, region_transform)
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
 

@@ -67,6 +67,75 @@ def scale_change_oracle(g, i, q):
     return max(r, 1.0 / r)
 
 
+class LoopMining:
+    """candidate_pool, positive_m2, scale_change and positive_m3 as they
+    were written before the array tables: per-image observation sets,
+    depths from Camera.depth_of, sorted tuples and sorted-depth medians.
+    One instance per graph, built from its fields as they are now."""
+
+    def __init__(self, g):
+        self.g = g
+        self.seen = {img: set() for img in g.images}
+        for img, pid in g.edges:
+            self.seen[img].add(pid)
+        self.depth = {img: {pid: g.images[img].depth_of(g.points[pid])
+                            for pid in pids}
+                      for img, pids in self.seen.items()}
+
+    def candidate_pool(self, query, k):
+        qc = self.g.images[query].center
+        ranked = sorted(
+            (float(np.linalg.norm(cam.center - qc)), img)
+            for img, cam in self.g.images.items() if img != query)
+        return [img for _, img in ranked[:k]]
+
+    def positive_m2(self, query, pool):
+        if not pool:
+            raise NoPositiveError(f"empty candidate pool for {query!r}")
+        pq = self.seen[query]
+        return min((-len(pq & self.seen[i]), i) for i in pool)[1]
+
+    def scale_change(self, i, q):
+        shared = self.seen[i] & self.seen[q]
+        if not shared:
+            raise NoSharedPointsError(f"{i!r} and {q!r} share no points")
+        scales = {}
+        for img in (i, q):
+            depths = sorted(self.depth[img][pid] for pid in shared)
+            if depths[0] <= 0:
+                raise GeometryError(f"shared point behind camera {img!r}")
+            mid = len(depths) // 2
+            median = (depths[mid] if len(depths) % 2
+                      else (depths[mid - 1] + depths[mid]) / 2)
+            scales[img] = self.g.images[img].focal / median
+        r = scales[i] / scales[q]
+        return max(r, 1.0 / r)
+
+    def positive_m3(self, query, pool, cfg, stream):
+        if not pool:
+            raise NoPositiveError(f"empty candidate pool for {query!r}")
+        pq = self.seen[query]
+        feasible = []
+        for i in sorted(pool):
+            shared = pq & self.seen[i]
+            if not pq or len(shared) / len(pq) < cfg.inlier_overlap:
+                continue
+            if self.scale_change(i, query) > cfg.scale_threshold:
+                continue
+            feasible.append(i)
+        if not feasible:
+            raise NoPositiveError(f"no feasible positive for {query!r}")
+        return feasible[int(stream.integers(0, len(feasible)))]
+
+
+def failure(fn, *args):
+    """fn(*args), or the type and message of the MiningError it raised."""
+    try:
+        return fn(*args)
+    except MiningError as exc:
+        return type(exc), str(exc)
+
+
 def outcome(fn, *args):
     """fn(*args), or the type of the MiningError it raised."""
     try:
@@ -103,13 +172,15 @@ class TestCameraAndGraph:
     def test_reassigning_a_field_drops_derived_tables(self):
         g = random_graph(SeededStream(54), n_images=3, n_points=6,
                          all_edges=True)
-        first = g.observation_map()
-        assert g.observation_map() is first
+        first = g.tables()
+        assert g.tables() is first
         g.edges = set(g.edges)
-        assert g.observation_map() is not first
-        depths = g.depth_map()
-        g.points = dict(g.points)
-        assert g.depth_map() is not depths
+        assert g.tables() is not first
+        a, b = sorted(g.images)[:2]
+        assert scale_change(g, a, b) == scale_change_oracle(g, a, b)
+        # moved points move the depths behind scale_change
+        g.points = {p: xyz * 1.5 for p, xyz in g.points.items()}
+        assert scale_change(g, a, b) == scale_change_oracle(g, a, b)
 
     def test_camera_rejects_non_rotation(self):
         with pytest.raises(GraphError):
@@ -410,6 +481,135 @@ class TestPositiveM3:
         chi2 = sum((c - expect) ** 2 / expect for c in counts.values())
         dof = len(pool) - 1
         assert chi2 < dof + 3.0 * math.sqrt(2.0 * dof)
+
+
+@pytest.fixture(scope="module")
+def default_scene():
+    """The default 20-cluster scene, generated but not rendered."""
+    return generate(SceneConfig())
+
+
+class TestAgainstLoops:
+    """The array tables against LoopMining, to the bit and the message."""
+
+    def test_every_query_of_the_default_scene(self, default_scene):
+        cfg = MiningConfig()
+        queries = 0
+        for g in default_scene:
+            loop = LoopMining(g)
+            for q in sorted(g.images):
+                pool = candidate_pool(g, q, cfg.pool_size)
+                assert pool == loop.candidate_pool(q, cfg.pool_size)
+                assert positive_m2(q, pool, g) == loop.positive_m2(q, pool)
+                assert failure(positive_m3, q, pool, g, cfg,
+                               SeededStream(9).derive("m3", q)) == \
+                    failure(loop.positive_m3, q, pool, cfg,
+                            SeededStream(9).derive("m3", q))
+                for i in pool[:3]:
+                    assert failure(scale_change, g, i, q) == \
+                        failure(loop.scale_change, i, q)
+                queries += 1
+        assert queries == sum(len(g.images) for g in default_scene)
+
+    def test_pool_and_positives_on_sparse_graphs(self):
+        # sparse edges: some pool members share nothing with the query
+        cfg = MiningConfig(pool_size=5, inlier_overlap=0.3,
+                           scale_threshold=1.3)
+        for seed in range(6):
+            g = random_graph(SeededStream(80, seed), n_images=9, n_points=25)
+            loop = LoopMining(g)
+            for q in sorted(g.images):
+                pool = candidate_pool(g, q, cfg.pool_size)
+                assert pool == loop.candidate_pool(q, cfg.pool_size)
+                assert positive_m2(q, pool, g) == loop.positive_m2(q, pool)
+                assert failure(positive_m3, q, pool, g, cfg,
+                               SeededStream(seed).derive("m3", q)) == \
+                    failure(loop.positive_m3, q, pool, cfg,
+                            SeededStream(seed).derive("m3", q))
+                for i in pool:
+                    assert failure(scale_change, g, i, q) == \
+                        failure(loop.scale_change, i, q)
+
+    def test_equal_distances_rank_the_lower_id_first(self):
+        # "b" and its twin "a" share a center; "c" and "d" sit at the
+        # same distance from q along different axes
+        images = {"q": identity_camera([0, 0, 0]),
+                  "b": identity_camera([0, 0, 2]),
+                  "a": identity_camera([0, 0, 2]),
+                  "d": identity_camera([3, 0, 0]),
+                  "c": identity_camera([0, 3, 0])}
+        g = VisibilityGraph("c", images, {}, set())
+        assert candidate_pool(g, "q", 4) == ["a", "b", "c", "d"]
+        assert candidate_pool(g, "q", 1) == ["a"]
+        assert candidate_pool(g, "q", 3) == ["a", "b", "c"]
+        assert candidate_pool(g, "b", 1) == ["a"]
+        loop = LoopMining(g)
+        for q in images:
+            for k in range(1, 5):
+                assert candidate_pool(g, q, k) == loop.candidate_pool(q, k)
+
+    def test_query_that_observes_no_points(self):
+        g = random_graph(SeededStream(81), n_images=6, n_points=20)
+        lonely = "c0/i999"
+        g.images = {**g.images, lonely: identity_camera([0.5, 0.5, 9.0])}
+        loop = LoopMining(g)
+        pool = candidate_pool(g, lonely, 4)
+        assert observed_points(g, lonely) == frozenset()
+        # every member co-observes 0 points: the lowest id wins
+        assert positive_m2(lonely, pool, g) == min(pool) == \
+            loop.positive_m2(lonely, pool)
+        cfg = MiningConfig(inlier_overlap=0.01, scale_threshold=100.0)
+        got = failure(positive_m3, lonely, pool, g, cfg, SeededStream(1))
+        assert got == failure(loop.positive_m3, lonely, pool, cfg,
+                              SeededStream(1))
+        assert got[0] is NoPositiveError
+        for i in pool:
+            assert failure(scale_change, g, i, lonely)[0] is \
+                NoSharedPointsError
+
+    def _behind_graph(self, behind):
+        """q and three members that all see the same points in front of
+        them, except that the cameras named in behind stand past them."""
+        images = {n: identity_camera([0.1 * k, 0.0, -3.0 - k])
+                  for k, n in enumerate(["q", "a", "b", "c"])}
+        for name in behind:
+            images[name] = identity_camera([0.0, 0.0, 5.0])
+        points = {k: np.array([0.05 * k, 0.02 * k, 0.0]) for k in range(8)}
+        edges = {(img, p) for img in images for p in points}
+        return VisibilityGraph("c", images, points, edges)
+
+    @pytest.mark.parametrize("behind, first, named", [
+        (("b",), "b", "b"), (("q",), "a", "q"), (("a", "q"), "a", "a")])
+    def test_point_behind_a_camera(self, behind, first, named):
+        # the first sorted member whose overlap passes raises, naming the
+        # member before the query
+        g = self._behind_graph(behind)
+        cfg = MiningConfig(inlier_overlap=0.5, scale_threshold=100.0)
+        pool = ["c", "b", "a"]
+        got = failure(positive_m3, "q", pool, g, cfg, SeededStream(2))
+        want = failure(LoopMining(g).positive_m3, "q", pool, cfg,
+                       SeededStream(2))
+        assert got == want == (GeometryError,
+                               f"shared point behind camera {named!r}")
+        assert failure(scale_change, g, first, "q") == got
+
+    def test_reassigned_edges_drop_the_tables(self):
+        g = random_graph(SeededStream(82), n_images=7, n_points=30)
+        q = sorted(g.images)[0]
+        pool = candidate_pool(g, q, 6)
+        before = positive_m2(q, pool, g)
+        assert before == LoopMining(g).positive_m2(q, pool)
+        # q now shares every point with the last pool member only
+        last = pool[-1]
+        g.edges = {(img, p) for img, p in g.edges
+                   if img not in (q, last)} | \
+            {(img, p) for img in (q, last) for p in g.points}
+        loop = LoopMining(g)
+        assert positive_m2(q, pool, g) == loop.positive_m2(q, pool) == last
+        assert observed_points(g, q) == frozenset(g.points)
+        for i in pool:
+            assert failure(scale_change, g, i, q) == \
+                failure(loop.scale_change, i, q)
 
 
 class TestMineNegatives:

@@ -13,7 +13,11 @@ checkpoint it covers the R-MAC `.macd`, the Lw (from seed 0's m3/N2
 tuples) and PCAw `.mfpw` fitted on it, the projected `.macd` files
 (Lw after aggregation, PCAw per region, and a reduced dimension), and
 the `eval` CSVs in the Full, Crop_I and Crop_X modes on a ground truth
-with sub-image boxes that the gate writes itself. The golden
+with sub-image boxes that the gate writes itself. A last slice copies
+the scene with one image duplicated under a new id (same camera, edges
+and pixels), so every ranking meets exact ties: it covers the MAC
+`.macd` of the copy, its dense m2/m3 x N1/N2 tuple files at a pool
+of one image, and its Full `eval` CSV. The golden
 file also records the numpy version and BLAS build it was made under,
 so a mismatch on another build can be told from a changed program.
 
@@ -25,11 +29,14 @@ artifacts in CHANGES.md.
 import hashlib
 import json
 import os
+import shutil
 import warnings
 
 import numpy as np
 
 from macforge.cli import EXIT_OK, main
+from macforge.mining import load_scene, save_scene
+from macforge.pipeline import image_path
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden", "parity.json")
@@ -75,6 +82,17 @@ EVAL_RUNS = {
                         ["--rmac", "--dim", "16"], "pcaw"),
 }
 EVAL_MODES = ("Full", "Crop_I", "Crop_X")
+# the tie slice: TIE_SOURCE gets a twin under TIE_TWIN. The pair sits at
+# equal distance from every other camera of the cluster, and TIE_SOURCE
+# is the nearest camera of c00/i001 and c00/i002, so a pool of 1 holds
+# whichever of the pair the tie-break ranks first
+TIE_SOURCE = "c00/i003"
+TIE_TWIN = "c00/i003-twin"
+TIE_MINE_ARGS = ["--set", "pool_size=1", "--set", "negatives=2",
+                 "--set", "candidate_negatives_per_cluster=8",
+                 "--set", "mine_all_queries=True"]
+TIE_MINE_RUNS = [(positive, negative) for positive in ("m2", "m3")
+                 for negative in ("N1", "N2")]
 
 
 def file_sha(path):
@@ -158,6 +176,7 @@ def parity_hashes(root):
             assert code == EXIT_OK, f"mine {name} exited {code}"
             hashes[name] = file_sha(out)
     hashes.update(projection_hashes(root, data))
+    hashes.update(tie_hashes(root, data))
     return hashes
 
 
@@ -209,6 +228,52 @@ def projection_hashes(root, data):
                       "--checkpoint", checkpoint, "--images", images,
                       "--gt", gt, "--mode", mode, *flags,
                       "--out", os.path.join(root, csv)])
+    return hashes
+
+
+def write_twin_scene(data, out):
+    """Copy the scenes and images of data to out, with TIE_SOURCE
+    duplicated as TIE_TWIN: same camera, same edges, same PPM."""
+    cluster = TIE_SOURCE.split("/")[0]
+    shutil.copytree(os.path.join(data, "scenes"), os.path.join(out, "scenes"))
+    shutil.copytree(os.path.join(data, "images"), os.path.join(out, "images"))
+    scene = os.path.join(out, "scenes", f"{cluster}.json")
+    g = load_scene(scene)
+    g.images = {**g.images, TIE_TWIN: g.images[TIE_SOURCE]}
+    g.edges = g.edges | {(TIE_TWIN, pid) for img, pid in g.edges
+                         if img == TIE_SOURCE}
+    save_scene(scene, g)
+    shutil.copyfile(image_path(os.path.join(out, "images"), TIE_SOURCE),
+                    image_path(os.path.join(out, "images"), TIE_TWIN))
+
+
+def tie_hashes(root, data):
+    """MAC embed, dense mining and Full eval on the twin scene, from
+    seed 0's m3/N2 checkpoint; returns artifact name -> SHA-256."""
+    hashes = {}
+    ties = os.path.join(root, "ties")
+    write_twin_scene(data, os.path.join(ties, "data"))
+    images = os.path.join(ties, "data", "images")
+    checkpoint = os.path.join(root, "seed0", "m3-N2-contrastive", "best.mfck")
+    db = os.path.join(ties, "db.macd")
+
+    def run(name, argv):
+        code = main(argv)
+        assert code == EXIT_OK, f"{name} exited {code}"
+        hashes[name] = file_sha(os.path.join(root, name))
+
+    run("ties/db.macd", ["embed", "--images", images,
+                         "--checkpoint", checkpoint, "--out", db])
+    for positive, negative in TIE_MINE_RUNS:
+        name = f"ties/{positive}-{negative}-all.mftp"
+        run(name, ["mine", "--scenes", os.path.join(ties, "data", "scenes"),
+                   "--descriptors", db, "--out", os.path.join(root, name),
+                   "--seed", "0", "--positive", positive,
+                   "--negative", negative, *TIE_MINE_ARGS])
+    run("ties/eval-Full.csv", [
+        "eval", "--db", db, "--checkpoint", checkpoint, "--images", images,
+        "--gt", os.path.join(data, "ground_truth.json"), "--mode", "Full",
+        "--out", os.path.join(root, "ties", "eval-Full.csv")])
     return hashes
 
 
