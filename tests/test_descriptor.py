@@ -267,8 +267,8 @@ def _rmac_instance(s, dtype, kind):
     elif kind == "zeros":
         x = np.zeros_like(x)
     elif kind == "signed_zeros":
-        # a region whose maximum is zero keeps the sign of the zero it
-        # meets first; whole maps of -0.0 and 0.0 mixed with negatives
+        # region maxima that are zeros of either sign, among them whole
+        # maps of -0.0
         x = np.where(s.random(size=x.shape) < 0.5, -0.0, 0.0)
         x[s.random(size=x.shape) < 0.3] = -1.0
         x[s.random(size=(k, 1, 1)).repeat(h, 1).repeat(w, 2) < 0.2] = -0.0
