@@ -17,7 +17,10 @@ with sub-image boxes that the gate writes itself. A last slice copies
 the scene with one image duplicated under a new id (same camera, edges
 and pixels), so every ranking meets exact ties: it covers the MAC
 `.macd` of the copy, its dense m2/m3 x N1/N2 tuple files at a pool
-of one image, and its Full `eval` CSV. The golden
+of one image, and its Full `eval` CSV. A second copy gives the twin the
+pixels of a held-out image instead, so validation during `train` ranks
+a positive against a negative of equal similarity: it covers seed 0's
+m1/N1 training run on that copy. The golden
 file also records the numpy version and BLAS build it was made under,
 so a mismatch on another build can be told from a changed program.
 
@@ -93,6 +96,14 @@ TIE_MINE_ARGS = ["--set", "pool_size=1", "--set", "negatives=2",
                  "--set", "mine_all_queries=True"]
 TIE_MINE_RUNS = [(positive, negative) for positive in ("m2", "m3")
                  for negative in ("N1", "N2")]
+# the validation tie slice: TIE_TWIN takes the pixels of VAL_TIE_PIXELS,
+# the positive of the one held-out tuple (query c03/i000) under m1. N1
+# then mines the twin as a negative of that tuple, tied with the
+# positive. A twin with its own pixels never reaches validation, and a
+# twin inside the held-out cluster ties only with a positive, as
+# negatives come from other clusters
+VAL_TIE_PIXELS = "c03/i001"
+VAL_TIE_RUN = "m1-N1-triplet-freeze1"
 
 
 def file_sha(path):
@@ -231,9 +242,10 @@ def projection_hashes(root, data):
     return hashes
 
 
-def write_twin_scene(data, out):
+def write_twin_scene(data, out, pixels=TIE_SOURCE):
     """Copy the scenes and images of data to out, with TIE_SOURCE
-    duplicated as TIE_TWIN: same camera, same edges, same PPM."""
+    duplicated as TIE_TWIN: same camera, same edges, and the PPM of
+    pixels (by default TIE_SOURCE's own)."""
     cluster = TIE_SOURCE.split("/")[0]
     shutil.copytree(os.path.join(data, "scenes"), os.path.join(out, "scenes"))
     shutil.copytree(os.path.join(data, "images"), os.path.join(out, "images"))
@@ -243,13 +255,14 @@ def write_twin_scene(data, out):
     g.edges = g.edges | {(TIE_TWIN, pid) for img, pid in g.edges
                          if img == TIE_SOURCE}
     save_scene(scene, g)
-    shutil.copyfile(image_path(os.path.join(out, "images"), TIE_SOURCE),
+    shutil.copyfile(image_path(os.path.join(out, "images"), pixels),
                     image_path(os.path.join(out, "images"), TIE_TWIN))
 
 
 def tie_hashes(root, data):
     """MAC embed, dense mining and Full eval on the twin scene, from
-    seed 0's m3/N2 checkpoint; returns artifact name -> SHA-256."""
+    seed 0's m3/N2 checkpoint, and a training run on the validation tie
+    scene; returns artifact name -> SHA-256."""
     hashes = {}
     ties = os.path.join(root, "ties")
     write_twin_scene(data, os.path.join(ties, "data"))
@@ -274,6 +287,17 @@ def tie_hashes(root, data):
         "eval", "--db", db, "--checkpoint", checkpoint, "--images", images,
         "--gt", os.path.join(data, "ground_truth.json"), "--mode", "Full",
         "--out", os.path.join(root, "ties", "eval-Full.csv")])
+    val_data = os.path.join(root, "val-ties", "data")
+    write_twin_scene(data, val_data, pixels=VAL_TIE_PIXELS)
+    out = os.path.join(root, "val-ties", VAL_TIE_RUN)
+    code = main(["train", "--scenes", os.path.join(val_data, "scenes"),
+                 "--images", os.path.join(val_data, "images"),
+                 "--out", out, "--seed", "0", *TRAIN_ARGS,
+                 *RUNS[VAL_TIE_RUN]])
+    assert code == EXIT_OK, f"train on the validation tie scene exited {code}"
+    for artifact in TRAIN_ARTIFACTS:
+        hashes[f"val-ties/{VAL_TIE_RUN}/{artifact}"] = file_sha(
+            os.path.join(out, artifact))
     return hashes
 
 
