@@ -1,13 +1,14 @@
 """Miniature fully-convolutional trunk: forward, backward, checkpoint files.
 
 Activations are channels-first float arrays of shape (maps, height, width).
-forward() records a tape for backward(). forward(..., tape=False) records
-none and returns the same output bytes; the forwards that nothing
-back-propagates (re-mining, validation, the initial embedding of
-training, descriptor extraction) skip the tape that way. backward()
-returns the gradients of the scalar <output_grad, output> with respect
-to the parameters and the input, or, given lowest_conv, only the
-parameter gradients from that conv layer up; running it under float64
+forward() keeps references to the activations it computes as a tape for
+backward(), which routes ReLU and max-pool gradients from them.
+forward(..., tape=False) keeps none and returns the same output bytes;
+the forwards that nothing back-propagates (re-mining, validation, the
+initial embedding of training, descriptor extraction) skip the tape that
+way. backward() returns the gradients of the scalar <output_grad, output>
+with respect to the parameters and the input, or, given lowest_conv, only
+the parameter gradients from that conv layer up; running it under float64
 inputs is the gradient-check mode, float32 is the production mode.
 """
 
@@ -248,6 +249,7 @@ def _im2col(x: np.ndarray, kernel: int, stride: int):
 
 
 def _conv_forward(x, weight, bias, layer):
+    """(y, (cols, padded input shape)) of one conv."""
     p = layer.pad
     if p:
         # the bytes np.pad writes, without its per-call overhead
@@ -260,13 +262,12 @@ def _conv_forward(x, weight, bias, layer):
     w_mat = weight.reshape(layer.out_maps, -1)
     y = w_mat @ cols + bias[:, None]
     y = np.ascontiguousarray(y.reshape(layer.out_maps, out_h, out_w))
-    cache = (CONV, cols, x.shape, x_pad.shape, y.shape)
-    return y, cache
+    return y, (cols, x_pad.shape)
 
 
 def _conv_backward(g, weight, layer, cache, input_grad):
     """(dx, dw, db) of one conv; dx is None when input_grad is false."""
-    _, cols, x_shape, pad_shape, out_shape = cache
+    _, x_shape, out_shape, cols, pad_shape = cache
     out_maps, out_h, out_w = out_shape
     g_mat = g.reshape(out_maps, out_h * out_w)
     dw = (g_mat @ cols.T).reshape(weight.shape)
@@ -291,74 +292,57 @@ def _conv_backward(g, weight, layer, cache, input_grad):
     return dx, dw, db
 
 
-def _maxpool_forward(x, layer):
+def _window_views(x, layer, out_shape):
+    """The strided view of x under each window offset (di, dj), in
+    row-major offset order."""
     w, s = layer.window, layer.stride
-    maps, h, wd = x.shape
-    out_h = (h - w) // s + 1
-    out_w = (wd - w) // s + 1
-    # Each window offset (di, dj), in row-major order, copied once into a
-    # contiguous plane: the comparisons below then run on contiguous
-    # memory instead of stride-s views.
-    phases = np.empty((w * w, maps, out_h, out_w), dtype=x.dtype)
-    for di in range(w):
-        for dj in range(w):
-            phases[di * w + dj] = x[:, di:di + s * out_h:s, dj:dj + s * out_w:s]
-    # A running maximum over the planes follows np.argmax's rule: the
-    # first maximum wins, i.e. the lowest input linear index inside the
-    # window, and the first NaN wins its window. A later offset replaces
-    # the current one only if it is strictly greater, or if it is NaN
-    # while the current value is not; `cand > y` alone would keep a
-    # number over a NaN at a later offset.
-    has_nan = np.isnan(phases).any()
-    y = phases[0]
-    idxs = np.zeros((maps, out_h, out_w), dtype=np.intp)
-    for k in range(1, w * w):
-        cand = phases[k]
-        upd = cand > y
-        if has_nan:
-            upd |= np.isnan(cand) & ~np.isnan(y)
-        y = np.where(upd, cand, y)
-        idxs = np.where(upd, k, idxs)
-    cache = (MAXPOOL, idxs, x.shape, y.shape)
-    return y, cache
+    _, out_h, out_w = out_shape
+    return [x[:, di:di + s * out_h:s, dj:dj + s * out_w:s]
+            for di in range(w) for dj in range(w)]
 
 
-def _maxpool_forward_untaped(x, layer):
-    """_maxpool_forward's output without its tape.
+def _maxpool_forward(x, layer, out_shape):
+    """Max-pool by np.argmax's rule: inside a window, scanned in row-major
+    offset order, the first maximum wins, and the first NaN wins over
+    every number.
 
-    A running maximum of the window offsets taken on the strided views
-    in place. On a tie np.maximum(later, earlier) returns its second
-    operand, so the earlier offset wins as in _maxpool_forward, -0.0
-    against 0.0 included (test_backbone pins this). NaN payloads are not
-    ordered that way, so a window that holds a NaN sends the whole input
-    through _maxpool_forward.
+    A running maximum of the window offsets on strided views: on a tie
+    np.maximum(later, earlier) returns its second operand, so the earlier
+    offset wins, -0.0 against 0.0 included (test_backbone pins this).
+    np.maximum does not order NaN payloads that way, so the windows whose
+    output is NaN then take their first NaN by a pass over the offsets in
+    reverse order.
     """
-    w, s = layer.window, layer.stride
-    _, h, wd = x.shape
-    out_h = (h - w) // s + 1
-    out_w = (wd - w) // s + 1
-    y = x[:, :s * out_h:s, :s * out_w:s].copy()
-    for di in range(w):
-        for dj in range(w):
-            if di or dj:
-                np.maximum(x[:, di:di + s * out_h:s, dj:dj + s * out_w:s],
-                           y, out=y)
-    if np.isnan(y).any():
-        y, _ = _maxpool_forward(x, layer)
+    views = _window_views(x, layer, out_shape)
+    y = views[0].copy()
+    for view in views[1:]:
+        np.maximum(view, y, out=y)
+    nan = np.isnan(y)
+    if nan.any():
+        for view in reversed(views):
+            np.copyto(y, view, where=nan & np.isnan(view))
     return y
 
 
 def _maxpool_backward(g, layer, cache):
-    _, idxs, x_shape, out_shape = cache
-    w, s = layer.window, layer.stride
-    _, out_h, out_w = out_shape
+    """Route each output's gradient to the window offset the forward took:
+    the first, in row-major order, whose input equals the output, or the
+    first NaN where the output is NaN."""
+    _, x_shape, out_shape, x, y = cache
+    nan = np.isnan(y)
+    if not nan.any():
+        nan = None
+    unrouted = np.ones(out_shape, dtype=bool)
     dx = np.zeros(x_shape, dtype=g.dtype)
-    for di in range(w):
-        for dj in range(w):
-            sel = idxs == (di * w + dj)
-            if not sel.any():
-                continue
-            dx[:, di:di + s * out_h:s, dj:dj + s * out_w:s] += np.where(sel, g, 0.0)
+    for view, dx_view in zip(_window_views(x, layer, out_shape),
+                             _window_views(dx, layer, out_shape)):
+        sel = view == y
+        if nan is not None:
+            sel |= nan & np.isnan(view)
+        sel &= unrouted
+        if sel.any():
+            unrouted ^= sel
+            dx_view += np.where(sel, g, 0.0)
     return dx
 
 
@@ -366,49 +350,47 @@ def forward(params: NetParams, spec: list[LayerSpec], image: np.ndarray,
             *, tape: bool = True):
     """Run the trunk on one image; returns (output, tape) for backward.
 
-    tape=False records nothing and returns (output, None) with the same
-    output bytes: no ReLU masks, and max-pools keep no offset tape (a
-    window holding a NaN still pools through the taped routine, whose
-    tape is dropped). Callers that never call backward pass it.
+    The tape holds, per layer, (kind, input shape, output shape, arrays):
+    a conv's patch columns and padded input shape, a ReLU's output, a
+    max-pool's input and output. These are the arrays the forward makes
+    anyway, kept by reference. A leading max-pool therefore keeps a
+    reference to image itself: the caller must not change image before
+    backward. tape=False keeps no references and returns (output, None)
+    with the same output bytes; callers that never call backward pass it.
     """
     validate_spec(spec)
     x = np.asarray(image)
     if x.ndim != 3:
         raise ShapeError(f"input must be (maps, h, w), got shape {x.shape}")
-    output_shapes(spec, x.shape)  # raises naming the offending layer
+    shapes = output_shapes(spec, x.shape)  # raises naming the offending layer
     caches = [] if tape else None
     conv_i = 0
-    for layer in spec:
+    for layer, out_shape in zip(spec, shapes):
         if layer.kind == CONV:
-            x, cache = _conv_forward(x, params.weights[conv_i], params.biases[conv_i], layer)
+            y, kept = _conv_forward(x, params.weights[conv_i],
+                                    params.biases[conv_i], layer)
             conv_i += 1
         elif layer.kind == RELU:
-            cache = (RELU, x > 0) if tape else None
-            x = np.maximum(x, 0)
-        elif tape:
-            x, cache = _maxpool_forward(x, layer)
+            y = np.maximum(x, 0)
+            kept = (y,)
         else:
-            x = _maxpool_forward_untaped(x, layer)
+            y = _maxpool_forward(x, layer, out_shape)
+            kept = (x, y)
         if tape:
-            caches.append(cache)
+            caches.append((layer.kind, x.shape, y.shape) + kept)
+        # without a tape, a conv's patch columns are freed here, before
+        # the next layer allocates its output
+        x, kept = y, None
     return x, caches
-
-
-def _cache_out_shape(cache):
-    if cache[0] == RELU:
-        return cache[1].shape
-    return cache[-1]
-
-
-def _cache_in_shape(cache):
-    if cache[0] == RELU:
-        return cache[1].shape
-    return cache[2]
 
 
 def backward(params: NetParams, spec: list[LayerSpec], tape, output_grad: np.ndarray,
              *, lowest_conv: int | None = None):
     """Gradients of <output_grad, output> w.r.t. params and input.
+
+    ReLU and max-pool gradients are routed from the activations on the
+    tape: a ReLU passes where its output is positive, a max-pool sends
+    each output's gradient to the window offset the forward took.
 
     lowest_conv=k (counting conv layers from 0) names the lowest conv
     whose gradients the caller reads. The walk stops once conv k has its
@@ -426,7 +408,7 @@ def backward(params: NetParams, spec: list[LayerSpec], tape, output_grad: np.nda
         raise ValueError(f"lowest_conv {lowest_conv} outside the"
                          f" {len(params.weights)} conv layers")
     g = np.asarray(output_grad)
-    expected = _cache_out_shape(tape[-1])
+    expected = tape[-1][2]
     if g.shape != expected:
         raise TapeError(f"output_grad shape {g.shape} != forward output {expected}")
     weight_grads = [None] * len(params.weights)
@@ -444,11 +426,10 @@ def backward(params: NetParams, spec: list[LayerSpec], tape, output_grad: np.nda
             weight_grads[conv_i] = dw
             bias_grads[conv_i] = db
             if g is None:
-                placeholder = np.broadcast_to(np.zeros((), dtype),
-                                              _cache_in_shape(tape[0]))
+                placeholder = np.broadcast_to(np.zeros((), dtype), tape[0][1])
                 return NetParams(weight_grads, bias_grads), placeholder
         elif layer.kind == RELU:
-            g = g * cache[1]
+            g = g * (cache[3] > 0)
         else:
             g = _maxpool_backward(g, layer, cache)
     return NetParams(weight_grads, bias_grads), g

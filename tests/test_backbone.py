@@ -44,7 +44,9 @@ def direct_conv(x, weight, bias, stride, pad):
 def reference_forward(params, spec, x):
     """forward() as first written: np.pad for the conv border, and a
     reshape copy of every pooling window read by argmax and
-    take_along_axis. Same tape layout as forward()."""
+    take_along_axis. Its tape holds each conv's patch columns, each
+    ReLU's input mask and each max-pool's argmax offsets, for
+    reference_backward."""
     x = np.asarray(x)
     tape = []
     conv_i = 0
@@ -78,6 +80,47 @@ def reference_forward(params, spec, x):
     return x, tape
 
 
+def reference_backward(params, spec, tape, gout):
+    """backward() as first written, on reference_forward's tape: a ReLU
+    masks by its input, a max-pool routes by the argmax offsets. Returns
+    (grads, input gradient)."""
+    g = np.asarray(gout)
+    weights, biases = [], []
+    conv_i = len(params.weights)
+    for layer, entry in zip(reversed(spec), reversed(tape)):
+        if layer.kind == "conv":
+            conv_i -= 1
+            _, cols, x_shape, pad_shape, (out_maps, out_h, out_w) = entry
+            k, s, p = layer.kernel, layer.stride, layer.pad
+            weight = params.weights[conv_i]
+            g_mat = g.reshape(out_maps, out_h * out_w)
+            weights.insert(0, (g_mat @ cols.T).reshape(weight.shape))
+            biases.insert(0, g_mat.sum(axis=1))
+            dcols = (weight.reshape(out_maps, -1).T @ g_mat).reshape(
+                layer.in_maps, k, k, out_h, out_w)
+            dx_pad = np.zeros(pad_shape, dtype=g.dtype)
+            for di in range(k):
+                for dj in range(k):
+                    dx_pad[:, di:di + s * out_h:s,
+                           dj:dj + s * out_w:s] += dcols[:, di, dj]
+            g = np.ascontiguousarray(
+                dx_pad[:, p:p + x_shape[1], p:p + x_shape[2]])
+        elif layer.kind == "relu":
+            g = g * entry[1]
+        else:
+            _, idxs, x_shape, (_, out_h, out_w) = entry
+            w, s = layer.window, layer.stride
+            dx = np.zeros(x_shape, dtype=g.dtype)
+            for di in range(w):
+                for dj in range(w):
+                    sel = idxs == di * w + dj
+                    if sel.any():
+                        dx[:, di:di + s * out_h:s,
+                           dj:dj + s * out_w:s] += np.where(sel, g, 0.0)
+            g = dx
+    return NetParams(weights, biases), g
+
+
 def assert_bits_equal(a, b):
     """Same dtype, shape and bytes: tells -0.0 from 0.0 and NaN payloads."""
     a, b = np.asarray(a), np.asarray(b)
@@ -85,35 +128,30 @@ def assert_bits_equal(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def assert_tapes_equal(tape, ref):
-    assert len(tape) == len(ref)
-    for entry, ref_entry in zip(tape, ref):
-        assert len(entry) == len(ref_entry)
-        for field, ref_field in zip(entry, ref_entry):
-            if isinstance(ref_field, np.ndarray):
-                assert_bits_equal(field, ref_field)
-            else:
-                assert field == ref_field
+def assert_grads_equal(result, ref):
+    """Two (grads, input gradient) results agree byte for byte."""
+    (grads, gx), (ref_grads, ref_gx) = result, ref
+    assert_bits_equal(gx, ref_gx)
+    assert len(grads.weights) == len(ref_grads.weights)
+    for g, ref_g in zip(grads.weights + grads.biases,
+                        ref_grads.weights + ref_grads.biases):
+        assert_bits_equal(g, ref_g)
 
 
 def assert_matches_reference(params, spec, x, gout_stream):
-    """forward() and backward() against reference_forward, byte for byte:
-    output, every tape entry, input and parameter gradients; and
-    forward(..., tape=False) returns the same output bytes and no tape."""
+    """forward() and backward() against reference_forward and
+    reference_backward, byte for byte: the output, taped and untaped, the
+    input gradient and every parameter gradient; forward(..., tape=False)
+    returns no tape."""
     out, tape = forward(params, spec, x)
     ref_out, ref_tape = reference_forward(params, spec, x)
     assert_bits_equal(out, ref_out)
-    assert_tapes_equal(tape, ref_tape)
     untaped, no_tape = forward(params, spec, x, tape=False)
     assert no_tape is None
     assert_bits_equal(untaped, out)
     gout = gout_stream.normal(size=out.shape).astype(out.dtype)
-    grads, gx = backward(params, spec, tape, gout)
-    ref_grads, ref_gx = backward(params, spec, ref_tape, gout)
-    assert_bits_equal(gx, ref_gx)
-    for g, ref_g in zip(grads.weights + grads.biases,
-                        ref_grads.weights + ref_grads.biases):
-        assert_bits_equal(g, ref_g)
+    assert_grads_equal(backward(params, spec, tape, gout),
+                       reference_backward(params, spec, ref_tape, gout))
     return out
 
 
@@ -315,11 +353,10 @@ def _nans(dtype):
 
 class TestForwardMatchesReference:
     """forward() pads by slice assignment, unfolds patches through one
-    as_strided view and pools by a running maximum over contiguous window
-    planes; its outputs, tapes and gradients must equal the np.pad/argmax
-    reference bit for bit. Without a tape it pools by an in-place running
-    np.maximum on the strided views, and its outputs must equal the taped
-    ones bit for bit."""
+    as_strided view and pools by an in-place running np.maximum on the
+    strided window views; backward() routes from the activations. Outputs,
+    taped and untaped, and gradients must equal the np.pad/argmax
+    reference bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("quantize", [False, True])
@@ -410,11 +447,7 @@ class TestForwardMatchesReference:
         spec = tiny_spec()
         params = init_params(spec, SeededStream(31))
         x = SeededStream(32).random((3, 61, 47)).astype(np.float32)
-        out, tape = forward(params, spec, x)
-        ref_out, ref_tape = reference_forward(params, spec, x)
-        assert_bits_equal(out, ref_out)
-        assert_tapes_equal(tape, ref_tape)
-        assert_bits_equal(forward(params, spec, x, tape=False)[0], out)
+        assert_matches_reference(params, spec, x, SeededStream(33))
 
     def test_output_does_not_alias_input(self):
         x = np.arange(12.0).reshape(1, 3, 4)
@@ -468,11 +501,13 @@ class TestBackward:
         spec = [maxpool(2, 2)]
         y, tape = forward(NetParams([], []), spec, x)
         assert np.isnan(y).tolist() == [[[True, True], [True, True]]]
-        np.testing.assert_array_equal(tape[0][1], [[[2, 1], [1, 3]]])
         _, gx = backward(NetParams([], []), spec, tape,
-                         np.ones_like(y))
-        np.testing.assert_array_equal(np.argwhere(gx[0] == 1.0),
+                         np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype))
+        # window (0, 0) takes its NaN at offset 2, (0, 1) and (1, 0) at 1,
+        # (1, 1) at 3
+        np.testing.assert_array_equal(np.argwhere(gx[0]),
                                       [[0, 3], [1, 0], [2, 1], [3, 3]])
+        np.testing.assert_array_equal(gx[0][gx[0] != 0], [2.0, 1.0, 3.0, 4.0])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_maxpool_infinities(self, dtype):
@@ -481,9 +516,60 @@ class TestBackward:
                        [-inf, -inf, inf, inf],
                        [-inf, inf, 2.0, 2.0],
                        [inf, -inf, 2.0, 2.0]]], dtype=dtype)
-        y, tape = forward(NetParams([], []), [maxpool(2, 2)], x)
+        spec = [maxpool(2, 2)]
+        y, tape = forward(NetParams([], []), spec, x)
         np.testing.assert_array_equal(y, [[[-inf, inf], [inf, 2.0]]])
-        np.testing.assert_array_equal(tape[0][1], [[[0, 2], [1, 0]]])
+        _, gx = backward(NetParams([], []), spec, tape,
+                         np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype))
+        # ties of -inf, +inf and 2.0 go to offsets 0, 2, 1 and 0
+        np.testing.assert_array_equal(np.argwhere(gx[0]),
+                                      [[0, 0], [1, 2], [2, 1], [2, 2]])
+        np.testing.assert_array_equal(gx[0][gx[0] != 0], [1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_overlapping_windows(self, dtype):
+        # 3x3 windows at stride 2 on a 5x7 input: rows 0-2 and 2-4, columns
+        # 0-2, 2-4 and 4-6. Distinct negative eighths fill the input, so
+        # each window's first cell is its maximum unless set otherwise.
+        x = -(np.arange(35.0).reshape(1, 5, 7) + 1) / 8
+        x[0, 1, 2] = 9.0  # the maximum of windows (0, 0) and (0, 1)
+        x[0, 0, 5] = x[0, 1, 6] = 5.0  # a tie in window (0, 2)
+        x[0, 3, 0] = 7.0  # window (1, 0): a NaN at a later offset wins
+        x[0, 4, 1] = np.nan
+        x = x.astype(dtype)
+        spec = [maxpool(3, 2)]
+        y, tape = forward(NetParams([], []), spec, x)
+        np.testing.assert_array_equal(
+            y, np.array([[[9.0, 9.0, 5.0], [np.nan, -17 / 8, -19 / 8]]], dtype))
+        gout = np.array([[[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]]], dtype)
+        _, gx = backward(NetParams([], []), spec, tape, gout)
+        want = np.zeros((1, 5, 7), dtype)
+        want[0, 1, 2] = 1.0 + 2.0
+        want[0, 0, 5] = 4.0
+        want[0, 4, 1] = 8.0
+        want[0, 2, 2] = 16.0
+        want[0, 2, 4] = 32.0
+        assert_bits_equal(gx, want)
+
+    @pytest.mark.parametrize("spec", [
+        tiny_spec(),
+        [maxpool(3, 2), relu(), maxpool(2, 1), conv(3, 2, 3, pad=1), relu()],
+    ])
+    def test_tape_holds_references_only(self, spec):
+        # ReLU and max-pool entries are the activations themselves, not
+        # copies, masks or offsets; a leading pool reads the caller's image
+        params = init_params(spec, SeededStream(15))
+        x = SeededStream(16).normal(size=(3, 23, 21)).astype(np.float32)
+        out, tape = forward(params, spec, x)
+        produced = x  # the array the current layer reads
+        for entry in tape:
+            for field in entry[3:]:
+                if isinstance(field, np.ndarray):
+                    assert field.dtype.kind == "f"
+            if entry[0] == "maxpool":
+                assert produced is None or np.shares_memory(entry[3], produced)
+            produced = entry[-1] if entry[0] in ("relu", "maxpool") else None
+        assert np.shares_memory(produced, out)
 
     def test_tape_mismatch(self):
         spec = [conv(1, 1, 1), relu()]
@@ -548,6 +634,10 @@ class TestBackwardStop:
                 gout = np.round(gout * 2.0) / 2.0
             gout = gout.astype(dtype)
             full, gx = backward(params, spec, tape, gout)
+            assert_grads_equal(
+                (full, gx),
+                reference_backward(params, spec,
+                                   reference_forward(params, spec, x)[1], gout))
             for k in range(len(params.weights)):
                 grads, placeholder = backward(params, spec, tape, gout,
                                               lowest_conv=k)
