@@ -8,11 +8,13 @@ descriptors built as l2n(mac(trunk(image))), re-mines hard negatives at
 evenly spaced batch boundaries, and keeps the checkpoint with the best
 validation mAP.
 
-Each image is embedded at most once per parameter version outside the
-batch forwards: re-mining and validation share one id -> descriptor
-cache, dropped on every SGD step, and a re-mine with no SGD step since
-the tuples were last mined is skipped. The source's tuples on entry
-count as mined under the entry params.
+Each image is embedded at most once per parameter version: re-mining,
+validation and the batch losses share one id -> descriptor cache,
+dropped on every SGD step, and a re-mine with no SGD step since the
+tuples were last mined is skipped. The source's tuples on entry count as
+mined under the entry params. Once a batch's loss is known from that
+cache, its images run one taped forward and backward each, in turn, so
+one backward tape is alive at a time.
 """
 
 from __future__ import annotations
@@ -235,25 +237,33 @@ def validate(params: NetParams, spec: list[LayerSpec], tuples: list,
     return total / len(tuples)
 
 
-def _batch_gradients(params, spec, batch, image_of, loss_cfg, loss_kind,
-                     lowest_conv):
+def _image_gradients(params, spec, image, desc_grad, lowest_conv):
+    """Parameter gradients of <desc_grad, l2n(mac(trunk(image)))> from one
+    taped forward and the backward that stops after conv lowest_conv; the
+    tape is freed when this returns."""
+    out, tape = forward(params, spec, image)
+    f = mac(out)
+    g_out = mac_backward(out, l2n_backward(f, desc_grad))
+    grads, _ = backward(params, spec, tape, g_out.astype(out.dtype),
+                        lowest_conv=lowest_conv)
+    return grads
+
+
+def _batch_gradients(params, spec, batch, image_of, cache, loss_cfg,
+                     loss_kind, lowest_conv, where):
     """Mean pair loss and parameter gradients over one batch of tuples.
 
-    Images are forwarded once each; descriptor-space gradients accumulate
-    per image in tuple order, then flow back through one backward pass per
-    image that stops after conv layer lowest_conv. Returns (mean_loss,
-    grads: NetParams); the gradients of the convs below lowest_conv stay
-    zero.
+    The loss pass reads each descriptor through cache, an id -> descriptor
+    map valid for params that it reads and fills, and accumulates
+    descriptor-space gradients per image in tuple order. A non-finite
+    mean loss raises TrainingDivergedError naming where, before any taped
+    forward. The gradient pass then runs, per image in id order, one taped
+    forward and its backward, so one tape is alive at a time; the taped
+    forward gives the bytes of the tape-free one the loss pass read.
+    Returns (mean_loss, grads: NetParams); the gradients of the convs
+    below lowest_conv stay zero.
     """
-    acts = {}
-
-    def ensure(image_id):
-        if image_id not in acts:
-            out, tape = forward(params, spec, image_of(image_id))
-            f = mac(out)
-            acts[image_id] = (out, tape, f, l2n(f))
-        return acts[image_id]
-
+    describe = _describer(params, spec, image_of, cache)
     desc_grads = {}
 
     def add_grad(image_id, g):
@@ -265,40 +275,39 @@ def _batch_gradients(params, spec, batch, image_of, loss_cfg, loss_kind,
     total = 0.0
     n_pairs = 0
     for t in batch:
-        dq = ensure(t.query)[3]
+        dq = describe(t.query)
         if loss_kind == "contrastive":
             pairs = [(t.positive, 1)] + [(n, 0) for n in t.negatives]
             for other, label in pairs:
-                do = ensure(other)[3]
-                loss, ga, gb = contrastive_loss(dq, do, label, loss_cfg.tau)
+                loss, ga, gb = contrastive_loss(dq, describe(other), label,
+                                                loss_cfg.tau)
                 total += loss
                 n_pairs += 1
                 add_grad(t.query, ga)
                 add_grad(other, gb)
         else:
-            dp = ensure(t.positive)[3]
+            dp = describe(t.positive)
             for neg in t.negatives:
-                dn = ensure(neg)[3]
-                loss, (gq, gp, gn) = triplet_loss(dq, dp, dn,
+                loss, (gq, gp, gn) = triplet_loss(dq, dp, describe(neg),
                                                   loss_cfg.triplet_margin)
                 total += loss
                 n_pairs += 1
                 add_grad(t.query, gq)
                 add_grad(t.positive, gp)
                 add_grad(neg, gn)
+    inv = 1.0 / n_pairs
+    mean_loss = total * inv
+    if not np.isfinite(mean_loss):
+        raise TrainingDivergedError(f"non-finite loss at {where}")
 
     grads = params.zeros_like()
-    inv = 1.0 / n_pairs
     for image_id in sorted(desc_grads):
-        out, tape, f, _ = acts[image_id]
-        g_f = l2n_backward(f, desc_grads[image_id] * inv)
-        g_out = mac_backward(out, g_f)
-        pg, _ = backward(params, spec, tape, g_out.astype(out.dtype),
-                         lowest_conv=lowest_conv)
+        pg = _image_gradients(params, spec, image_of(image_id),
+                              desc_grads[image_id] * inv, lowest_conv)
         for i in range(lowest_conv, len(grads.weights)):
             grads.weights[i] += pg.weights[i]
             grads.biases[i] += pg.biases[i]
-    return total * inv, grads
+    return mean_loss, grads
 
 
 def _remine_batches(n_batches: int, per_epoch: int) -> set:
@@ -320,9 +329,11 @@ def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
 
     The source's tuples on entry must be the ones it mines under params
     (as pipeline.prepare_training builds them), so a re-mine before the
-    first SGD step is skipped. Re-mining and validation share one
-    id -> descriptor cache per parameter version, dropped on every SGD
-    step; the batch forwards keep their own tapes and do not use it.
+    first SGD step is skipped. Re-mining, validation and the batch
+    losses share one id -> descriptor cache per parameter version,
+    dropped on every SGD step, so a batch right after a re-mine runs no
+    tape-free forward; the taped forward and backward of each batch
+    image then run one image at a time.
     """
     if loss_kind not in ("contrastive", "triplet"):
         raise ValueError(f"unknown loss {loss_kind!r}")
@@ -359,11 +370,9 @@ def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
             if not batch:
                 continue
             loss, grads = _batch_gradients(params, spec, batch, image_of,
-                                           loss_cfg, loss_kind,
-                                           cfg.freeze_conv_layers)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {b}")
+                                           cache, loss_cfg, loss_kind,
+                                           cfg.freeze_conv_layers,
+                                           f"epoch {epoch}, batch {b}")
             loss_sum += loss
             loss_batches += 1
             params, velocity = sgd_step_net(params, grads, velocity, lr, cfg)

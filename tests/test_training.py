@@ -1,5 +1,7 @@
 """Tests for losses, SGD, validation ranking, and the training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from testkit import central_difference, rel_err
@@ -543,16 +545,32 @@ class TestTrainLoop:
                        cfg, LossConfig(), SeededStream(5))
         assert result.best_epoch == 0
 
-    def test_divergence_guard(self):
+    def test_divergence_guard(self, monkeypatch):
         spec, params = make_identity_net()
         images, tuples = small_problem(SeededStream(92), n_tuples=6)
         source = FakeSource(tuples)
         cfg = TrainConfig(base_lr=1e30, max_epochs=2, batch_tuples=3,
                           remine_per_epoch=1)
+        events = []  # "taped", "tape-free" per forward, "sgd" per step
+
+        def recording_forward(params, spec, image, *, tape=True):
+            events.append("taped" if tape else "tape-free")
+            return forward(params, spec, image, tape=tape)
+
+        def counting_sgd(*args):
+            events.append("sgd")
+            return sgd_step_net(*args)
+
+        monkeypatch.setattr(training, "forward", recording_forward)
+        monkeypatch.setattr(training, "sgd_step_net", counting_sgd)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match="epoch"):
                 train(source, images.__getitem__, tuples, spec, params,
                       cfg, LossConfig(), SeededStream(6))
+        # the diverging batch raised before its gradient pass
+        last_step = len(events) - events[::-1].index("sgd")
+        assert "taped" in events[:last_step]
+        assert "taped" not in events[last_step:]
 
     def test_triplet_loss_path_runs(self):
         spec, params = make_identity_net()
@@ -583,8 +601,9 @@ class TestTrainLoop:
 
 
 class TestEmbeddingOncePerVersion:
-    """Outside the batch forwards, train() embeds each image at most once
-    per parameter version, and never before the first SGD step."""
+    """train() embeds each image at most once per parameter version;
+    re-mining and validation never embed before the first SGD step, and
+    a batch loss right after a re-mine embeds nothing."""
 
     def test_miner_from_prepare_training(self, monkeypatch):
         graphs = generate(SceneConfig(clusters=4, images_per_cluster=(4, 5),
@@ -602,15 +621,25 @@ class TestEmbeddingOncePerVersion:
             "m3", "N2", 0.25, stream)
         id_of = {id(image): i for i, image in images.items()}
         version = [0]  # sgd_step_net calls so far
-        embedded = []  # (version, image id) per embed_image call
+        caller = [None]  # "remine", "validate" or "batch" while one runs
+        calls = []  # (caller, version, image id) per embed_image call
 
         def counting_sgd(*args):
             version[0] += 1
             return sgd_step_net(*args)
 
         def recording_embed(params, spec, image):
-            embedded.append((version[0], id_of[id(image)]))
+            calls.append((caller[0], version[0], id_of[id(image)]))
             return embed_image(params, spec, image)
+
+        def tagged(name, fn):
+            def run(*args):
+                caller[0] = name
+                try:
+                    return fn(*args)
+                finally:
+                    caller[0] = None
+            return run
 
         # epoch 0 validates after its last step; epoch 1 re-mines there
         epoch0_steps = -(-len(miner.current_tuples()) // 2)
@@ -621,13 +650,29 @@ class TestEmbeddingOncePerVersion:
             remines.append(version[0])
             return original_remine(describe)
 
+        batch_embeds = []  # (version, embed_image calls) per batch
+        original_batch = training._batch_gradients
+
+        def recording_batch(*args):
+            before = len(calls)
+            result = original_batch(*args)
+            batch_embeds.append((version[0], len(calls) - before))
+            return result
+
         monkeypatch.setattr(training, "sgd_step_net", counting_sgd)
         monkeypatch.setattr(training, "embed_image", recording_embed)
-        monkeypatch.setattr(miner, "remine", recording_remine)
+        monkeypatch.setattr(miner, "remine", tagged("remine",
+                                                    recording_remine))
+        monkeypatch.setattr(training, "validate",
+                            tagged("validate", training.validate))
+        monkeypatch.setattr(training, "_batch_gradients",
+                            tagged("batch", recording_batch))
         train(miner, images.__getitem__, val_tuples, spec, params0,
               TrainConfig(batch_tuples=2, max_epochs=2, remine_per_epoch=2),
               LossConfig(), stream.derive("train"))
 
+        embedded = [(v, i) for c, v, i in calls if c != "batch"]
+        assert {c for c, _, _ in calls} == {"remine", "validate", "batch"}
         assert epoch0_steps in remines and min(remines) > 0
         assert embedded and min(v for v, _ in embedded) > 0
         assert len(set(embedded)) == len(embedded)
@@ -638,6 +683,13 @@ class TestEmbeddingOncePerVersion:
         assert val_ids & universe
         assert {i for v, i in embedded if v == epoch0_steps} == \
             val_ids | universe
+        # the batch losses share the cache: no pair twice across callers
+        every = [(v, i) for _, v, i in calls]
+        assert len(set(every)) == len(every)
+        # the epoch-0, batch-0 loss embeds under the entry params
+        assert batch_embeds[0][0] == 0 and batch_embeds[0][1] > 0
+        after_remine = [n for v, n in batch_embeds if v in remines]
+        assert after_remine and not any(after_remine)
 
 
 @pytest.fixture(scope="module")
@@ -739,6 +791,187 @@ class TestTapeFreeForwardsInTrain:
         assert set(asked) == {False}
         assert_same_result(tape_free, train_tiny(tiny_scene, "contrastive", 0))
         assert set(asked) == {False, True}
+
+
+def reference_batch_gradients(params, spec, batch, image_of, loss_cfg,
+                              loss_kind, lowest_conv):
+    """The one-pass batch routine: every image forwarded once with a tape,
+    all tapes kept until the last backward."""
+    acts = {}
+
+    def ensure(image_id):
+        if image_id not in acts:
+            out, tape = forward(params, spec, image_of(image_id))
+            f = mac(out)
+            acts[image_id] = (out, tape, f, l2n(f))
+        return acts[image_id]
+
+    desc_grads = {}
+
+    def add_grad(image_id, g):
+        if image_id in desc_grads:
+            desc_grads[image_id] = desc_grads[image_id] + g
+        else:
+            desc_grads[image_id] = g
+
+    total = 0.0
+    n_pairs = 0
+    for t in batch:
+        dq = ensure(t.query)[3]
+        if loss_kind == "contrastive":
+            pairs = [(t.positive, 1)] + [(n, 0) for n in t.negatives]
+            for other, label in pairs:
+                do = ensure(other)[3]
+                loss, ga, gb = contrastive_loss(dq, do, label, loss_cfg.tau)
+                total += loss
+                n_pairs += 1
+                add_grad(t.query, ga)
+                add_grad(other, gb)
+        else:
+            dp = ensure(t.positive)[3]
+            for neg in t.negatives:
+                dn = ensure(neg)[3]
+                loss, (gq, gp, gn) = triplet_loss(dq, dp, dn,
+                                                  loss_cfg.triplet_margin)
+                total += loss
+                n_pairs += 1
+                add_grad(t.query, gq)
+                add_grad(t.positive, gp)
+                add_grad(neg, gn)
+
+    grads = params.zeros_like()
+    inv = 1.0 / n_pairs
+    for image_id in sorted(desc_grads):
+        out, tape, f, _ = acts[image_id]
+        g_f = l2n_backward(f, desc_grads[image_id] * inv)
+        g_out = mac_backward(out, g_f)
+        pg, _ = backward(params, spec, tape, g_out.astype(out.dtype),
+                         lowest_conv=lowest_conv)
+        for i in range(lowest_conv, len(grads.weights)):
+            grads.weights[i] += pg.weights[i]
+            grads.biases[i] += pg.biases[i]
+    return total * inv, grads
+
+
+def overlapping_batch(ids):
+    """Three tuples over ids[:9]: ids[0] is one tuple's query and another's
+    negative, ids[2] the reverse, and ids[3] is a negative of all three."""
+    a, b, c, d, e, f, g, h, k = ids[:9]
+    return [TrainingTuple(a, b, (c, d, e)),
+            TrainingTuple(c, f, (d, a, g)),
+            TrainingTuple(h, k, (d, e))]
+
+
+class TestTwoPassBatchGradients:
+    """The loss pass over cached descriptors and the one-image-at-a-time
+    gradient pass give the one-pass routine's loss and gradient bytes."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("lowest_conv", [0, 1, 2])
+    @pytest.mark.parametrize("loss_kind", ["contrastive", "triplet"])
+    def test_matches_reference(self, tiny_scene, loss_kind, lowest_conv,
+                               warm):
+        _, images, spec, params0, _ = tiny_scene
+        params = params0.copy()
+        batch = overlapping_batch(sorted(images))
+        loss_cfg = LossConfig(tau=1.5, triplet_margin=0.5)
+        ids = {i for t in batch for i in (t.query, t.positive) + t.negatives}
+        cache = {i: embed_image(params, spec, images[i])
+                 for i in ids} if warm else {}
+        warm_bytes = {i: v.tobytes() for i, v in cache.items()}
+        loss, grads = training._batch_gradients(
+            params, spec, batch, images.__getitem__, cache, loss_cfg,
+            loss_kind, lowest_conv, "test batch")
+        ref_loss, ref_grads = reference_batch_gradients(
+            params, spec, batch, images.__getitem__, loss_cfg, loss_kind,
+            lowest_conv)
+        assert loss > 0 and loss == ref_loss
+        for x, y in zip(grads.weights + grads.biases,
+                        ref_grads.weights + ref_grads.biases):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert grads.weights[lowest_conv].any()
+        assert set(cache) == ids
+        assert all(cache[i].tobytes() == b for i, b in warm_bytes.items())
+
+
+def random_images(n, side, seed):
+    rng = np.random.default_rng(seed)
+    return {f"im{j:02d}": rng.random((3, side, side), dtype=np.float32)
+            for j in range(n)}
+
+
+def wide_batch(ids):
+    """Two tuples of a query, a positive and five negatives each, over 14
+    distinct images."""
+    return [TrainingTuple(ids[0], ids[1], tuple(ids[2:7])),
+            TrainingTuple(ids[7], ids[8], tuple(ids[9:14]))]
+
+
+def tape_bytes(tape):
+    """Bytes of the distinct arrays one tape holds."""
+    arrays = {id(a): a for entry in tape for a in entry[3:]
+              if isinstance(a, np.ndarray)}
+    return sum(a.nbytes for a in arrays.values())
+
+
+def traced_peak(fn, *args):
+    """Bytes traced at fn's peak above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneTapeAlive:
+    """A batch keeps at most one backward tape alive: each taped forward
+    is followed by its backward before the next one starts."""
+
+    def test_forward_backward_interleave(self, monkeypatch):
+        spec = tiny_spec()
+        params = init_params(spec, SeededStream(5).derive("init"))
+        images = random_images(14, 32, 1)
+        batch = wide_batch(sorted(images))
+        events = []
+
+        def recording_forward(params, spec, image, *, tape=True):
+            out, t = forward(params, spec, image, tape=tape)
+            if tape:
+                events.append(("forward", id(t)))
+            return out, t
+
+        def recording_backward(params, spec, tape, output_grad, **kwargs):
+            events.append(("backward", id(tape)))
+            return backward(params, spec, tape, output_grad, **kwargs)
+
+        monkeypatch.setattr(training, "forward", recording_forward)
+        monkeypatch.setattr(training, "backward", recording_backward)
+        training._batch_gradients(params, spec, batch, images.__getitem__,
+                                  {}, LossConfig(), "contrastive", 0, "test")
+        assert [kind for kind, _ in events] == \
+            ["forward", "backward"] * len(images)
+        for (_, taped), (_, walked) in zip(events[::2], events[1::2]):
+            assert taped == walked
+
+    def test_peak_under_three_tapes(self):
+        spec = tiny_spec()
+        params = init_params(spec, SeededStream(5).derive("init"))
+        images = random_images(14, 96, 2)
+        batch = wide_batch(sorted(images))
+        one_tape = tape_bytes(forward(params, spec, images["im00"])[1])
+        assert one_tape > 1_000_000
+        loss_cfg = LossConfig()
+        peak = traced_peak(training._batch_gradients, params, spec, batch,
+                           images.__getitem__, {}, loss_cfg, "contrastive",
+                           0, "test")
+        assert peak < 3 * one_tape
+        # the bound has teeth: the one-pass routine keeps all 14 tapes
+        ref_peak = traced_peak(reference_batch_gradients, params, spec,
+                               batch, images.__getitem__, loss_cfg,
+                               "contrastive", 0)
+        assert ref_peak > 3 * one_tape
 
 
 class TestMetricsCsv:
