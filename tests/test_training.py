@@ -771,9 +771,10 @@ class TestBackwardStopInTrain:
 
 
 class TestTapeFreeForwardsInTrain:
-    """Re-mining, validation and the initial embedding forward without a
-    tape, the batch forwards with one; forcing every forward of train()
-    onto the taped path changes no byte of what it returns."""
+    """Re-mining, validation, the batch losses and the initial embedding
+    forward without a tape, the gradient pass with one; forcing every
+    forward of train() onto the taped path changes no byte of what it
+    returns."""
 
     def test_matches_taped_forwards(self, tiny_scene, monkeypatch):
         tape_free = train_tiny(tiny_scene, "contrastive", 0)
