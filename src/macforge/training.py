@@ -249,19 +249,14 @@ def _image_gradients(params, spec, image, desc_grad, lowest_conv):
     return grads
 
 
-def _batch_gradients(params, spec, batch, image_of, cache, loss_cfg,
-                     loss_kind, lowest_conv, where):
-    """Mean pair loss and parameter gradients over one batch of tuples.
+def _batch_loss(params, spec, batch, image_of, cache, loss_cfg, loss_kind):
+    """Mean pair loss over one batch of tuples, from descriptors read
+    through cache, an id -> descriptor map valid for params that this
+    reads and fills.
 
-    The loss pass reads each descriptor through cache, an id -> descriptor
-    map valid for params that it reads and fills, and accumulates
-    descriptor-space gradients per image in tuple order. A non-finite
-    mean loss raises TrainingDivergedError naming where, before any taped
-    forward. The gradient pass then runs, per image in id order, one taped
-    forward and its backward, so one tape is alive at a time; the taped
-    forward gives the bytes of the tape-free one the loss pass read.
-    Returns (mean_loss, grads: NetParams); the gradients of the convs
-    below lowest_conv stay zero.
+    Returns (mean_loss, desc_grads): desc_grads maps each image id of the
+    batch to the gradient of mean_loss with respect to its descriptor,
+    accumulated in tuple order.
     """
     describe = _describer(params, spec, image_of, cache)
     desc_grads = {}
@@ -296,18 +291,25 @@ def _batch_gradients(params, spec, batch, image_of, cache, loss_cfg,
                 add_grad(t.positive, gp)
                 add_grad(neg, gn)
     inv = 1.0 / n_pairs
-    mean_loss = total * inv
-    if not np.isfinite(mean_loss):
-        raise TrainingDivergedError(f"non-finite loss at {where}")
+    return total * inv, {i: g * inv for i, g in desc_grads.items()}
 
+
+def _param_gradients(params, spec, image_of, desc_grads, lowest_conv):
+    """Parameter gradients of sum_i <desc_grads[i], descriptor of i>.
+
+    Per image in id order, one taped forward and its backward run in
+    _image_gradients, so one tape is alive at a time; the taped forward
+    gives the bytes of the tape-free one the loss pass read. The
+    gradients of the convs below lowest_conv stay zero.
+    """
     grads = params.zeros_like()
     for image_id in sorted(desc_grads):
         pg = _image_gradients(params, spec, image_of(image_id),
-                              desc_grads[image_id] * inv, lowest_conv)
+                              desc_grads[image_id], lowest_conv)
         for i in range(lowest_conv, len(grads.weights)):
             grads.weights[i] += pg.weights[i]
             grads.biases[i] += pg.biases[i]
-    return mean_loss, grads
+    return grads
 
 
 def _remine_batches(n_batches: int, per_epoch: int) -> set:
@@ -333,7 +335,8 @@ def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
     losses share one id -> descriptor cache per parameter version,
     dropped on every SGD step, so a batch right after a re-mine runs no
     tape-free forward; the taped forward and backward of each batch
-    image then run one image at a time.
+    image then run one image at a time. A non-finite batch loss raises
+    TrainingDivergedError before that batch's first taped forward.
     """
     if loss_kind not in ("contrastive", "triplet"):
         raise ValueError(f"unknown loss {loss_kind!r}")
@@ -369,10 +372,13 @@ def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
             batch = tuples[b * cfg.batch_tuples:(b + 1) * cfg.batch_tuples]
             if not batch:
                 continue
-            loss, grads = _batch_gradients(params, spec, batch, image_of,
-                                           cache, loss_cfg, loss_kind,
-                                           cfg.freeze_conv_layers,
-                                           f"epoch {epoch}, batch {b}")
+            loss, desc_grads = _batch_loss(params, spec, batch, image_of,
+                                           cache, loss_cfg, loss_kind)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"non-finite loss at epoch {epoch}, batch {b}")
+            grads = _param_gradients(params, spec, image_of, desc_grads,
+                                     cfg.freeze_conv_layers)
             loss_sum += loss
             loss_batches += 1
             params, velocity = sgd_step_net(params, grads, velocity, lr, cfg)

@@ -650,8 +650,8 @@ class TestEmbeddingOncePerVersion:
             remines.append(version[0])
             return original_remine(describe)
 
-        batch_embeds = []  # (version, embed_image calls) per batch
-        original_batch = training._batch_gradients
+        batch_embeds = []  # (version, embed_image calls) per loss pass
+        original_batch = training._batch_loss
 
         def recording_batch(*args):
             before = len(calls)
@@ -665,7 +665,7 @@ class TestEmbeddingOncePerVersion:
                                                     recording_remine))
         monkeypatch.setattr(training, "validate",
                             tagged("validate", training.validate))
-        monkeypatch.setattr(training, "_batch_gradients",
+        monkeypatch.setattr(training, "_batch_loss",
                             tagged("batch", recording_batch))
         train(miner, images.__getitem__, val_tuples, spec, params0,
               TrainConfig(batch_tuples=2, max_epochs=2, remine_per_epoch=2),
@@ -794,6 +794,16 @@ class TestTapeFreeForwardsInTrain:
         assert set(asked) == {False, True}
 
 
+def batch_gradients(params, spec, batch, image_of, cache, loss_cfg,
+                    loss_kind, lowest_conv):
+    """train()'s two passes over one batch: the loss pass, then the
+    gradient pass. Returns (mean_loss, grads)."""
+    loss, desc_grads = training._batch_loss(params, spec, batch, image_of,
+                                            cache, loss_cfg, loss_kind)
+    return loss, training._param_gradients(params, spec, image_of,
+                                           desc_grads, lowest_conv)
+
+
 def reference_batch_gradients(params, spec, batch, image_of, loss_cfg,
                               loss_kind, lowest_conv):
     """The one-pass batch routine: every image forwarded once with a tape,
@@ -880,9 +890,9 @@ class TestTwoPassBatchGradients:
         cache = {i: embed_image(params, spec, images[i])
                  for i in ids} if warm else {}
         warm_bytes = {i: v.tobytes() for i, v in cache.items()}
-        loss, grads = training._batch_gradients(
+        loss, grads = batch_gradients(
             params, spec, batch, images.__getitem__, cache, loss_cfg,
-            loss_kind, lowest_conv, "test batch")
+            loss_kind, lowest_conv)
         ref_loss, ref_grads = reference_batch_gradients(
             params, spec, batch, images.__getitem__, loss_cfg, loss_kind,
             lowest_conv)
@@ -949,8 +959,8 @@ class TestOneTapeAlive:
 
         monkeypatch.setattr(training, "forward", recording_forward)
         monkeypatch.setattr(training, "backward", recording_backward)
-        training._batch_gradients(params, spec, batch, images.__getitem__,
-                                  {}, LossConfig(), "contrastive", 0, "test")
+        batch_gradients(params, spec, batch, images.__getitem__, {},
+                        LossConfig(), "contrastive", 0)
         assert [kind for kind, _ in events] == \
             ["forward", "backward"] * len(images)
         for (_, taped), (_, walked) in zip(events[::2], events[1::2]):
@@ -964,9 +974,8 @@ class TestOneTapeAlive:
         one_tape = tape_bytes(forward(params, spec, images["im00"])[1])
         assert one_tape > 1_000_000
         loss_cfg = LossConfig()
-        peak = traced_peak(training._batch_gradients, params, spec, batch,
-                           images.__getitem__, {}, loss_cfg, "contrastive",
-                           0, "test")
+        peak = traced_peak(batch_gradients, params, spec, batch,
+                           images.__getitem__, {}, loss_cfg, "contrastive", 0)
         assert peak < 3 * one_tape
         # the bound has teeth: the one-pass routine keeps all 14 tapes
         ref_peak = traced_peak(reference_batch_gradients, params, spec,
