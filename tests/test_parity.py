@@ -17,7 +17,8 @@ with sub-image boxes that the gate writes itself. A last slice copies
 the scene with one image duplicated under a new id (same camera, edges
 and pixels), so every ranking meets exact ties: it covers the MAC
 `.macd` of the copy, its dense m2/m3 x N1/N2 tuple files at a pool
-of one image, and its Full `eval` CSV. A second copy gives the twin the
+of one image, its dense m1/N1 tuple file at a pool of two, and its Full
+`eval` CSV. A second copy gives the twin the
 pixels of a held-out image instead, so validation during `train` ranks
 a positive against a negative of equal similarity: it covers seed 0's
 m1/N1 training run on that copy. The golden
@@ -91,11 +92,14 @@ EVAL_MODES = ("Full", "Crop_I", "Crop_X")
 # whichever of the pair the tie-break ranks first
 TIE_SOURCE = "c00/i003"
 TIE_TWIN = "c00/i003-twin"
-TIE_MINE_ARGS = ["--set", "pool_size=1", "--set", "negatives=2",
+TIE_MINE_ARGS = ["--set", "negatives=2",
                  "--set", "candidate_negatives_per_cluster=8",
                  "--set", "mine_all_queries=True"]
-TIE_MINE_RUNS = [(positive, negative) for positive in ("m2", "m3")
-                 for negative in ("N1", "N2")]
+# (positive, negative, pool size): m1 ranks by descriptor, so it meets
+# the tie only at a pool of two, where the pools of c00/i001 and
+# c00/i002 hold TIE_SOURCE and TIE_TWIN with equal descriptors
+TIE_MINE_RUNS = [(positive, negative, 1) for positive in ("m2", "m3")
+                 for negative in ("N1", "N2")] + [("m1", "N1", 2)]
 # the validation tie slice: TIE_TWIN takes the pixels of VAL_TIE_PIXELS,
 # the positive of the one held-out tuple (query c03/i000) under m1. N1
 # then mines the twin as a negative of that tuple, tied with the
@@ -277,12 +281,14 @@ def tie_hashes(root, data):
 
     run("ties/db.macd", ["embed", "--images", images,
                          "--checkpoint", checkpoint, "--out", db])
-    for positive, negative in TIE_MINE_RUNS:
-        name = f"ties/{positive}-{negative}-all.mftp"
+    for positive, negative, pool in TIE_MINE_RUNS:
+        suffix = "" if pool == 1 else f"-pool{pool}"
+        name = f"ties/{positive}-{negative}-all{suffix}.mftp"
         run(name, ["mine", "--scenes", os.path.join(ties, "data", "scenes"),
                    "--descriptors", db, "--out", os.path.join(root, name),
                    "--seed", "0", "--positive", positive,
-                   "--negative", negative, *TIE_MINE_ARGS])
+                   "--negative", negative, "--set", f"pool_size={pool}",
+                   *TIE_MINE_ARGS])
     run("ties/eval-Full.csv", [
         "eval", "--db", db, "--checkpoint", checkpoint, "--images", images,
         "--gt", os.path.join(data, "ground_truth.json"), "--mode", "Full",
