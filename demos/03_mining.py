@@ -27,6 +27,7 @@ from macforge.mining import (
 )
 from macforge.numeric import SeededStream
 from macforge.pipeline import render_images
+from macforge.retrieval import DescriptorDB
 from macforge.synthscene import SceneConfig, generate
 from macforge.training import embed_image
 
@@ -64,15 +65,16 @@ def main():
     m1 = positive_m1(q, pool, descriptors)
     m2 = positive_m2(q, pool, g)
     m3 = positive_m3(q, pool, g, cfg, SeededStream(3).derive("m3"))
-    print(f"\nm1 (nearest descriptor)      picks {m1!r}")
+    print(f"\nm1 (most similar descriptor) picks {m1!r}")
     print(f"m2 (most co-observed points) picks {m2!r}")
     print(f"m3 (uniform over feasible)   picks {m3!r}")
     print("m1 picks what the net already matches, so it teaches little; "
           "m3 keeps hard viewpoint changes in play\n")
 
-    n1 = mine_negatives(q, descriptors, cluster_of.__getitem__,
+    db = DescriptorDB(descriptors)
+    n1 = mine_negatives(q, descriptors[q], db, cluster_of.__getitem__,
                         cfg.negatives, "N1")
-    n2 = mine_negatives(q, descriptors, cluster_of.__getitem__,
+    n2 = mine_negatives(q, descriptors[q], db, cluster_of.__getitem__,
                         cfg.negatives, "N2")
     print(f"N1 negatives {n1}")
     print(f"   clusters  {[cluster_of[i] for i in n1]}")

@@ -37,7 +37,7 @@ def retrieval_map(vectors, gt):
     db = DescriptorDB(vectors)
     aps = []
     for qid in sorted(gt):
-        ranking = [i for i, _ in search(db, vectors[qid], len(db))]
+        ranking = [db.ids[row] for row in search(db, vectors[qid])]
         aps.append(average_precision(ranking, gt[qid]))
     return float(np.mean(aps))
 

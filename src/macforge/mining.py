@@ -3,9 +3,10 @@
 A scene cluster is a bipartite graph between images (with known cameras)
 and 3D points. Queries are drawn per cluster; a hard positive comes from
 the camera-neighborhood pool by one of three methods (m1 descriptor
-distance, m2 co-observation count, m3 random under overlap and scale
+similarity, m2 co-observation count, m3 random under overlap and scale
 constraints); hard negatives are the most similar descriptors from other
-clusters, either unrestricted (N1) or at most one per cluster (N2).
+clusters, either unrestricted (N1) or at most one per cluster (N2). m1
+and N1/N2 rank by retrieval.search.
 
 All argmin/argmax ties break toward the lower image-id so every selection
 is reproducible and oracle-comparable.
@@ -223,15 +224,12 @@ def candidate_pool(g: VisibilityGraph, query: str, k: int) -> list:
 
 
 def positive_m1(query: str, pool: list, descriptors: dict) -> str:
-    """Pool member with the smallest descriptor distance to the query."""
+    """Pool member whose descriptor is most similar to the query's (inner
+    product); equal similarities pick the lower image id."""
     if not pool:
         raise NoPositiveError(f"empty candidate pool for {query!r}")
-    dq = np.asarray(descriptors[query], dtype=np.float64)
-    best = min(
-        (float(np.linalg.norm(np.asarray(descriptors[i], dtype=np.float64) - dq)), i)
-        for i in pool
-    )
-    return best[1]
+    db = DescriptorDB({i: descriptors[i] for i in pool})
+    return db.ids[search(db, descriptors[query])[0]]
 
 
 def positive_m2(query: str, pool: list, g: VisibilityGraph) -> str:
@@ -306,25 +304,20 @@ def positive_m3(query: str, pool: list, g: VisibilityGraph, cfg: MiningConfig,
     return feasible[int(stream.integers(0, len(feasible)))]
 
 
-def mine_negatives(query: str, descriptors: dict, cluster_of, n: int,
-                   variant: str = "N2") -> list:
-    """Most-similar images from other clusters, most similar first.
+def mine_negatives(query: str, dq, db: DescriptorDB, cluster_of, n: int,
+                   variant: str) -> list:
+    """The db images from clusters other than the query's that are most
+    similar to its descriptor dq, most similar first.
 
     N1 takes the top n outright; N2 greedily keeps at most one image per
     cluster. Ties in similarity break toward the lower image-id.
     """
-    return _hard_negatives(query, descriptors[query], DescriptorDB(descriptors),
-                           cluster_of, n, variant)
-
-
-def _hard_negatives(query: str, dq, db: DescriptorDB, cluster_of, n: int,
-                    variant: str) -> list:
-    """The N1/N2 walk down the ranking of db by similarity to dq."""
     if variant not in ("N1", "N2"):
         raise ValueError(f"unknown negative variant {variant!r}")
     chosen = []
     excluded = {cluster_of(query)}
-    for img, _ in search(db, dq, len(db)):
+    for row in search(db, dq):
+        img = db.ids[row]
         c = cluster_of(img)
         if c in excluded:
             continue
@@ -456,9 +449,9 @@ class TupleMiner:
         db = DescriptorDB({i: descriptors[i] for i in self.universe})
         for q, positive in self.positives.items():
             try:
-                negs = _hard_negatives(q, descriptors[q], db,
-                                       self.cluster_of.__getitem__,
-                                       self.negatives, self.negative_variant)
+                negs = mine_negatives(q, descriptors[q], db,
+                                      self.cluster_of.__getitem__,
+                                      self.negatives, self.negative_variant)
             except ShortListError as exc:
                 self.skipped.append((q, str(exc)))
                 continue

@@ -81,17 +81,15 @@ class DescriptorDB:
         return len(self.ids)
 
 
-def search(db, query, topn):
-    """Top-n database entries by inner product, ties by lower id."""
-    if topn < 1:
-        raise ValueError("topn must be at least 1")
+def search(db, query):
+    """Rows of db.matrix by inner product with query, best first; ties
+    rank the lower row, i.e. the lower id, first. db.ids[row] names a
+    row."""
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (db.dim,):
         raise DimensionError(f"query has shape {q.shape}, "
                              f"database dim is {db.dim}")
-    sims = db.matrix @ q
-    order = np.argsort(-sims, kind="stable")[:topn]
-    return [(db.ids[i], float(sims[i])) for i in order]
+    return np.argsort(-(db.matrix @ q), kind="stable")
 
 
 def average_precision(ranking, gt):
@@ -147,8 +145,7 @@ def evaluate(db, queries, gt, mode, extractor):
                 descriptor = extractor.extract(image[:, y0:y1, x0:x1])
             else:
                 descriptor = extractor.extract_region(image, bbox)
-        ranking = [image_id for image_id, _ in search(db, descriptor,
-                                                      len(db))]
+        ranking = [db.ids[row] for row in search(db, descriptor).tolist()]
         per_query.append((query_id, average_precision(ranking,
                                                       gt[query_id])))
     mean_ap = sum(ap for _, ap in per_query) / len(per_query)

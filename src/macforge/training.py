@@ -232,8 +232,8 @@ def validate(params: NetParams, spec: list[LayerSpec], tuples: list,
     total = 0.0
     for t in tuples:
         db = DescriptorDB({i: desc(i) for i in (t.positive,) + t.negatives})
-        ranking = [i for i, _ in search(db, desc(t.query), len(db))]
-        total += 1.0 / (1 + ranking.index(t.positive))
+        order = search(db, desc(t.query)).tolist()
+        total += 1.0 / (1 + order.index(db.ids.index(t.positive)))
     return total / len(tuples)
 
 

@@ -90,7 +90,7 @@ def _retrieval_map(vectors, gt):
     db = DescriptorDB(vectors)
     aps = []
     for qid in sorted(gt):
-        ranking = [i for i, _ in search(db, vectors[qid], len(db))]
+        ranking = [db.ids[row] for row in search(db, vectors[qid])]
         aps.append(average_precision(ranking, gt[qid]))
     return float(np.mean(aps))
 
@@ -460,9 +460,10 @@ class TestAcceptance:
                         SeededStream(3400, base).derive(i).normal(size=8)))
                     cluster[i] = g.cluster_id
             q = sorted(group[0].images)[0]
+            db = DescriptorDB(descs)
             for variant in ("N1", "N2"):
-                assert mine_negatives(q, descs, cluster.__getitem__, 3,
-                                      variant) == _oracle_negatives(
+                assert mine_negatives(q, descs[q], db, cluster.__getitem__,
+                                      3, variant) == _oracle_negatives(
                     q, descs, cluster.__getitem__, 3, variant)
 
         # uniformity of the m3 pick over a known feasible set

@@ -35,6 +35,7 @@ from macforge.mining import (
     scale_change,
 )
 from macforge.numeric import SeededStream
+from macforge.retrieval import DescriptorDB
 from macforge.synthscene import SceneConfig, generate
 
 
@@ -48,6 +49,12 @@ def random_unit_descriptors(stream, ids, dim=8):
         v = np.abs(stream.derive("d", i).normal(size=dim))
         out[i] = v / np.linalg.norm(v)
     return out
+
+
+def negatives_of(query, descs, cluster, n, variant):
+    """mine_negatives over a DescriptorDB of every entry of descs."""
+    return mine_negatives(query, descs[query], DescriptorDB(descs),
+                          cluster.__getitem__, n, variant)
 
 
 def scale_change_oracle(g, i, q):
@@ -287,6 +294,19 @@ class TestPositives:
         pool = ids
         want = min(pool, key=lambda i: (float(np.linalg.norm(descs[i] - descs["q"])), i))
         assert positive_m1("q", pool, descs) == want
+
+    def test_m1_ties_pick_lower_id(self):
+        descs = {"q": np.array([0.6, 0.8]), "b": np.array([0.8, 0.6]),
+                 "a": np.array([0.8, 0.6]), "c": np.array([1.0, 0.0])}
+        assert positive_m1("q", ["c", "b", "a"], descs) == "a"
+
+    def test_m1_zero_descriptor_scores_zero(self):
+        # an image with zero MAC has the zero descriptor: at L2 distance 1
+        # from a unit query it would beat every unit vector of similarity
+        # below 0.5, but it scores 0 against everything
+        descs = {"q": np.array([1.0, 0.0]), "a": np.zeros(2),
+                 "b": np.array([0.3, math.sqrt(0.91)])}
+        assert positive_m1("q", ["a", "b"], descs) == "b"
 
     def test_m1_empty_pool(self):
         with pytest.raises(NoPositiveError):
@@ -621,8 +641,8 @@ class TestMineNegatives:
             "other": np.array([0.5, 0.5]),
         }
         cluster = {"q": "c0", "dupA": "c1", "dupB": "c1", "other": "c2"}
-        n1 = mine_negatives("q", descs, cluster.__getitem__, 2, "N1")
-        n2 = mine_negatives("q", descs, cluster.__getitem__, 2, "N2")
+        n1 = negatives_of("q", descs, cluster, 2, "N1")
+        n2 = negatives_of("q", descs, cluster, 2, "N2")
         assert n1 == ["dupA", "dupB"]
         assert n2 == ["dupA", "other"]
         assert n1[0] == n2[0]
@@ -633,8 +653,8 @@ class TestMineNegatives:
         descs = random_unit_descriptors(stream, ids + ["q"])
         cluster = {i: i for i in ids}
         cluster["q"] = "qc"
-        n1 = mine_negatives("q", descs, cluster.__getitem__, 4, "N1")
-        n2 = mine_negatives("q", descs, cluster.__getitem__, 4, "N2")
+        n1 = negatives_of("q", descs, cluster, 4, "N1")
+        n2 = negatives_of("q", descs, cluster, 4, "N2")
         assert n1 == n2
 
     def test_matches_brute_force(self):
@@ -646,7 +666,7 @@ class TestMineNegatives:
         ranked = sorted(
             (i for i in ids if cluster[i] != "c0"),
             key=lambda i: (-float(descs[i] @ descs["q"]), i))
-        assert mine_negatives("q", descs, cluster.__getitem__, 6, "N1") == ranked[:6]
+        assert negatives_of("q", descs, cluster, 6, "N1") == ranked[:6]
         greedy, seen = [], set()
         for i in ranked:
             if cluster[i] in seen:
@@ -655,19 +675,19 @@ class TestMineNegatives:
             greedy.append(i)
             if len(greedy) == 4:
                 break
-        assert mine_negatives("q", descs, cluster.__getitem__, 4, "N2") == greedy
+        assert negatives_of("q", descs, cluster, 4, "N2") == greedy
 
     def test_excludes_query_cluster(self):
         descs = {"q": np.ones(2), "same": np.ones(2), "other": np.ones(2)}
         cluster = {"q": "c0", "same": "c0", "other": "c1"}
-        got = mine_negatives("q", descs, cluster.__getitem__, 1, "N1")
+        got = negatives_of("q", descs, cluster, 1, "N1")
         assert got == ["other"]
 
     def test_short_list_error_reports_deficit(self):
         descs = {"q": np.ones(2), "a": np.ones(2)}
         cluster = {"q": "c0", "a": "c1"}
         with pytest.raises(ShortListError, match="deficit 2"):
-            mine_negatives("q", descs, cluster.__getitem__, 3, "N1")
+            negatives_of("q", descs, cluster, 3, "N1")
 
 
 class TestChooseQueries:
@@ -801,12 +821,10 @@ class TestTupleMiner:
         assert [(t.query, t.positive) for t in after] == \
             [(t.query, t.positive) for t in before]
         cluster_of = {i: g.cluster_id for g in graphs for i in g.images}
+        cand = {i: embed2[i] for i in miner.universe}
         for t in after:
-            cand = {i: embed2[i] for i in miner.universe}
-            cand[t.query] = embed2[t.query]
-            assert list(t.negatives) == mine_negatives(
-                t.query, cand, cluster_of.__getitem__, cfg.negatives,
-                variant)
+            assert list(t.negatives) == negatives_of(
+                t.query, cand, cluster_of, cfg.negatives, variant)
         assert any(a.negatives != b.negatives
                    for a, b in zip(before, after))
 
@@ -929,9 +947,8 @@ class TestMiningState:
         cluster_of = {i: g.cluster_id for g in graphs for i in g.images}
 
         def oracle(t, vectors):
-            return mine_negatives(t.query, {i: vectors[i] for i in universe},
-                                  cluster_of.__getitem__, cfg.negatives,
-                                  variant)
+            return negatives_of(t.query, {i: vectors[i] for i in universe},
+                                cluster_of, cfg.negatives, variant)
 
         built, _ = build_tuples(graphs, descs, cfg, "m3", variant,
                                 SeededStream(0))
