@@ -14,23 +14,13 @@ inputs is the gradient-check mode, float32 is the production mode.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import (
-    FormatError,
-    check_magic,
-    expect_eof,
-    read_f32_array,
-    read_u8,
-    read_u32,
-    write_f32_array,
-    write_u8,
-    write_u32,
-)
+from . import ioutil
+from .ioutil import FormatError
 from .numeric import SeededStream
 
 CONV = "conv"
@@ -39,8 +29,11 @@ MAXPOOL = "maxpool"
 
 CHECKPOINT_MAGIC = b"MFCK"
 CHECKPOINT_VERSION = 1
-_KIND_CODES = {CONV: 0, RELU: 1, MAXPOOL: 2}
-_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
+# the MFCK layer record: a u8 kind code, then these LayerSpec fields as u32
+_LAYER_RECORDS = {CONV: (0, ("in_maps", "out_maps", "kernel", "stride", "pad")),
+                  RELU: (1, ()),
+                  MAXPOOL: (2, ("window", "stride"))}
+_CODE_KINDS = {code: kind for kind, (code, _) in _LAYER_RECORDS.items()}
 
 
 class SpecError(ValueError):
@@ -441,54 +434,44 @@ def backward(params: NetParams, spec: list[LayerSpec], tape, output_grad: np.nda
 
 
 def save_checkpoint(path, spec: list[LayerSpec], params: NetParams, meta: dict | None = None) -> None:
-    """Write weights plus a sidecar JSON (path + ".json") holding meta."""
+    """Write weights plus a sidecar JSON (path + ".json") holding meta.
+
+    Non-finite parameters are a FormatError before either file is
+    opened, as load_checkpoint refuses them."""
     validate_spec(spec)
+    arrays = [ioutil.finite(np.asarray(a, "<f4"), "checkpoint parameters")
+              for wb in zip(params.weights, params.biases) for a in wb]
     path = os.fspath(path)
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        write_u32(f, CHECKPOINT_VERSION)
-        write_u32(f, len(spec))
+        ioutil.write_header(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        ioutil.write_u32(f, len(spec))
         for layer in spec:
-            write_u8(f, _KIND_CODES[layer.kind])
-            if layer.kind == CONV:
-                for v in (layer.in_maps, layer.out_maps, layer.kernel,
-                          layer.stride, layer.pad):
-                    write_u32(f, v)
-            elif layer.kind == MAXPOOL:
-                write_u32(f, layer.window)
-                write_u32(f, layer.stride)
-        for w, b in zip(params.weights, params.biases):
-            write_f32_array(f, w)
-            write_f32_array(f, b)
-    with open(path + ".json", "w") as f:
-        json.dump(dict(meta or {}), f, indent=2, sort_keys=True)
-        f.write("\n")
+            code, fields = _LAYER_RECORDS[layer.kind]
+            ioutil.write_u8(f, code)
+            for name in fields:
+                ioutil.write_u32(f, getattr(layer, name))
+        for a in arrays:
+            ioutil.write_array(f, a, "<f4")
+    ioutil.write_json(path + ".json", dict(meta or {}), indent=2)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (spec, params, meta)."""
+    """Read a checkpoint; returns (spec, params, meta). A missing sidecar
+    gives meta {}."""
     path = os.fspath(path)
     with open(path, "rb") as f:
-        check_magic(f, CHECKPOINT_MAGIC, "checkpoint")
-        version = read_u32(f, "checkpoint version")
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        n_layers = read_u32(f, "layer count")
+        ioutil.check_header(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                            "checkpoint")
+        n_layers = ioutil.read_u32(f, "layer count")
         spec = []
         for i in range(n_layers):
-            code = read_u8(f, f"layer {i} kind")
-            kind = _CODE_KINDS.get(code)
-            if kind is None:
+            code = ioutil.read_u8(f, f"layer {i} kind")
+            if code not in _CODE_KINDS:
                 raise FormatError(f"layer {i}: unknown kind code {code}")
-            if kind == CONV:
-                fields = [read_u32(f, f"layer {i} conv field") for _ in range(5)]
-                spec.append(conv(*fields))
-            elif kind == MAXPOOL:
-                window = read_u32(f, f"layer {i} window")
-                stride = read_u32(f, f"layer {i} stride")
-                spec.append(maxpool(window, stride))
-            else:
-                spec.append(relu())
+            kind = _CODE_KINDS[code]
+            spec.append(LayerSpec(kind, **{
+                name: ioutil.read_u32(f, f"layer {i} {name}")
+                for name in _LAYER_RECORDS[kind][1]}))
         try:
             validate_spec(spec)
         except SpecError as exc:
@@ -498,22 +481,15 @@ def load_checkpoint(path):
             if layer.kind != CONV:
                 continue
             count = layer.out_maps * layer.in_maps * layer.kernel ** 2
-            w = read_f32_array(f, count, f"layer {i} weights")
+            w = ioutil.read_array(f, "<f4", count, f"layer {i} weights")
             weights.append(w.reshape(layer.out_maps, layer.in_maps,
                                      layer.kernel, layer.kernel))
-            biases.append(read_f32_array(f, layer.out_maps, f"layer {i} biases"))
-        expect_eof(f, "checkpoint")
+            biases.append(ioutil.read_array(f, "<f4", layer.out_maps,
+                                            f"layer {i} biases"))
+        ioutil.expect_eof(f, "checkpoint")
     for arr in weights + biases:
-        if not np.all(np.isfinite(arr)):
-            raise FormatError("checkpoint contains non-finite parameters")
-    meta = {}
+        ioutil.finite(arr, "checkpoint parameters")
     sidecar = path + ".json"
-    if os.path.exists(sidecar):
-        with open(sidecar) as f:
-            try:
-                meta = json.load(f)
-            except ValueError as exc:  # bad JSON or bad UTF-8
-                raise FormatError(
-                    f"checkpoint sidecar {sidecar} is not valid JSON: {exc}"
-                ) from exc
+    meta = (ioutil.load_json(sidecar, f"checkpoint sidecar {sidecar}")
+            if os.path.exists(sidecar) else {})
     return spec, NetParams(weights, biases), meta

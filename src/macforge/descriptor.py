@@ -15,18 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .backbone import CONV, MAXPOOL, LayerSpec
-from .ioutil import (
-    FormatError,
-    check_magic,
-    expect_eof,
-    read_exact,
-    read_f32_array,
-    read_u32,
-    read_u64,
-    write_f32_array,
-    write_u32,
-    write_u64,
-)
+from . import ioutil
+from .ioutil import FormatError
 from .numeric import DimensionError
 
 DB_MAGIC = b"MACD"
@@ -240,53 +230,50 @@ def top_contributions(a: np.ndarray, b: np.ndarray, n: int) -> list[tuple[int, f
 def save_descriptors(path, descriptors: dict[str, np.ndarray]) -> None:
     """Write an id -> vector map; records are sorted by id for stable bytes.
 
-    Zero-length vectors are a DimensionError, as load_descriptors refuses
-    a file that declares dim 0 for its records."""
-    items = sorted(descriptors.items())
-    dim = int(np.asarray(items[0][1]).shape[0]) if items else 0
-    for name, vec in items:
-        v = np.asarray(vec)
+    What load_descriptors refuses is refused before the file is opened:
+    zero-length vectors are a DimensionError, vectors that are not
+    finite in float32 a FormatError."""
+    items = [(name, ioutil.finite(np.asarray(vec, "<f4"),
+                                  f"descriptor {name!r}"))
+             for name, vec in sorted(descriptors.items())]
+    dim = int(items[0][1].shape[0]) if items else 0
+    for name, v in items:
         if v.ndim != 1 or v.shape[0] != dim:
             raise DimensionError(
                 f"descriptor {name!r} has shape {v.shape}, expected ({dim},)")
     if items and not dim:
         raise DimensionError(f"descriptor {items[0][0]!r} has length 0")
     with open(os.fspath(path), "wb") as f:
-        f.write(DB_MAGIC)
-        write_u32(f, DB_VERSION)
-        write_u64(f, len(items))
-        write_u32(f, dim)
+        ioutil.write_header(f, DB_MAGIC, DB_VERSION)
+        ioutil.write_u64(f, len(items))
+        ioutil.write_u32(f, dim)
         for name, vec in items:
             raw = name.encode("utf-8")
-            write_u32(f, len(raw))
+            ioutil.write_u32(f, len(raw))
             f.write(raw)
-            write_f32_array(f, vec)
+            ioutil.write_array(f, vec, "<f4")
 
 
 def load_descriptors(path) -> dict[str, np.ndarray]:
     """Read a descriptor database in file order (sortedness not assumed)."""
     out = {}
     with open(os.fspath(path), "rb") as f:
-        check_magic(f, DB_MAGIC, "descriptor db")
-        version = read_u32(f, "db version")
-        if version != DB_VERSION:
-            raise FormatError(f"unsupported descriptor db version {version}")
-        count = read_u64(f, "record count")
-        dim = read_u32(f, "descriptor dim")
+        ioutil.check_header(f, DB_MAGIC, DB_VERSION, "descriptor db")
+        count = ioutil.read_u64(f, "record count")
+        dim = ioutil.read_u32(f, "descriptor dim")
         if count and not dim:
             raise FormatError(f"descriptor db declares dim 0 for {count} "
                               "records")
         for i in range(count):
-            id_len = read_u32(f, f"record {i} id length")
+            id_len = ioutil.read_u32(f, f"record {i} id length")
+            raw = ioutil.read_exact(f, id_len, f"record {i} id")
             try:
-                name = read_exact(f, id_len, f"record {i} id").decode("utf-8")
+                name = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"record {i} id is not valid UTF-8") from exc
             if name in out:
                 raise FormatError(f"duplicate descriptor id {name!r}")
-            vec = read_f32_array(f, dim, f"record {i} values")
-            if not np.all(np.isfinite(vec)):
-                raise FormatError(f"descriptor {name!r} has non-finite values")
-            out[name] = vec
-        expect_eof(f, "descriptor db")
+            vec = ioutil.read_array(f, "<f4", dim, f"record {i} values")
+            out[name] = ioutil.finite(vec, f"descriptor {name!r}")
+        ioutil.expect_eof(f, "descriptor db")
     return out

@@ -7,7 +7,7 @@ rewriting.
 
 import numpy as np
 
-from .ioutil import FormatError, read_exact
+from .ioutil import FormatError, expect_eof, read_exact
 from .numeric import DimensionError
 
 PPM_MAXVAL = 255
@@ -61,8 +61,7 @@ def read_ppm(path):
         if maxval != PPM_MAXVAL:
             raise FormatError(f"unsupported PPM maxval {maxval}")
         data = read_exact(f, width * height * 3, "PPM pixel data")
-        if f.read(1) != b"":
-            raise FormatError("trailing data after PPM pixels")
+        expect_eof(f, "PPM")
     pixels = np.frombuffer(data, dtype=np.uint8)
     image = pixels.reshape(height, width, 3).transpose(2, 0, 1)
     return (image.astype(np.float32) / PPM_MAXVAL)

@@ -1,5 +1,6 @@
 """Helpers for the file formats: the binary ones, all integers and floats
-little-endian, and the checks shared by the JSON ones."""
+little-endian behind a magic and a u32 version, and the text ones, all
+UTF-8, with the checks shared by the JSON ones."""
 
 from __future__ import annotations
 
@@ -34,10 +35,20 @@ def read_exact(f, n: int, what: str) -> bytes:
     return data
 
 
-def check_magic(f, magic: bytes, what: str) -> None:
+def write_header(f, magic: bytes, version: int) -> None:
+    f.write(magic)
+    write_u32(f, version)
+
+
+def check_header(f, magic: bytes, version: int, what: str) -> None:
+    """Read the magic and u32 version write_header wrote; a FormatError
+    unless both are the expected ones."""
     got = read_exact(f, len(magic), f"{what} magic")
     if got != magic:
         raise FormatError(f"bad magic for {what}: expected {magic!r}, got {got!r}")
+    got = read_u32(f, f"{what} version")
+    if got != version:
+        raise FormatError(f"unsupported {what} version {got}")
 
 
 def read_u8(f, what: str) -> int:
@@ -64,22 +75,35 @@ def write_u64(f, value: int) -> None:
     f.write(int(value).to_bytes(8, "little"))
 
 
-def read_f32_array(f, count: int, what: str) -> np.ndarray:
-    data = read_exact(f, 4 * count, what)
-    return np.frombuffer(data, dtype="<f4", count=count).astype(np.float32)
+def finite(a: np.ndarray, what: str) -> np.ndarray:
+    """a, unless it holds a NaN or an infinity: the .macd, .mfck and
+    .mfpw readers refuse one, and their writers refuse it the same way,
+    as a FormatError naming what, before they open the file."""
+    if not np.isfinite(a).all():
+        raise FormatError(f"non-finite values in {what}")
+    return a
 
 
-def read_f64_array(f, count: int, what: str) -> np.ndarray:
-    data = read_exact(f, 8 * count, what)
-    return np.frombuffer(data, dtype="<f8", count=count).astype(np.float64)
+def read_array(f, dtype: str, count: int, what: str) -> np.ndarray:
+    """count values of the little-endian dtype ("<f4", "<f8") as a
+    writable array in native byte order."""
+    dtype = np.dtype(dtype)
+    data = read_exact(f, dtype.itemsize * count, what)
+    return np.frombuffer(data, dtype, count).astype(dtype.newbyteorder("="))
 
 
-def write_f32_array(f, arr: np.ndarray) -> None:
-    f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+def write_array(f, arr: np.ndarray, dtype: str) -> None:
+    f.write(np.ascontiguousarray(arr, dtype).tobytes())
 
 
-def write_f64_array(f, arr: np.ndarray) -> None:
-    f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+def write_text(path, text: str) -> None:
+    with open(os.fspath(path), "w", encoding="utf-8") as f:
+        f.write(text)
+
+
+def write_json(path, doc, indent: int) -> None:
+    """doc with sorted keys, indented by indent, and a final newline."""
+    write_text(path, json.dumps(doc, indent=indent, sort_keys=True) + "\n")
 
 
 def read_text(path, what: str) -> str:
@@ -92,13 +116,16 @@ def read_text(path, what: str) -> str:
             raise FormatError(f"{what} is not valid UTF-8: {exc}") from exc
 
 
-def load_json(path, what: str):
-    """The JSON document at path, as read_text reads it; invalid JSON is
-    a FormatError too."""
+def load_json(path, what: str) -> dict:
+    """The JSON object at path, as read_text reads it; invalid JSON, or
+    a document that is not an object, is a FormatError too."""
     try:
-        return json.loads(read_text(path, what))
+        doc = json.loads(read_text(path, what))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    return doc
 
 
 def is_number(v) -> bool:

@@ -16,14 +16,21 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .ioutil import FormatError, is_number, load_json, numbers, read_text
+from .ioutil import (
+    FormatError,
+    is_number,
+    load_json,
+    numbers,
+    read_text,
+    write_json,
+    write_text,
+)
 from .numeric import SeededStream
 from .retrieval import DescriptorDB, search
 
@@ -475,9 +482,7 @@ def save_scene(path, g: VisibilityGraph) -> None:
                    for pid, xyz in sorted(g.points.items())],
         "edges": sorted([img, pid] for img, pid in g.edges),
     }
-    with open(os.fspath(path), "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(path, doc, indent=1)
 
 
 def load_scene(path) -> VisibilityGraph:
@@ -506,11 +511,10 @@ def load_scene(path) -> VisibilityGraph:
 
 
 def save_tuples(path, tuples: list) -> None:
-    with open(os.fspath(path), "w") as f:
-        for t in tuples:
-            json.dump({"q": t.query, "m": t.positive,
-                       "negatives": list(t.negatives)}, f, sort_keys=True)
-            f.write("\n")
+    write_text(path, "".join(
+        json.dumps({"q": t.query, "m": t.positive,
+                    "negatives": list(t.negatives)}, sort_keys=True) + "\n"
+        for t in tuples))
 
 
 def load_tuples(path) -> list:

@@ -252,8 +252,7 @@ def stage_embed(checkpoint_path, images_dir, out_path, rmac_scales=0,
                           max_side=max_side)
     images = load_images_dir(images_dir)
     descriptors = embed_images(extractor, images, threads=threads)
-    save_descriptors(out_path, {i: np.asarray(v, dtype=np.float32)
-                                for i, v in descriptors.items()})
+    save_descriptors(out_path, descriptors)
     return len(descriptors)
 
 

@@ -6,14 +6,13 @@ image), Crop_I (crop pixels, then extract), and Crop_X (extract on the
 full image, then crop the activation grid before pooling).
 """
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .descriptor import BBox
-from .ioutil import FormatError, load_json
+from .ioutil import FormatError, load_json, write_json, write_text
 from .numeric import DimensionError
 
 MODE_FULL = "Full"
@@ -160,15 +159,11 @@ def save_ground_truth(path, gt):
         if entry.bbox is not None:
             record["bbox"] = list(entry.bbox)
         payload[query_id] = record
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(payload, indent=1, sort_keys=True))
-        f.write("\n")
+    write_json(path, payload, indent=1)
 
 
 def load_ground_truth(path):
     payload = load_json(path, "ground truth")
-    if not isinstance(payload, dict):
-        raise FormatError("ground truth must be a JSON object")
     gt = {}
     for query_id, record in payload.items():
         if not isinstance(record, dict):
@@ -201,6 +196,4 @@ def write_eval_csv(path, per_query, mean_ap):
     lines = ["query_id,ap"]
     lines.extend(f"{query_id},{ap:.6f}" for query_id, ap in per_query)
     lines.append(f"mAP,{mean_ap:.6f}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines))
-        f.write("\n")
+    write_text(path, "\n".join(lines) + "\n")

@@ -19,19 +19,20 @@ one backward tape is alive at a time.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .backbone import CONV, LayerSpec, NetParams, backward, forward
 from .descriptor import l2n, mac, mac_backward
+from .ioutil import write_text
 from .numeric import DimensionError, SeededStream
 from .retrieval import DescriptorDB, search
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite; message names the epoch and batch."""
+    """Loss or a validation descriptor became non-finite; in training the
+    message names the epoch (and the batch, for a loss)."""
 
 
 @dataclass(frozen=True)
@@ -225,14 +226,19 @@ def validate(params: NetParams, spec: list[LayerSpec], tuples: list,
     image-id) and scores 1/rank; mAP averages over tuples.
 
     cache, if given, is an id -> descriptor map valid for params; it is
-    read and filled, so a caller can reuse what validation embedded."""
+    read and filled, so a caller can reuse what validation embedded.
+    A non-finite descriptor, which no ranking can order, raises
+    TrainingDivergedError."""
     if not tuples:
         raise ValueError("validation tuple set is empty")
     desc = _describer(params, spec, image_of, {} if cache is None else cache)
     total = 0.0
     for t in tuples:
         db = DescriptorDB({i: desc(i) for i in (t.positive,) + t.negatives})
-        order = search(db, desc(t.query)).tolist()
+        q = desc(t.query)
+        if not (np.isfinite(q).all() and np.isfinite(db.matrix).all()):
+            raise TrainingDivergedError("non-finite validation descriptor")
+        order = search(db, q).tolist()
         total += 1.0 / (1 + order.index(db.ids.index(t.positive)))
     return total / len(tuples)
 
@@ -336,7 +342,9 @@ def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
     dropped on every SGD step, so a batch right after a re-mine runs no
     tape-free forward; the taped forward and backward of each batch
     image then run one image at a time. A non-finite batch loss raises
-    TrainingDivergedError before that batch's first taped forward.
+    TrainingDivergedError before that batch's first taped forward, and a
+    non-finite validation descriptor raises it before its params can
+    become the best.
     """
     if loss_kind not in ("contrastive", "triplet"):
         raise ValueError(f"unknown loss {loss_kind!r}")
@@ -384,7 +392,10 @@ def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
             params, velocity = sgd_step_net(params, grads, velocity, lr, cfg)
             cache = {}
             mined_current = False
-        val_map = validate(params, spec, val_tuples, image_of, cache)
+        try:
+            val_map = validate(params, spec, val_tuples, image_of, cache)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(f"{exc} at epoch {epoch}") from None
         metrics.append(EpochMetrics(epoch, lr, loss_sum / max(1, loss_batches),
                                     val_map))
         if val_map > best_val:
@@ -397,9 +408,8 @@ def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
 def write_metrics_csv(path, metrics: list, note: str | None = None) -> None:
     """Write one row per epoch; an optional note becomes a leading
     comment line (e.g. "loss=triplet")."""
-    with open(os.fspath(path), "w") as f:
-        if note is not None:
-            f.write(f"# {note}\n")
-        f.write("epoch,lr,train_loss,val_map\n")
-        for m in metrics:
-            f.write(f"{m.epoch},{m.lr!r},{m.train_loss!r},{m.val_map!r}\n")
+    lines = [] if note is None else [f"# {note}"]
+    lines.append("epoch,lr,train_loss,val_map")
+    lines.extend(f"{m.epoch},{m.lr!r},{m.train_loss!r},{m.val_map!r}"
+                 for m in metrics)
+    write_text(path, "\n".join(lines) + "\n")

@@ -172,31 +172,29 @@ def apply_projection(model, v, d):
 
 def save_projection(path, model):
     """Write a projection model; P is stored column-major."""
+    arrays = [ioutil.finite(a, "projection model")
+              for a in (model.mean, model.projection.T, model.spectrum)]
     with open(path, "wb") as f:
-        f.write(PROJECTION_MAGIC)
-        ioutil.write_u32(f, PROJECTION_VERSION)
+        ioutil.write_header(f, PROJECTION_MAGIC, PROJECTION_VERSION)
         ioutil.write_u8(f, _KIND_CODES[model.kind])
         ioutil.write_u32(f, model.dim)
-        ioutil.write_f64_array(f, model.mean)
-        ioutil.write_f64_array(f, model.projection.T)
-        ioutil.write_f64_array(f, model.spectrum)
+        for a in arrays:
+            ioutil.write_array(f, a, "<f8")
 
 
 def load_projection(path):
     with open(path, "rb") as f:
-        ioutil.check_magic(f, PROJECTION_MAGIC, "projection file")
-        version = ioutil.read_u32(f, "projection version")
-        if version != PROJECTION_VERSION:
-            raise FormatError(f"unsupported projection version {version}")
+        ioutil.check_header(f, PROJECTION_MAGIC, PROJECTION_VERSION,
+                            "projection file")
         code = ioutil.read_u8(f, "projection kind")
         if code not in _KIND_NAMES:
             raise FormatError(f"unknown projection kind code {code}")
         dim = ioutil.read_u32(f, "projection dimension")
         if dim == 0:
             raise FormatError("projection dimension must be positive")
-        mean = ioutil.read_f64_array(f, dim, "projection mean")
-        proj = ioutil.read_f64_array(f, dim * dim, "projection matrix")
-        spectrum = ioutil.read_f64_array(f, dim, "projection spectrum")
+        mean = ioutil.read_array(f, "<f8", dim, "projection mean")
+        proj = ioutil.read_array(f, "<f8", dim * dim, "projection matrix")
+        spectrum = ioutil.read_array(f, "<f8", dim, "projection spectrum")
         ioutil.expect_eof(f, "projection file")
     try:
         return ProjectionModel(_KIND_NAMES[code], mean,

@@ -798,3 +798,35 @@ class TestCheckpoint:
         path.write_bytes(b"MFCK" + struct.pack("<II", 1, 1) + b"\x09")
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("where", ["weights", "biases"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
+    def test_non_finite_parameters_refused_before_any_write(
+            self, tmp_path, where, value):
+        # 1e300 is finite in float64 but not in the float32 the file holds
+        spec = tiny_spec()
+        params = init_params(spec, SeededStream(81)).astype(np.float64)
+        getattr(params, where)[1][0] = value
+        path = tmp_path / "net.mfck"
+        with np.errstate(over="ignore"), \
+                pytest.raises(FormatError, match="non-finite"):
+            save_checkpoint(path, spec, params, {"epoch": 1})
+        assert not path.exists()
+        assert not (tmp_path / "net.mfck.json").exists()
+
+    @pytest.mark.parametrize("sidecar", ["[1, 2]", '"meta"', "3", "null"])
+    def test_sidecar_must_be_a_json_object(self, tmp_path, sidecar):
+        spec = [conv(1, 2, 3)]
+        path = tmp_path / "net.mfck"
+        save_checkpoint(path, spec, init_params(spec, SeededStream(82)))
+        (tmp_path / "net.mfck.json").write_text(sidecar)
+        with pytest.raises(FormatError, match="must be a JSON object"):
+            load_checkpoint(path)
+
+    def test_missing_sidecar_gives_empty_meta(self, tmp_path):
+        spec = [conv(1, 2, 3)]
+        path = tmp_path / "net.mfck"
+        save_checkpoint(path, spec, init_params(spec, SeededStream(83)),
+                        {"epoch": 2})
+        (tmp_path / "net.mfck.json").unlink()
+        assert load_checkpoint(path)[2] == {}

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from macforge.backbone import NetParams, load_checkpoint, save_checkpoint
 from macforge.cli import (
     CHOICES,
     DEFAULTS,
@@ -42,6 +43,19 @@ def run_cli(*argv):
 def file_sha(path):
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
+
+
+def nan_descriptor_db(path):
+    """A .macd whose record 'b' holds a NaN; save_descriptors refuses to
+    write one, so the NaN is patched into the bytes. Returns the path as
+    a string."""
+    save_descriptors(path, {"a": np.array([1.0, 0.0]),
+                            "b": np.array([2.0, 0.0])})
+    blob = path.read_bytes()
+    two = struct.pack("<f", 2.0)
+    assert blob.count(two) == 1
+    path.write_bytes(blob.replace(two, struct.pack("<f", np.nan)))
+    return str(path)
 
 
 SCENE_ARGS = ["--set", "clusters=4", "--set", "images_min=4",
@@ -389,6 +403,62 @@ class TestExitCodes:
         assert "error:" in err
         assert "Traceback" not in err
 
+    def test_non_finite_descriptors_fail_embed_before_any_write(
+            self, workspace, tmp_path, capsys):
+        # weights scaled by 1e18 are finite, but the activations they
+        # give overflow float32, so every descriptor is NaN; one thread
+        # keeps the embed under this errstate
+        spec, params, meta = load_checkpoint(
+            workspace / "run" / "init.mfck")
+        big = str(tmp_path / "big.mfck")
+        save_checkpoint(big, spec, NetParams(
+            [w * 1e18 for w in params.weights], params.biases), meta)
+        out = tmp_path / "o.macd"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("embed", "--checkpoint", big,
+                           "--images", str(workspace / "data" / "images"),
+                           "--out", str(out), "--set", "max_image_side=32",
+                           "--set", "threads=1")
+        assert code == EXIT_DATA == 4
+        err = capsys.readouterr().err
+        assert "non-finite values in descriptor 'c00/i000'" in err
+        assert not out.exists()
+
+    def test_sidecar_that_is_not_an_object_is_data_error(
+            self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "c.mfck"
+        ckpt.write_bytes((workspace / "run" / "init.mfck").read_bytes())
+        (tmp_path / "c.mfck.json").write_text("[1, 2]")
+        code = run_cli("embed", "--checkpoint", str(ckpt),
+                       "--images", str(workspace / "data" / "images"),
+                       "--out", str(tmp_path / "o.macd"))
+        assert code == EXIT_DATA
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "o.macd").exists()
+
+    def test_divergence_on_the_last_step_is_config_error(self, tmp_path,
+                                                          capsys):
+        # one epoch at base_lr=1e30: the last SGD step leaves every
+        # descriptor NaN and no batch loss follows it, so validation is
+        # the one place to notice; NaN similarities rank by image id
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert run_cli("synth", "--seed", "1", "--out", str(data),
+                       "--set", "clusters=4", "--set", "image_size=32",
+                       "--set", "images_min=8", "--set", "images_max=8",
+                       "--set", "points_min=60",
+                       "--set", "points_max=60") == EXIT_OK
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("train", "--seed", "1",
+                           "--scenes", str(data / "scenes"),
+                           "--images", str(data / "images"),
+                           "--out", str(run), "--set", "max_epochs=1",
+                           "--set", "base_lr=1e30", "--set", "negatives=2",
+                           "--set", "max_image_side=32")
+        assert code == EXIT_CONFIG
+        assert ("error: non-finite validation descriptor at epoch 0"
+                in capsys.readouterr().err)
+        assert not (run / "best.mfck").exists()
+
     def test_projection_checkpoint_dim_mismatch(self, workspace,
                                                 tmp_path, capsys):
         # a projection fitted on 16-dim vectors cannot pair with the
@@ -466,9 +536,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_non_finite_descriptor_is_data_error(self, tmp_path, capsys):
-        db = str(tmp_path / "nan.macd")
-        save_descriptors(db, {"a": np.array([1.0, 0.0]),
-                              "b": np.array([np.nan, 0.0])})
+        db = nan_descriptor_db(tmp_path / "nan.macd")
         code = run_cli("whiten", "--descriptors", db, "--kind", "pcaw",
                        "--out", str(tmp_path / "p.mfpw"))
         assert code == EXIT_DATA
@@ -479,9 +547,7 @@ class TestExitCodes:
                                                               tmp_path):
         # run_cli calls main() in-process, where a traceback could never
         # reach stderr; a child interpreter shows what a user would see
-        db = str(tmp_path / "nan.macd")
-        save_descriptors(db, {"a": np.array([1.0, 0.0]),
-                              "b": np.array([np.nan, 0.0])})
+        db = nan_descriptor_db(tmp_path / "nan.macd")
         child = subprocess.run(
             [sys.executable, "-m", "macforge", "whiten", "--descriptors", db,
              "--kind", "pcaw", "--out", str(tmp_path / "p.mfpw")],

@@ -305,6 +305,16 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(params, spec, [], lambda i: None)
 
+    @pytest.mark.parametrize("where", ["q", "p", "n2"])
+    def test_non_finite_descriptor_raises(self, where):
+        # a NaN similarity would rank by image id and score a finite mAP
+        spec, params = make_identity_net()
+        images = {i: pixel_image([1.0, 0.0]) for i in ("q", "p", "n1", "n2")}
+        images[where] = pixel_image([np.nan, 0.0])
+        tuples = [TrainingTuple("q", "p", ("n1", "n2"))]
+        with pytest.raises(TrainingDivergedError, match="non-finite"):
+            validate(params, spec, tuples, images.__getitem__)
+
 
 def _prefix_margins_ok(spec, params, x, margin=1e-3):
     for i, layer in enumerate(spec):
