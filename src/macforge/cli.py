@@ -14,7 +14,6 @@ error.
 import argparse
 import dataclasses
 import hashlib
-import os
 import sys
 
 from .backbone import ShapeError, SpecError, load_checkpoint
@@ -31,6 +30,7 @@ from .pipeline import (
     stage_synth,
     stage_train,
     stage_whiten,
+    worker_count,
 )
 from .retrieval import (
     MODES,
@@ -80,7 +80,7 @@ def _field_defaults():
 # below are stage arguments; the rest come from the config dataclasses.
 DEFAULTS = {
     **_field_defaults(),
-    "threads": 0,  # 0 = hardware parallelism
+    "threads": 0,  # parallel workers; 0 = one per CPU
     "positive_method": "m3",
     "negative_variant": "N2",
     "mine_all_queries": False,
@@ -180,8 +180,7 @@ def resolve_config(args):
         if cfg[key] not in allowed:
             raise ConfigError(f"{key} must be one of {list(allowed)}, "
                               f"got {cfg[key]!r}")
-    if cfg["threads"] == 0:
-        cfg["threads"] = os.cpu_count() or 1
+    cfg["threads"] = worker_count(cfg["threads"])
     return cfg
 
 
@@ -213,7 +212,7 @@ def _load_projection_arg(args):
 def cmd_synth(args, cfg):
     _require(args, "out")
     clusters, images, points = stage_synth(build_config(SceneConfig, cfg),
-                                           args.out)
+                                           args.out, threads=cfg["threads"])
     print(f"clusters={clusters} images={images} points={points}")
     return EXIT_OK
 
@@ -304,7 +303,8 @@ def build_parser():
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--seed", type=int, help="top-level random seed")
         p.add_argument("--threads", type=int,
-                       help="worker threads (0 = hardware parallelism)")
+                       help="parallel workers: render processes in synth, "
+                            "embedding threads in embed (0 = one per CPU)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key")
 

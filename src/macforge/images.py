@@ -7,16 +7,20 @@ rewriting.
 
 import numpy as np
 
-from .ioutil import FormatError, expect_eof, read_exact
+from .ioutil import FormatError, expect_eof, finite, read_exact
 from .numeric import DimensionError
 
 PPM_MAXVAL = 255
 
 
 def write_ppm(path, image):
+    """Quantize a (3, H, W) image in [0, 1] to a P6 file; values outside
+    clip, and a NaN or infinite pixel is a FormatError before the file
+    is opened."""
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[0] != 3:
         raise DimensionError(f"image must be (3, H, W), got {image.shape}")
+    finite(image, f"PPM image {path}")
     quantized = np.clip(np.rint(image.astype(np.float64) * PPM_MAXVAL),
                         0, PPM_MAXVAL).astype(np.uint8)
     height, width = image.shape[1], image.shape[2]

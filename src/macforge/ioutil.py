@@ -78,7 +78,9 @@ def write_u64(f, value: int) -> None:
 def finite(a: np.ndarray, what: str) -> np.ndarray:
     """a, unless it holds a NaN or an infinity: the .macd, .mfck and
     .mfpw readers refuse one, and their writers refuse it the same way,
-    as a FormatError naming what, before they open the file."""
+    as a FormatError naming what, before they open the file. write_ppm
+    refuses one too, which quantizing would turn into an arbitrary
+    byte."""
     if not np.isfinite(a).all():
         raise FormatError(f"non-finite values in {what}")
     return a

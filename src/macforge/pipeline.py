@@ -3,13 +3,16 @@
 Everything a pipeline stage needs beyond a single module lives here:
 the Extractor (backbone forward + pooling + optional projection, with
 the two query-crop modes), parallel embedding with deterministic
-output, cluster train/val splitting, benchmark ground truth, and the
-stage functions the command-line layer calls.
+output, map_images (pure per-image work over forked worker processes,
+results in item order), cluster train/val splitting, benchmark ground
+truth, and the stage functions the command-line layer calls.
 """
 
 import functools
 import glob
+import multiprocessing
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -135,6 +138,86 @@ class Extractor:
         return self._pool(crop_activations(out, bbox, self.geometry))
 
 
+def worker_count(threads):
+    """threads, or with 0 one worker per CPU this process may run on."""
+    if threads > 0:
+        return threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# (fn, chunks) of the map_images call that is forking its workers; a
+# forked child finds its chunk here, so fn and what it closes over are
+# inherited, never pickled
+_FORKED = None
+
+
+def _run_chunk(index, conn):
+    fn, chunks = _FORKED
+    try:
+        reply = (True, [fn(item) for item in chunks[index]])
+    except Exception as exc:  # re-raised in the parent
+        reply = (False, exc)
+    with conn:
+        conn.send(reply)
+
+
+def map_images(fn, items, workers):
+    """[fn(item) for item in items], run in up to `workers` processes.
+
+    items split into contiguous chunks, one per worker: the calling
+    process runs the first, and forked children run the rest and send
+    their results back. An exception fn raises in a child re-raises here
+    with its type; any failure terminates and joins every child. With
+    one worker or one item, where fork is unavailable, or while other
+    threads run (a fork could copy a lock one of them holds), this is a
+    plain loop that starts no process. fn must be pure per item for the
+    result to match that loop.
+    """
+    global _FORKED
+    items = list(items)
+    workers = min(workers, len(items))
+    if (workers <= 1 or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return [fn(item) for item in items]
+    size, extra = divmod(len(items), workers)
+    bounds = [k * size + min(k, extra) for k in range(workers + 1)]
+    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    context = multiprocessing.get_context("fork")
+    children = []
+    done = False
+    _FORKED = (fn, chunks)
+    try:
+        for index in range(1, workers):
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_run_chunk, args=(index, send))
+            children.append((child, receive))
+            with send:  # the child's copy stays open until it replies
+                child.start()
+        results = [fn(item) for item in chunks[0]]
+        for child, receive in children:
+            try:
+                ok, value = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"image worker exited with code "
+                                   f"{child.exitcode} before replying")
+            if not ok:
+                raise value
+            results.extend(value)
+        done = True
+    finally:
+        _FORKED = None
+        for child, receive in children:
+            if child.pid is not None:
+                if not done:
+                    child.terminate()
+                child.join()
+            receive.close()
+    return results
+
+
 def embed_images(extractor, images, threads=1):
     """Embed id -> image maps into id -> descriptor, in sorted-id order.
 
@@ -165,12 +248,19 @@ def split_clusters(graphs, val_fraction):
     return ordered[:-n_val], ordered[-n_val:]
 
 
-def render_images(graphs, size):
-    images = {}
-    for graph in graphs:
-        for image_id in sorted(graph.images):
-            images[image_id] = render(graph, image_id, size=size)
-    return images
+def _graph_of(graphs):
+    """image id -> graph, in graph order and sorted ids within a graph."""
+    return {image_id: graph for graph in graphs
+            for image_id in sorted(graph.images)}
+
+
+def render_images(graphs, size, threads=0):
+    """image id -> rendered image, rendered by map_images over
+    worker_count(threads) workers."""
+    graph_of = _graph_of(graphs)
+    rendered = map_images(lambda i: render(graph_of[i], i, size=size),
+                          graph_of, worker_count(threads))
+    return dict(zip(graph_of, rendered))
 
 
 def benchmark_ground_truth(graphs, image_size=None):
@@ -215,11 +305,21 @@ def image_path(images_dir, image_id):
     return os.path.join(images_dir, *image_id.split("/")) + ".ppm"
 
 
-def stage_synth(scene_cfg, out_dir):
+def _render_ppm(graph_of, size, images_dir, image_id):
+    # render and write_ppm are looked up here at call time, so a wrapper
+    # installed on this module's names applies where the call runs
+    write_ppm(image_path(images_dir, image_id),
+              render(graph_of[image_id], image_id, size=size))
+
+
+def stage_synth(scene_cfg, out_dir, threads=0):
     """Generate scenes, render every image to PPM, emit ground truth.
 
     Layout: <out>/scenes/<cluster>.json, <out>/images/<image-id>.ppm,
-    <out>/ground_truth.json. Returns (clusters, images, points).
+    <out>/ground_truth.json. Scenes are generated and saved here; the
+    images are rendered and written by map_images over
+    worker_count(threads) workers, each writing its own PPMs. Returns
+    (clusters, images, points).
     """
     scenes_dir = os.path.join(out_dir, "scenes")
     images_dir = os.path.join(out_dir, "images")
@@ -227,21 +327,20 @@ def stage_synth(scene_cfg, out_dir):
     os.makedirs(scenes_dir, exist_ok=True)
     os.makedirs(images_dir, exist_ok=True)
     graphs = generate(scene_cfg)
-    n_images = 0
-    n_points = 0
     for graph in graphs:
         save_scene(os.path.join(scenes_dir, f"{graph.cluster_id}.json"),
                    graph)
-        n_points += len(graph.points)
-        for image_id in sorted(graph.images):
-            path = image_path(images_dir, image_id)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            write_ppm(path, render(graph, image_id,
-                                   size=scene_cfg.image_size))
-            n_images += 1
+    graph_of = _graph_of(graphs)
+    for image_id in graph_of:
+        os.makedirs(os.path.dirname(image_path(images_dir, image_id)),
+                    exist_ok=True)
+    map_images(functools.partial(_render_ppm, graph_of,
+                                 scene_cfg.image_size, images_dir),
+               graph_of, worker_count(threads))
     save_ground_truth(os.path.join(out_dir, "ground_truth.json"),
                       benchmark_ground_truth(graphs, scene_cfg.image_size))
-    return len(graphs), n_images, n_points
+    return (len(graphs), len(graph_of),
+            sum(len(graph.points) for graph in graphs))
 
 
 def stage_embed(checkpoint_path, images_dir, out_path, rmac_scales=0,

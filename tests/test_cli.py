@@ -5,6 +5,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import struct
@@ -84,6 +85,12 @@ class TestConfigResolution:
     def _resolve(self, *argv):
         parser = build_parser()
         return resolve_config(parser.parse_args(list(argv)))
+
+    def test_threads_zero_is_one_worker_per_usable_cpu(self):
+        cfg = self._resolve("synth", "--out", "x")
+        assert cfg["threads"] == len(os.sched_getaffinity(0))
+        assert self._resolve("synth", "--out", "x",
+                             "--threads", "3")["threads"] == 3
 
     def test_defaults(self):
         cfg = self._resolve("synth", "--out", "x")
@@ -402,6 +409,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+    def test_non_finite_pixel_in_a_render_worker_is_data_error(
+            self, tmp_path, monkeypatch, capsys):
+        # the last image lies in the forked worker's chunk; the
+        # FormatError its write_ppm raises there reaches main
+        from macforge import pipeline
+        render = pipeline.render
+
+        def nan_on_last(graph, image_id, size):
+            image = render(graph, image_id, size=size)
+            return image * np.nan if image_id == "c03/i003" else image
+
+        monkeypatch.setattr(pipeline, "render", nan_on_last)
+        out = tmp_path / "data"
+        code = run_cli("synth", "--out", str(out), "--threads", "2",
+                       *SCENE_ARGS, "--set", "images_max=4")
+        assert code == EXIT_DATA == 4
+        err = capsys.readouterr().err
+        assert "non-finite values in PPM image" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+        assert not (out / "images" / "c03" / "i003.ppm").exists()
+        assert (out / "images" / "c03" / "i002.ppm").exists()
 
     def test_non_finite_descriptors_fail_embed_before_any_write(
             self, workspace, tmp_path, capsys):

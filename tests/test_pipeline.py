@@ -1,7 +1,10 @@
 """Tests for the pipeline layer: the Extractor pooling paths, parallel
-embedding, cluster splits, benchmark ground truth, and the stage
-functions chained over a small synthetic dataset."""
+embedding, the forked image map, cluster splits, benchmark ground
+truth, and the stage functions chained over a small synthetic
+dataset."""
 
+import hashlib
+import multiprocessing
 import os
 from functools import partial
 
@@ -20,7 +23,8 @@ from macforge.descriptor import (
     rmac,
     rmac_regions,
 )
-from macforge.images import resize_max_side
+from macforge.images import resize_max_side, write_ppm
+from macforge.ioutil import FormatError
 from macforge.mining import MiningConfig, load_tuples
 from macforge.numeric import DimensionError, SeededStream
 from macforge import pipeline
@@ -31,7 +35,9 @@ from macforge.pipeline import (
     image_path,
     load_images_dir,
     load_scenes_dir,
+    map_images,
     prepare_training,
+    render_images,
     split_clusters,
     stage_embed,
     stage_mine,
@@ -336,6 +342,66 @@ class TestBenchmarkGroundTruth:
         assert gt["c1/a"].bbox is None
 
 
+class WorkerFailed(Exception):
+    pass
+
+
+def fail_on(bad, item):
+    if item == bad:
+        raise WorkerFailed(f"item {item}")
+    return item
+
+
+class TestMapImages:
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_results_in_item_order(self, workers):
+        items = [f"c{k // 3}/i{k % 3}" for k in range(7)]
+        assert map_images(str.upper, items, workers) == \
+            [i.upper() for i in items]
+        assert multiprocessing.active_children() == []
+
+    def test_parent_runs_the_first_chunk(self):
+        # 5 items over 2 workers: the caller takes the first 3
+        pids = map_images(lambda _: os.getpid(), range(5), 2)
+        assert pids[:3] == [os.getpid()] * 3
+        assert len(set(pids[3:])) == 1 and pids[3] != os.getpid()
+
+    def test_one_item_or_one_worker_starts_no_process(self):
+        assert map_images(lambda _: os.getpid(), ["a"], 4) == [os.getpid()]
+        assert map_images(lambda _: os.getpid(), range(3), 1) == \
+            [os.getpid()] * 3
+
+    @pytest.mark.parametrize("bad", [0, 5, 8])
+    def test_failure_re_raises_with_its_type_and_leaves_no_child(self, bad):
+        # item 0 fails in the caller, 5 and 8 in the second and third
+        # chunk's children
+        with pytest.raises(WorkerFailed, match=f"item {bad}"):
+            map_images(partial(fail_on, bad), range(9), 3)
+        assert multiprocessing.active_children() == []
+
+    def test_non_finite_ppm_in_a_child_is_a_format_error(self, tmp_path):
+        image = np.zeros((3, 2, 2))
+
+        def write(k):
+            write_ppm(tmp_path / f"{k}.ppm", image + (np.nan if k == 3 else 0))
+
+        with pytest.raises(FormatError, match="non-finite"):
+            map_images(write, range(4), 2)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "3.ppm").exists()
+
+    def test_render_images_same_at_any_worker_count(self):
+        graphs = generate(SMOKE_SCENE)
+        serial = render_images(graphs, 24, threads=1)
+        assert list(serial) == [i for g in graphs for i in sorted(g.images)]
+        for threads in (2, 0):
+            forked = render_images(graphs, 24, threads=threads)
+            assert list(forked) == list(serial)
+            for image_id in serial:
+                npt.assert_array_equal(forked[image_id], serial[image_id])
+
+
 SMOKE_SCENE = SceneConfig(clusters=4, images_per_cluster=(4, 5),
                           points_per_cluster=(30, 40), image_size=32,
                           seed=77)
@@ -348,7 +414,25 @@ def synth_dir(tmp_path_factory):
     return out, counts
 
 
+def tree_digests(root):
+    return {str(path.relative_to(root)):
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in root.rglob("*") if path.is_file()}
+
+
 class TestStageSynth:
+
+    def test_bytes_same_at_any_worker_count(self, synth_dir, tmp_path):
+        # synth_dir ran at threads=0, one worker per CPU
+        out, counts = synth_dir
+        expected = tree_digests(out)
+        assert len(expected) == counts[0] + counts[1] + 1
+        for threads in (1, 2):
+            again = tmp_path / f"t{threads}"
+            assert stage_synth(SMOKE_SCENE, str(again),
+                               threads=threads) == counts
+            assert tree_digests(again) == expected
+        assert multiprocessing.active_children() == []
 
     def test_counts_and_layout(self, synth_dir):
         out, (clusters, images, points) = synth_dir

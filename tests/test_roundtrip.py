@@ -1,7 +1,7 @@
 """Every artifact format round-trips: whatever a writer accepts, its
 reader loads, and writing back what was read gives the same bytes. The
 non-finite values a reader refuses, its writer refuses before it opens
-a file."""
+a file, and write_ppm refuses a pixel it cannot quantize the same way."""
 
 import numpy as np
 import pytest
@@ -117,8 +117,10 @@ def nan_projection():
     ("mfck", checkpoint_with("biases", np.nan)),
     ("mfck", checkpoint_with("weights", 1e300)),  # inf in float32
     ("mfpw", nan_projection),
+    ("ppm", lambda: np.full((3, 2, 2), np.nan)),
+    ("ppm", lambda: np.full((3, 2, 2), -np.inf)),
 ], ids=["macd-nan", "macd-overflow", "mfck-inf-weight", "mfck-nan-bias",
-        "mfck-overflow", "mfpw-nan"])
+        "mfck-overflow", "mfpw-nan", "ppm-nan", "ppm-inf"])
 def test_writer_refuses_non_finite_before_opening_a_file(tmp_path, fmt,
                                                          refused):
     write = FORMATS[fmt][0]
