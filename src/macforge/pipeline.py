@@ -147,16 +147,9 @@ def worker_count(threads):
     return os.cpu_count() or 1
 
 
-# (fn, chunks) of the map_images call that is forking its workers; a
-# forked child finds its chunk here, so fn and what it closes over are
-# inherited, never pickled
-_FORKED = None
-
-
-def _run_chunk(index, conn):
-    fn, chunks = _FORKED
+def _run_chunk(fn, chunk, conn):
     try:
-        reply = (True, [fn(item) for item in chunks[index]])
+        reply = (True, [fn(item) for item in chunk])
     except Exception as exc:  # re-raised in the parent
         reply = (False, exc)
     with conn:
@@ -168,14 +161,14 @@ def map_images(fn, items, workers):
 
     items split into contiguous chunks, one per worker: the calling
     process runs the first, and forked children run the rest and send
-    their results back. An exception fn raises in a child re-raises here
+    their results back. A forked child inherits fn and its chunk, so
+    neither is pickled. An exception fn raises in a child re-raises here
     with its type; any failure terminates and joins every child. With
     one worker or one item, where fork is unavailable, or while other
     threads run (a fork could copy a lock one of them holds), this is a
     plain loop that starts no process. fn must be pure per item for the
     result to match that loop.
     """
-    global _FORKED
     items = list(items)
     workers = min(workers, len(items))
     if (workers <= 1 or threading.active_count() > 1
@@ -187,11 +180,11 @@ def map_images(fn, items, workers):
     context = multiprocessing.get_context("fork")
     children = []
     done = False
-    _FORKED = (fn, chunks)
     try:
-        for index in range(1, workers):
+        for chunk in chunks[1:]:
             receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=_run_chunk, args=(index, send))
+            child = context.Process(target=_run_chunk,
+                                    args=(fn, chunk, send))
             children.append((child, receive))
             with send:  # the child's copy stays open until it replies
                 child.start()
@@ -208,7 +201,6 @@ def map_images(fn, items, workers):
             results.extend(value)
         done = True
     finally:
-        _FORKED = None
         for child, receive in children:
             if child.pid is not None:
                 if not done:
@@ -254,12 +246,12 @@ def _graph_of(graphs):
             for image_id in sorted(graph.images)}
 
 
-def render_images(graphs, size, threads=0):
-    """image id -> rendered image, rendered by map_images over
-    worker_count(threads) workers."""
+def render_images(graphs, size):
+    """image id -> rendered image, rendered by map_images over one
+    worker per CPU."""
     graph_of = _graph_of(graphs)
     rendered = map_images(lambda i: render(graph_of[i], i, size=size),
-                          graph_of, worker_count(threads))
+                          graph_of, worker_count(0))
     return dict(zip(graph_of, rendered))
 
 

@@ -46,7 +46,7 @@ from macforge.pipeline import (
     stage_whiten,
 )
 from macforge.retrieval import load_ground_truth
-from macforge.synthscene import SceneConfig, generate
+from macforge.synthscene import SceneConfig, generate, render
 from macforge.training import (
     LossConfig,
     TrainConfig,
@@ -391,15 +391,15 @@ class TestMapImages:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "3.ppm").exists()
 
-    def test_render_images_same_at_any_worker_count(self):
+    def test_render_images_matches_a_serial_render(self):
         graphs = generate(SMOKE_SCENE)
-        serial = render_images(graphs, 24, threads=1)
-        assert list(serial) == [i for g in graphs for i in sorted(g.images)]
-        for threads in (2, 0):
-            forked = render_images(graphs, 24, threads=threads)
-            assert list(forked) == list(serial)
-            for image_id in serial:
-                npt.assert_array_equal(forked[image_id], serial[image_id])
+        expected = [(i, render(g, i, size=24))
+                    for g in graphs for i in sorted(g.images)]
+        images = render_images(graphs, 24)
+        assert list(images) == [i for i, _ in expected]
+        for image_id, image in expected:
+            npt.assert_array_equal(images[image_id], image)
+        assert multiprocessing.active_children() == []
 
 
 SMOKE_SCENE = SceneConfig(clusters=4, images_per_cluster=(4, 5),
