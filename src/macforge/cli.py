@@ -30,7 +30,6 @@ from .pipeline import (
     stage_synth,
     stage_train,
     stage_whiten,
-    worker_count,
 )
 from .retrieval import (
     MODES,
@@ -43,6 +42,7 @@ from .retrieval import (
 from .synthscene import GenerationError, SceneConfig
 from .training import LossConfig, TrainConfig, TrainingDivergedError
 from .whitening import KIND_LW, KIND_PCAW, load_projection
+from .workers import worker_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -251,7 +251,8 @@ def cmd_train(args, cfg):
         build_config(MiningConfig, cfg),
         cfg["positive_method"], cfg["negative_variant"],
         cfg["loss"], cfg["val_fraction"], cfg["seed"],
-        init_params_from=getattr(args, "checkpoint", None))
+        init_params_from=getattr(args, "checkpoint", None),
+        threads=cfg["threads"])
     print(f"best_epoch={result.best_epoch} "
           f"best_val_map={result.best_val_map:.6f}")
     return EXIT_OK
@@ -304,7 +305,8 @@ def build_parser():
         p.add_argument("--seed", type=int, help="top-level random seed")
         p.add_argument("--threads", type=int,
                        help="parallel workers: render processes in synth, "
-                            "embedding threads in embed (0 = one per CPU)")
+                            "embedding threads in embed, embedding and "
+                            "gradient processes in train (0 = one per CPU)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key")
 

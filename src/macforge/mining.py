@@ -379,8 +379,8 @@ class TupleMiner:
     cluster order, their positives, the queries without one, the
     candidate-negative universe and image -> cluster, then selects hard
     negatives into tuples/skipped. remine() asks the caller for the
-    descriptor of each universe id and re-selects only negatives, over
-    the same universe with the same routine.
+    descriptors of the universe ids in one call and re-selects only
+    negatives, over the same universe with the same routine.
     """
 
     def __init__(self, graphs, descriptors: dict, cfg: MiningConfig,
@@ -441,9 +441,10 @@ class TupleMiner:
         return list(self.tuples)
 
     def remine(self, describe) -> None:
-        """Re-select negatives from describe, a function from image id to
-        its descriptor under the current network; positives stay."""
-        self._select({i: describe(i) for i in self.universe})
+        """Re-select negatives from describe, a function from a list of
+        image ids to their descriptors under the current network, in
+        order; positives stay."""
+        self._select(dict(zip(self.universe, describe(self.universe))))
 
     def _select(self, descriptors: dict) -> None:
         """Set tuples and skipped: hard negatives for every query with a
@@ -471,6 +472,9 @@ class TupleMiner:
 
 
 def save_scene(path, g: VisibilityGraph) -> None:
+    """Write g as a scene file; a graph that fails g.validate() is a
+    GraphError, so every file written here loads."""
+    g.validate()
     doc = {
         "cluster_id": g.cluster_id,
         "images": [{"id": img, "camera": {

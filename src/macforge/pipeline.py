@@ -3,16 +3,16 @@
 Everything a pipeline stage needs beyond a single module lives here:
 the Extractor (backbone forward + pooling + optional projection, with
 the two query-crop modes), parallel embedding with deterministic
-output, map_images (pure per-image work over forked worker processes,
-results in item order), cluster train/val splitting, benchmark ground
-truth, and the stage functions the command-line layer calls.
+output, cluster train/val splitting, benchmark ground truth, and the
+stage functions the command-line layer calls. Rendering, the initial
+embedding of stage_train and train() itself map their per-image work
+over forked processes through the workers module (map_images, Workers),
+whose worker_count resolves each stage's threads.
 """
 
 import functools
 import glob
-import multiprocessing
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -58,6 +58,7 @@ from .whitening import (
     fit_pcaw,
     save_projection,
 )
+from .workers import map_images, worker_count
 
 
 class Extractor:
@@ -136,78 +137,6 @@ class Extractor:
                         max(y0 + 1, int(round(bbox.y1 * sy))))
         out, _ = forward(self.params, self.spec, resized, tape=False)
         return self._pool(crop_activations(out, bbox, self.geometry))
-
-
-def worker_count(threads):
-    """threads, or with 0 one worker per CPU this process may run on."""
-    if threads > 0:
-        return threads
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_chunk(fn, chunk, conn):
-    try:
-        reply = (True, [fn(item) for item in chunk])
-    except Exception as exc:  # re-raised in the parent
-        reply = (False, exc)
-    with conn:
-        conn.send(reply)
-
-
-def map_images(fn, items, workers):
-    """[fn(item) for item in items], run in up to `workers` processes.
-
-    items split into contiguous chunks, one per worker: the calling
-    process runs the first, and forked children run the rest and send
-    their results back. A forked child inherits fn and its chunk, so
-    neither is pickled. An exception fn raises in a child re-raises here
-    with its type; any failure terminates and joins every child. With
-    one worker or one item, where fork is unavailable, or while other
-    threads run (a fork could copy a lock one of them holds), this is a
-    plain loop that starts no process. fn must be pure per item for the
-    result to match that loop.
-    """
-    items = list(items)
-    workers = min(workers, len(items))
-    if (workers <= 1 or threading.active_count() > 1
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return [fn(item) for item in items]
-    size, extra = divmod(len(items), workers)
-    bounds = [k * size + min(k, extra) for k in range(workers + 1)]
-    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    context = multiprocessing.get_context("fork")
-    children = []
-    done = False
-    try:
-        for chunk in chunks[1:]:
-            receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=_run_chunk,
-                                    args=(fn, chunk, send))
-            children.append((child, receive))
-            with send:  # the child's copy stays open until it replies
-                child.start()
-        results = [fn(item) for item in chunks[0]]
-        for child, receive in children:
-            try:
-                ok, value = receive.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(f"image worker exited with code "
-                                   f"{child.exitcode} before replying")
-            if not ok:
-                raise value
-            results.extend(value)
-        done = True
-    finally:
-        for child, receive in children:
-            if child.pid is not None:
-                if not done:
-                    child.terminate()
-                child.join()
-            receive.close()
-    return results
 
 
 def embed_images(extractor, images, threads=1):
@@ -383,11 +312,13 @@ def prepare_training(graphs, initial, mining_cfg, positive_method,
 
 def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
                 mining_cfg, positive_method, negative_variant, loss_kind,
-                val_fraction, seed, init_params_from=None):
+                val_fraction, seed, init_params_from=None, threads=0):
     """Mine tuples on the training clusters, fine-tune, keep the best
     checkpoint by held-out mAP. Every image is capped at
     train_cfg.max_image_side once on load, as the Extractor caps it in
-    embed and eval. Returns the TrainResult."""
+    embed and eval. The initial embedding and train() map their
+    per-image work over worker_count(threads) processes; no output byte
+    depends on that count. Returns the TrainResult."""
     graphs = load_scenes_dir(scenes_dir)
     images = {image_id: resize_max_side(image, train_cfg.max_image_side)
               for image_id, image in load_images_dir(images_dir).items()}
@@ -405,10 +336,12 @@ def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
     check_trainable(spec, train_cfg)
 
     params0 = params.copy()
+    workers = worker_count(threads)
     # negatives for a held-out query may come from any cluster, so the
     # whole graph set is embedded once and serves the miner as well
-    initial = {image_id: embed_image(params0, spec, images[image_id])
-               for graph in graphs for image_id in sorted(graph.images)}
+    ids = list(_graph_of(graphs))
+    initial = dict(zip(ids, map_images(
+        lambda i: embed_image(params0, spec, images[i]), ids, workers)))
     miner, val_tuples = prepare_training(
         graphs, initial, mining_cfg, positive_method, negative_variant,
         val_fraction, stream)
@@ -418,7 +351,7 @@ def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
                     meta={"epoch": 0, "loss": loss_kind})
     result = train(miner, images.__getitem__, val_tuples, spec, params,
                    train_cfg, loss_cfg, stream.derive("train"),
-                   loss_kind=loss_kind)
+                   loss_kind=loss_kind, workers=workers)
     save_checkpoint(os.path.join(out_dir, "best.mfck"), spec,
                     result.best_params,
                     meta={"epoch": result.best_epoch,

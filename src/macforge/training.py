@@ -1,24 +1,33 @@
 """Contrastive/triplet losses with exact gradients and the SGD fine-tuning loop.
 
 The trainer consumes a tuple source (anything exposing current_tuples()
-and remine(describe), where describe maps an image id to its descriptor
-under the current network) and reads pixels through image_of, an image
-id -> image function, as validate does. It descends on whole-image
-descriptors built as l2n(mac(trunk(image))), re-mines hard negatives at
-evenly spaced batch boundaries, and keeps the checkpoint with the best
-validation mAP.
+and remine(describe), where describe maps a list of image ids to their
+descriptors under the current network, in order) and reads pixels
+through image_of, an image id -> image function, as validate does. It
+descends on whole-image descriptors built as l2n(mac(trunk(image))),
+re-mines hard negatives at evenly spaced batch boundaries, and keeps the
+checkpoint with the best validation mAP.
 
-Each image is embedded at most once per parameter version: re-mining,
-validation and the batch losses share one id -> descriptor cache,
-dropped on every SGD step, and a re-mine with no SGD step since the
-tuples were last mined is skipped. The source's tuples on entry count as
-mined under the entry params. Once a batch's loss is known from that
-cache, its images run one taped forward and backward each, in turn, so
-one backward tape is alive at a time.
+Its per-image work, the embeds and each image's taped forward and
+backward, runs over a Workers opened once per train() call: the caller
+and workers - 1 forked children. The loss, the sum of the per-image
+gradients and the SGD step stay in the caller, in a fixed order, so no
+byte depends on the worker count.
+
+Each image is embedded at most once per parameter version across all
+workers: re-mining, validation and the batch losses share one id ->
+descriptor cache in the caller, dropped on every SGD step; each fills it
+with the ids it lacks in one map, and a re-mine with no SGD step since
+the tuples were last mined is skipped. The source's tuples on entry
+count as mined under the entry params. Once a batch's loss is known from
+that cache, each of its images runs one taped forward and backward in
+some worker, in turn within that worker, so one backward tape is alive
+per process at a time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +37,7 @@ from .descriptor import l2n, mac, mac_backward
 from .ioutil import write_text
 from .numeric import DimensionError, SeededStream
 from .retrieval import DescriptorDB, search
+from .workers import Workers
 
 
 class TrainingDivergedError(RuntimeError):
@@ -210,32 +220,57 @@ def embed_image(params: NetParams, spec: list[LayerSpec], image: np.ndarray) -> 
     return l2n(mac(out))
 
 
-def _describer(params, spec, image_of, cache: dict):
-    """image id -> embed_image descriptor under params, memoised in cache."""
-    def describe(image_id):
-        if image_id not in cache:
-            cache[image_id] = embed_image(params, spec, image_of(image_id))
-        return cache[image_id]
-    return describe
+def _image_work(spec, image_of, payload, image_id):
+    """One image's part of a train() map. payload is (params, None,
+    None) for its embed_image descriptor, or (params, desc_grads,
+    lowest_conv) for its _image_gradients of desc_grads[image_id]."""
+    params, desc_grads, lowest_conv = payload
+    image = image_of(image_id)
+    if desc_grads is None:
+        return embed_image(params, spec, image)
+    return _image_gradients(params, spec, image, desc_grads[image_id],
+                            lowest_conv)
+
+
+def _image_workers(spec, image_of, n=1):
+    """Workers over _image_work; at n = 1 its maps are plain loops."""
+    return Workers(functools.partial(_image_work, spec, image_of), n)
+
+
+def _tuple_ids(tuples):
+    return [i for t in tuples for i in (t.query, t.positive) + t.negatives]
+
+
+def _embedded(workers, params, cache: dict, ids):
+    """Descriptors of ids under params, in order, read from cache, an
+    id -> descriptor map valid for params; the ids it lacks are embedded
+    in one map over workers (an _image_workers) and added to it."""
+    missing = [i for i in dict.fromkeys(ids) if i not in cache]
+    cache.update(zip(missing, workers.map((params, None, None), missing)))
+    return [cache[i] for i in ids]
 
 
 def validate(params: NetParams, spec: list[LayerSpec], tuples: list,
-             image_of, cache: dict | None = None) -> float:
+             image_of, cache: dict | None = None, workers=None) -> float:
     """Validation mAP: per tuple, the positive is ranked among the
     positive-plus-negatives set by similarity to the query (ties broken by
     image-id) and scores 1/rank; mAP averages over tuples.
 
     cache, if given, is an id -> descriptor map valid for params; it is
     read and filled, so a caller can reuse what validation embedded.
-    A non-finite descriptor, which no ranking can order, raises
-    TrainingDivergedError."""
+    workers, an _image_workers over spec and image_of, embeds what cache
+    lacks; None embeds in this process. A non-finite descriptor, which
+    no ranking can order, raises TrainingDivergedError."""
     if not tuples:
         raise ValueError("validation tuple set is empty")
-    desc = _describer(params, spec, image_of, {} if cache is None else cache)
+    if workers is None:
+        workers = _image_workers(spec, image_of)
+    desc = {} if cache is None else cache
+    _embedded(workers, params, desc, _tuple_ids(tuples))
     total = 0.0
     for t in tuples:
-        db = DescriptorDB({i: desc(i) for i in (t.positive,) + t.negatives})
-        q = desc(t.query)
+        db = DescriptorDB({i: desc[i] for i in (t.positive,) + t.negatives})
+        q = desc[t.query]
         if not (np.isfinite(q).all() and np.isfinite(db.matrix).all()):
             raise TrainingDivergedError("non-finite validation descriptor")
         order = search(db, q).tolist()
@@ -255,16 +290,20 @@ def _image_gradients(params, spec, image, desc_grad, lowest_conv):
     return grads
 
 
-def _batch_loss(params, spec, batch, image_of, cache, loss_cfg, loss_kind):
+def _batch_loss(params, spec, batch, image_of, cache, loss_cfg, loss_kind,
+                workers=None):
     """Mean pair loss over one batch of tuples, from descriptors read
     through cache, an id -> descriptor map valid for params that this
-    reads and fills.
+    reads and fills through workers as validate does.
 
     Returns (mean_loss, desc_grads): desc_grads maps each image id of the
     batch to the gradient of mean_loss with respect to its descriptor,
     accumulated in tuple order.
     """
-    describe = _describer(params, spec, image_of, cache)
+    if workers is None:
+        workers = _image_workers(spec, image_of)
+    _embedded(workers, params, cache, _tuple_ids(batch))
+    describe = cache.__getitem__
     desc_grads = {}
 
     def add_grad(image_id, g):
@@ -300,18 +339,22 @@ def _batch_loss(params, spec, batch, image_of, cache, loss_cfg, loss_kind):
     return total * inv, {i: g * inv for i, g in desc_grads.items()}
 
 
-def _param_gradients(params, spec, image_of, desc_grads, lowest_conv):
+def _param_gradients(params, spec, image_of, desc_grads, lowest_conv,
+                     workers=None):
     """Parameter gradients of sum_i <desc_grads[i], descriptor of i>.
 
     Per image in id order, one taped forward and its backward run in
-    _image_gradients, so one tape is alive at a time; the taped forward
-    gives the bytes of the tape-free one the loss pass read. The
-    gradients of the convs below lowest_conv stay zero.
+    _image_gradients, mapped over workers as validate's embeds are, so
+    one tape is alive per process at a time; the taped forward gives the
+    bytes of the tape-free one the loss pass read. The per-image
+    gradients are summed here in id order. The gradients of the convs
+    below lowest_conv stay zero.
     """
+    if workers is None:
+        workers = _image_workers(spec, image_of)
     grads = params.zeros_like()
-    for image_id in sorted(desc_grads):
-        pg = _image_gradients(params, spec, image_of(image_id),
-                              desc_grads[image_id], lowest_conv)
+    for pg in workers.map((params, desc_grads, lowest_conv),
+                          sorted(desc_grads)):
         for i in range(lowest_conv, len(grads.weights)):
             grads.weights[i] += pg.weights[i]
             grads.biases[i] += pg.biases[i]
@@ -325,7 +368,8 @@ def _remine_batches(n_batches: int, per_epoch: int) -> set:
 
 def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
           params: NetParams, cfg: TrainConfig, loss_cfg: LossConfig,
-          stream: SeededStream, loss_kind: str = "contrastive"):
+          stream: SeededStream, loss_kind: str = "contrastive",
+          workers: int = 1):
     """Fine-tune the trunk on the pixels image_of returns; returns a
     TrainResult.
 
@@ -341,7 +385,10 @@ def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
     losses share one id -> descriptor cache per parameter version,
     dropped on every SGD step, so a batch right after a re-mine runs no
     tape-free forward; the taped forward and backward of each batch
-    image then run one image at a time. A non-finite batch loss raises
+    image then run one image at a time per process. The embeds and the
+    taped passes are mapped over one Workers of `workers` processes,
+    forked once here and joined on return or on any exception; the
+    result is the same at every count. A non-finite batch loss raises
     TrainingDivergedError before that batch's first taped forward, and a
     non-finite validation descriptor raises it before its params can
     become the best.
@@ -362,46 +409,53 @@ def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
     # id -> descriptor under params; the entry tuples were mined under them
     cache = {}
     mined_current = True
-    for epoch in range(cfg.max_epochs):
-        lr = lr_at(epoch, cfg)
-        tuples = source.current_tuples()
-        order = stream.derive("epoch", epoch).permutation(len(tuples))
-        tuples = [tuples[int(j)] for j in order]
-        n_batches = max(1, (len(tuples) + cfg.batch_tuples - 1) // cfg.batch_tuples)
-        remine_at = _remine_batches(n_batches, cfg.remine_per_epoch)
-        loss_sum = 0.0
-        loss_batches = 0
-        for b in range(n_batches):
-            if b in remine_at and not mined_current:
-                source.remine(_describer(params, spec, image_of, cache))
-                mined_current = True
-                by_query = {t.query: t for t in source.current_tuples()}
-                tuples = [by_query[t.query] for t in tuples]
-            batch = tuples[b * cfg.batch_tuples:(b + 1) * cfg.batch_tuples]
-            if not batch:
-                continue
-            loss, desc_grads = _batch_loss(params, spec, batch, image_of,
-                                           cache, loss_cfg, loss_kind)
-            if not np.isfinite(loss):
+    with _image_workers(spec, image_of, workers) as pool:
+        for epoch in range(cfg.max_epochs):
+            lr = lr_at(epoch, cfg)
+            tuples = source.current_tuples()
+            order = stream.derive("epoch", epoch).permutation(len(tuples))
+            tuples = [tuples[int(j)] for j in order]
+            n_batches = max(1, -(-len(tuples) // cfg.batch_tuples))
+            remine_at = _remine_batches(n_batches, cfg.remine_per_epoch)
+            loss_sum = 0.0
+            loss_batches = 0
+            for b in range(n_batches):
+                if b in remine_at and not mined_current:
+                    source.remine(functools.partial(_embedded, pool, params,
+                                                    cache))
+                    mined_current = True
+                    by_query = {t.query: t for t in source.current_tuples()}
+                    tuples = [by_query[t.query] for t in tuples]
+                batch = tuples[b * cfg.batch_tuples:(b + 1) * cfg.batch_tuples]
+                if not batch:
+                    continue
+                loss, desc_grads = _batch_loss(params, spec, batch, image_of,
+                                               cache, loss_cfg, loss_kind,
+                                               pool)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch}, batch {b}")
+                grads = _param_gradients(params, spec, image_of, desc_grads,
+                                         cfg.freeze_conv_layers, pool)
+                loss_sum += loss
+                loss_batches += 1
+                params, velocity = sgd_step_net(params, grads, velocity, lr,
+                                                cfg)
+                cache = {}
+                mined_current = False
+            try:
+                val_map = validate(params, spec, val_tuples, image_of, cache,
+                                   pool)
+            except TrainingDivergedError as exc:
                 raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {b}")
-            grads = _param_gradients(params, spec, image_of, desc_grads,
-                                     cfg.freeze_conv_layers)
-            loss_sum += loss
-            loss_batches += 1
-            params, velocity = sgd_step_net(params, grads, velocity, lr, cfg)
-            cache = {}
-            mined_current = False
-        try:
-            val_map = validate(params, spec, val_tuples, image_of, cache)
-        except TrainingDivergedError as exc:
-            raise TrainingDivergedError(f"{exc} at epoch {epoch}") from None
-        metrics.append(EpochMetrics(epoch, lr, loss_sum / max(1, loss_batches),
-                                    val_map))
-        if val_map > best_val:
-            best_val = val_map
-            best_epoch = epoch
-            best_params = params.copy()
+                    f"{exc} at epoch {epoch}") from None
+            metrics.append(EpochMetrics(epoch, lr,
+                                        loss_sum / max(1, loss_batches),
+                                        val_map))
+            if val_map > best_val:
+                best_val = val_map
+                best_epoch = epoch
+                best_params = params.copy()
     return TrainResult(best_params, best_epoch, best_val, metrics)
 
 

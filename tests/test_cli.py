@@ -353,6 +353,22 @@ class TestReproducibility:
         capsys.readouterr()
         assert file_sha(out) == file_sha(f"{run}/db.macd")
 
+    def test_train_threads_do_not_change_bytes(self, workspace, tmp_path,
+                                               capsys):
+        data = str(workspace / "data")
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert run_cli("train", "--scenes", f"{data}/scenes",
+                           "--images", f"{data}/images", "--out", str(out),
+                           "--seed", "44", "--threads", threads,
+                           *SMALL_ARGS, "--set", "max_epochs=2") == EXIT_OK
+            assert f"threads={threads}" in capsys.readouterr().err
+            runs[threads] = {name: file_sha(str(out / name)) for name in
+                             ("init.mfck", "best.mfck", "metrics.csv")}
+        assert runs["1"] == runs["2"]
+        assert multiprocessing.active_children() == []
+
 
 def scenes_with(workspace, tmp_path, edit):
     """A copy of the workspace scenes with c01.json passed through edit,

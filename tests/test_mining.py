@@ -51,6 +51,11 @@ def random_unit_descriptors(stream, ids, dim=8):
     return out
 
 
+def describer(vectors):
+    """A TupleMiner.remine callback reading id -> descriptor vectors."""
+    return lambda ids: [vectors[i] for i in ids]
+
+
 def negatives_of(query, descs, cluster, n, variant):
     """mine_negatives over a DescriptorDB of every entry of descs."""
     return mine_negatives(query, descs[query], DescriptorDB(descs),
@@ -816,7 +821,7 @@ class TestTupleMiner:
                            SeededStream(4))
         before = miner.current_tuples()
         assert before
-        miner.remine(embed2.__getitem__)
+        miner.remine(describer(embed2))
         after = miner.current_tuples()
         assert [(t.query, t.positive) for t in after] == \
             [(t.query, t.positive) for t in before]
@@ -935,7 +940,7 @@ class TestMiningState:
         miner = TupleMiner(graphs, descs, cfg, "m3", variant,
                            SeededStream(0))
         assert (miner.current_tuples(), miner.skipped) == built
-        miner.remine(descs.__getitem__)
+        miner.remine(describer(descs))
         assert (miner.current_tuples(), miner.skipped) == built
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -958,7 +963,7 @@ class TestMiningState:
         miner = TupleMiner(graphs, descs, cfg, "m3", variant,
                            SeededStream(0))
         fresh = random_unit_descriptors(SeededStream(78), ids)
-        miner.remine(fresh.__getitem__)
+        miner.remine(describer(fresh))
         after = miner.current_tuples()
         assert [(t.query, t.positive) for t in after] == \
             [(t.query, t.positive) for t in built]
@@ -1039,15 +1044,34 @@ class TestSceneIO:
             load_scene(path)
 
     def test_invalid_graph_rejected(self, tmp_path):
-        g = random_graph(SeededStream(71), n_images=4, n_points=6)
-        # orphan a point so only one image observes it
-        victim = sorted(g.points)[0]
-        keep = [e for e in sorted(g.edges) if e[1] == victim][:1]
-        g.edges = {e for e in g.edges if e[1] != victim} | set(keep)
         path = tmp_path / "thin.json"
-        save_scene(path, g)
+        save_scene(path, random_graph(SeededStream(71), n_images=4,
+                                      n_points=6))
+        # orphan a point so only one image observes it
+        doc = json.loads(path.read_text())
+        victim = sorted(pid for _, pid in doc["edges"])[0]
+        keep = [e for e in doc["edges"] if e[1] == victim][:1]
+        doc["edges"] = [e for e in doc["edges"] if e[1] != victim] + keep
+        path.write_text(json.dumps(doc))
         with pytest.raises(FormatError):
             load_scene(path)
+
+    @pytest.mark.parametrize("fault", ["thin_point", "non_finite_point",
+                                       "unknown_image"])
+    def test_save_refuses_an_invalid_graph(self, tmp_path, fault):
+        g = random_graph(SeededStream(71), n_images=4, n_points=6)
+        victim = sorted(g.points)[0]
+        if fault == "thin_point":
+            keep = [e for e in sorted(g.edges) if e[1] == victim][:1]
+            g.edges = {e for e in g.edges if e[1] != victim} | set(keep)
+        elif fault == "non_finite_point":
+            g.points[victim] = np.array([0.0, math.nan, 1.0])
+        else:
+            g.edges = g.edges | {("ghost", victim)}
+        path = tmp_path / "bad.json"
+        with pytest.raises(GraphError):
+            save_scene(path, g)
+        assert not path.exists()
 
 
 class TestTupleIO:

@@ -35,7 +35,6 @@ from macforge.pipeline import (
     image_path,
     load_images_dir,
     load_scenes_dir,
-    map_images,
     prepare_training,
     render_images,
     split_clusters,
@@ -61,6 +60,7 @@ from macforge.whitening import (
     fit_pcaw,
     load_projection,
 )
+from macforge.workers import map_images
 
 
 def make_net(seed=0):

@@ -1,5 +1,7 @@
 """Tests for losses, SGD, validation ranking, and the training loop."""
 
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -435,7 +437,7 @@ class FakeSource:
 
     def remine(self, describe):
         self.remine_calls += 1
-        describe(self.tuples[0].query)  # exercise the callback
+        describe([self.tuples[0].query])  # exercise the callback
         if self.alternates is not None:
             self.tuples = list(self.alternates)
 
@@ -716,7 +718,7 @@ def tiny_scene():
     return graphs, images, spec, params0, initial
 
 
-def train_tiny(tiny_scene, loss_kind, freeze):
+def train_tiny(tiny_scene, loss_kind, freeze, workers=1):
     """train() on tiny_scene: m3/N2 tuples, 3 epochs, 2 re-mines each."""
     graphs, images, spec, params0, initial = tiny_scene
     stream = SeededStream(6)
@@ -731,7 +733,7 @@ def train_tiny(tiny_scene, loss_kind, freeze):
                       freeze_conv_layers=freeze)
     return train(miner, images.__getitem__, val_tuples, spec, params0,
                  cfg, LossConfig(), stream.derive("train"),
-                 loss_kind=loss_kind)
+                 loss_kind=loss_kind, workers=workers)
 
 
 def assert_same_result(a, b):
@@ -992,6 +994,68 @@ class TestOneTapeAlive:
                                batch, images.__getitem__, loss_cfg,
                                "contrastive", 0)
         assert ref_peak > 3 * one_tape
+
+
+class WorkerFailed(Exception):
+    pass
+
+
+class TestTrainWorkers:
+    """train() maps its per-image work over one set of forked workers per
+    call and returns the same bytes at every worker count; no worker
+    outlives it."""
+
+    @pytest.mark.parametrize("freeze", [0, 1])
+    @pytest.mark.parametrize("loss_kind", ["contrastive", "triplet"])
+    def test_same_result_at_any_worker_count(self, tiny_scene, loss_kind,
+                                             freeze, monkeypatch):
+        serial = train_tiny(tiny_scene, loss_kind, freeze)
+        children = []  # the live children's pids at each SGD step
+
+        def recording_sgd(*args):
+            children.append(sorted(p.pid for p in
+                                   multiprocessing.active_children()))
+            return sgd_step_net(*args)
+
+        monkeypatch.setattr(training, "sgd_step_net", recording_sgd)
+        for workers in (2, 3):
+            children.clear()
+            assert_same_result(serial, train_tiny(tiny_scene, loss_kind,
+                                                  freeze, workers))
+            # forked once per call: the same workers - 1 children serve
+            # every step
+            assert len(children[0]) == workers - 1
+            assert all(pids == children[0] for pids in children)
+            assert multiprocessing.active_children() == []
+
+    def test_divergence_in_the_caller_leaves_no_worker(self):
+        spec, params = make_identity_net()
+        images, tuples = small_problem(SeededStream(92), n_tuples=6)
+        cfg = TrainConfig(base_lr=1e30, max_epochs=2, batch_tuples=3,
+                          remine_per_epoch=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match="epoch"):
+                train(FakeSource(tuples), images.__getitem__, tuples, spec,
+                      params, cfg, LossConfig(), SeededStream(6), workers=3)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("stage", ["embed", "gradient"])
+    def test_exception_in_a_worker_reaches_the_caller(self, tiny_scene,
+                                                      stage, monkeypatch):
+        caller = os.getpid()
+        original = (training.embed_image if stage == "embed"
+                    else training._image_gradients)
+
+        def fail_in_a_child(*args):
+            if os.getpid() != caller:
+                raise WorkerFailed(f"{stage} in a child")
+            return original(*args)
+
+        name = "embed_image" if stage == "embed" else "_image_gradients"
+        monkeypatch.setattr(training, name, fail_in_a_child)
+        with pytest.raises(WorkerFailed, match=f"{stage} in a child"):
+            train_tiny(tiny_scene, "contrastive", 0, workers=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestMetricsCsv:
