@@ -80,7 +80,7 @@ def _field_defaults():
 # below are stage arguments; the rest come from the config dataclasses.
 DEFAULTS = {
     **_field_defaults(),
-    "threads": 0,  # parallel workers; 0 = one per CPU
+    "threads": 0,  # worker processes; 0 = one per CPU
     "positive_method": "m3",
     "negative_variant": "N2",
     "mine_all_queries": False,
@@ -304,9 +304,7 @@ def build_parser():
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--seed", type=int, help="top-level random seed")
         p.add_argument("--threads", type=int,
-                       help="parallel workers: render processes in synth, "
-                            "embedding threads in embed, embedding and "
-                            "gradient processes in train (0 = one per CPU)")
+                       help="worker processes (0 = one per CPU)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key")
 

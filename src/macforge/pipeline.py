@@ -2,18 +2,17 @@
 
 Everything a pipeline stage needs beyond a single module lives here:
 the Extractor (backbone forward + pooling + optional projection, with
-the two query-crop modes), parallel embedding with deterministic
-output, cluster train/val splitting, benchmark ground truth, and the
-stage functions the command-line layer calls. Rendering, the initial
-embedding of stage_train and train() itself map their per-image work
-over forked processes through the workers module (map_images, Workers),
-whose worker_count resolves each stage's threads.
+the two query-crop modes), embedding with deterministic output, cluster
+train/val splitting, benchmark ground truth, and the stage functions
+the command-line layer calls. Each stage's threads is a count of worker
+processes, 0 = one per CPU (workers.worker_count): rendering, embedding
+and training map their per-image work over forked processes through
+the workers module (map_images, Workers).
 """
 
 import functools
 import glob
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -140,17 +139,13 @@ class Extractor:
 
 
 def embed_images(extractor, images, threads=1):
-    """Embed id -> image maps into id -> descriptor, in sorted-id order.
-
-    Extraction is pure, so a thread pool changes timing only; results
-    are collected in submission order and stay deterministic.
-    """
+    """Embed id -> image maps into id -> descriptor, in sorted-id order,
+    by map_images over `threads` worker processes. The children inherit
+    the extractor and the images through the fork and send back only
+    descriptors; at one worker the map is a plain loop here."""
     ids = sorted(images)
-    if threads <= 1:
-        return {i: extractor.extract(images[i]) for i in ids}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        vectors = list(pool.map(lambda i: extractor.extract(images[i]), ids))
-    return dict(zip(ids, vectors))
+    return dict(zip(ids, map_images(lambda i: extractor.extract(images[i]),
+                                    ids, threads)))
 
 
 def split_clusters(graphs, val_fraction):
@@ -265,13 +260,16 @@ def stage_synth(scene_cfg, out_dir, threads=0):
 
 
 def stage_embed(checkpoint_path, images_dir, out_path, rmac_scales=0,
-                projection=None, out_dim=None, max_side=None, threads=1):
+                projection=None, out_dim=None, max_side=None, threads=0):
+    """Embed every PPM under images_dir over worker_count(threads)
+    processes and write the .macd; no byte depends on that count.
+    Returns the number of descriptors."""
     spec, params, _ = load_checkpoint(checkpoint_path)
     extractor = Extractor(spec, params, rmac_scales=rmac_scales,
                           projection=projection, out_dim=out_dim,
                           max_side=max_side)
     images = load_images_dir(images_dir)
-    descriptors = embed_images(extractor, images, threads=threads)
+    descriptors = embed_images(extractor, images, worker_count(threads))
     save_descriptors(out_path, descriptors)
     return len(descriptors)
 

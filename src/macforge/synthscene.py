@@ -138,10 +138,8 @@ def _generate_cluster(cfg, index, stream):
             f"cluster {tag} retained no points; loosen the configuration")
     points = {p: points[p] for p in sorted(kept)}
     edges = {(i, p) for i, p in edges if p in kept}
-    graph = VisibilityGraph(cluster_id=tag, images=images, points=points,
-                            edges=edges)
-    graph.validate()
-    return graph
+    return VisibilityGraph(cluster_id=tag, images=images, points=points,
+                           edges=edges)
 
 
 def generate(cfg):

@@ -290,18 +290,15 @@ def _image_gradients(params, spec, image, desc_grad, lowest_conv):
     return grads
 
 
-def _batch_loss(params, spec, batch, image_of, cache, loss_cfg, loss_kind,
-                workers=None):
+def _batch_loss(params, batch, cache, loss_cfg, loss_kind, workers):
     """Mean pair loss over one batch of tuples, from descriptors read
     through cache, an id -> descriptor map valid for params that this
-    reads and fills through workers as validate does.
+    reads and fills through workers (an _image_workers) as validate does.
 
     Returns (mean_loss, desc_grads): desc_grads maps each image id of the
     batch to the gradient of mean_loss with respect to its descriptor,
     accumulated in tuple order.
     """
-    if workers is None:
-        workers = _image_workers(spec, image_of)
     _embedded(workers, params, cache, _tuple_ids(batch))
     describe = cache.__getitem__
     desc_grads = {}
@@ -339,8 +336,7 @@ def _batch_loss(params, spec, batch, image_of, cache, loss_cfg, loss_kind,
     return total * inv, {i: g * inv for i, g in desc_grads.items()}
 
 
-def _param_gradients(params, spec, image_of, desc_grads, lowest_conv,
-                     workers=None):
+def _param_gradients(params, desc_grads, lowest_conv, workers):
     """Parameter gradients of sum_i <desc_grads[i], descriptor of i>.
 
     Per image in id order, one taped forward and its backward run in
@@ -350,8 +346,6 @@ def _param_gradients(params, spec, image_of, desc_grads, lowest_conv,
     gradients are summed here in id order. The gradients of the convs
     below lowest_conv stay zero.
     """
-    if workers is None:
-        workers = _image_workers(spec, image_of)
     grads = params.zeros_like()
     for pg in workers.map((params, desc_grads, lowest_conv),
                           sorted(desc_grads)):
@@ -429,13 +423,12 @@ def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
                 batch = tuples[b * cfg.batch_tuples:(b + 1) * cfg.batch_tuples]
                 if not batch:
                     continue
-                loss, desc_grads = _batch_loss(params, spec, batch, image_of,
-                                               cache, loss_cfg, loss_kind,
-                                               pool)
+                loss, desc_grads = _batch_loss(params, batch, cache,
+                                               loss_cfg, loss_kind, pool)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(
                         f"non-finite loss at epoch {epoch}, batch {b}")
-                grads = _param_gradients(params, spec, image_of, desc_grads,
+                grads = _param_gradients(params, desc_grads,
                                          cfg.freeze_conv_layers, pool)
                 loss_sum += loss
                 loss_batches += 1

@@ -30,6 +30,7 @@ from macforge.cli import (
     resolve_config,
 )
 from macforge.descriptor import save_descriptors
+from macforge.images import write_ppm
 from macforge.mining import MiningConfig, TrainingTuple, save_tuples
 from macforge.pipeline import load_scenes_dir
 from macforge.synthscene import SceneConfig
@@ -452,8 +453,7 @@ class TestExitCodes:
     def test_non_finite_descriptors_fail_embed_before_any_write(
             self, workspace, tmp_path, capsys):
         # weights scaled by 1e18 are finite, but the activations they
-        # give overflow float32, so every descriptor is NaN; one thread
-        # keeps the embed under this errstate
+        # give overflow float32, so every descriptor is NaN
         spec, params, meta = load_checkpoint(
             workspace / "run" / "init.mfck")
         big = str(tmp_path / "big.mfck")
@@ -463,11 +463,29 @@ class TestExitCodes:
         with np.errstate(over="ignore", invalid="ignore"):
             code = run_cli("embed", "--checkpoint", big,
                            "--images", str(workspace / "data" / "images"),
-                           "--out", str(out), "--set", "max_image_side=32",
-                           "--set", "threads=1")
+                           "--out", str(out), "--set", "max_image_side=32")
         assert code == EXIT_DATA == 4
         err = capsys.readouterr().err
         assert "non-finite values in descriptor 'c00/i000'" in err
+        assert not out.exists()
+
+    def test_image_too_small_in_an_embed_worker_is_data_error(
+            self, workspace, tmp_path, capsys):
+        # the last sorted image lies in the forked worker's chunk; the
+        # ShapeError its forward raises there reaches main
+        images = tmp_path / "images"
+        shutil.copytree(workspace / "data" / "images", images)
+        write_ppm(images / "zz.ppm", np.zeros((3, 4, 4)))
+        out = tmp_path / "o.macd"
+        code = run_cli("embed", "--checkpoint",
+                       str(workspace / "run" / "init.mfck"),
+                       "--images", str(images), "--out", str(out),
+                       "--threads", "2", "--set", "max_image_side=32")
+        assert code == EXIT_DATA == 4
+        err = capsys.readouterr().err
+        assert "maxpool window 2 exceeds input" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
         assert not out.exists()
 
     def test_sidecar_that_is_not_an_object_is_data_error(

@@ -1,5 +1,5 @@
-"""Tests for the pipeline layer: the Extractor pooling paths, parallel
-embedding, the forked image map, cluster splits, benchmark ground
+"""Tests for the pipeline layer: the Extractor pooling paths, embedding
+and rendering over worker processes, cluster splits, benchmark ground
 truth, and the stage functions chained over a small synthetic
 dataset."""
 
@@ -23,8 +23,7 @@ from macforge.descriptor import (
     rmac,
     rmac_regions,
 )
-from macforge.images import resize_max_side, write_ppm
-from macforge.ioutil import FormatError
+from macforge.images import resize_max_side
 from macforge.mining import MiningConfig, load_tuples
 from macforge.numeric import DimensionError, SeededStream
 from macforge import pipeline
@@ -60,7 +59,6 @@ from macforge.whitening import (
     fit_pcaw,
     load_projection,
 )
-from macforge.workers import map_images
 
 
 def make_net(seed=0):
@@ -262,17 +260,19 @@ class TestExtractorValidation:
 
 class TestEmbedImages:
 
-    def test_threaded_matches_serial(self):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_workers_match_serial(self, workers):
         spec, params = make_net(30)
         stream = SeededStream(31)
         images = {f"i{k:02d}": random_image(stream, size=32)
                   for k in range(9)}
         ex = Extractor(spec, params)
-        serial = embed_images(ex, images, threads=1)
-        threaded = embed_images(ex, images, threads=4)
-        assert sorted(serial) == sorted(images)
+        serial = {i: ex.extract(images[i]) for i in sorted(images)}
+        mapped = embed_images(ex, images, workers)
+        assert list(mapped) == sorted(images)
         for key in serial:
-            npt.assert_array_equal(serial[key], threaded[key])
+            assert mapped[key].tobytes() == serial[key].tobytes()
+        assert multiprocessing.active_children() == []
 
     def test_insertion_order_sorted(self):
         spec, params = make_net(32)
@@ -342,54 +342,7 @@ class TestBenchmarkGroundTruth:
         assert gt["c1/a"].bbox is None
 
 
-class WorkerFailed(Exception):
-    pass
-
-
-def fail_on(bad, item):
-    if item == bad:
-        raise WorkerFailed(f"item {item}")
-    return item
-
-
-class TestMapImages:
-
-    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-    def test_results_in_item_order(self, workers):
-        items = [f"c{k // 3}/i{k % 3}" for k in range(7)]
-        assert map_images(str.upper, items, workers) == \
-            [i.upper() for i in items]
-        assert multiprocessing.active_children() == []
-
-    def test_parent_runs_the_first_chunk(self):
-        # 5 items over 2 workers: the caller takes the first 3
-        pids = map_images(lambda _: os.getpid(), range(5), 2)
-        assert pids[:3] == [os.getpid()] * 3
-        assert len(set(pids[3:])) == 1 and pids[3] != os.getpid()
-
-    def test_one_item_or_one_worker_starts_no_process(self):
-        assert map_images(lambda _: os.getpid(), ["a"], 4) == [os.getpid()]
-        assert map_images(lambda _: os.getpid(), range(3), 1) == \
-            [os.getpid()] * 3
-
-    @pytest.mark.parametrize("bad", [0, 5, 8])
-    def test_failure_re_raises_with_its_type_and_leaves_no_child(self, bad):
-        # item 0 fails in the caller, 5 and 8 in the second and third
-        # chunk's children
-        with pytest.raises(WorkerFailed, match=f"item {bad}"):
-            map_images(partial(fail_on, bad), range(9), 3)
-        assert multiprocessing.active_children() == []
-
-    def test_non_finite_ppm_in_a_child_is_a_format_error(self, tmp_path):
-        image = np.zeros((3, 2, 2))
-
-        def write(k):
-            write_ppm(tmp_path / f"{k}.ppm", image + (np.nan if k == 3 else 0))
-
-        with pytest.raises(FormatError, match="non-finite"):
-            map_images(write, range(4), 2)
-        assert multiprocessing.active_children() == []
-        assert not (tmp_path / "3.ppm").exists()
+class TestRenderImages:
 
     def test_render_images_matches_a_serial_render(self):
         graphs = generate(SMOKE_SCENE)
@@ -512,6 +465,20 @@ class TestStageEmbed:
         stage_embed(ckpt, str(out / "images"), again, threads=4)
         with open(db_path, "rb") as f1, open(again, "rb") as f2:
             assert f1.read() == f2.read()
+
+    @pytest.mark.parametrize("rmac_scales", [0, 3])
+    def test_bytes_same_at_any_worker_count(self, synth_dir, embedded,
+                                            tmp_path, rmac_scales):
+        out, _ = synth_dir
+        ckpt, _, _ = embedded
+        digests = set()
+        for threads in (1, 2, 4, 0):  # 0: one worker per CPU
+            path = tmp_path / f"t{threads}.macd"
+            stage_embed(ckpt, str(out / "images"), str(path),
+                        rmac_scales=rmac_scales, threads=threads)
+            digests.add(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert len(digests) == 1
+        assert multiprocessing.active_children() == []
 
 
 MINE_CFG = MiningConfig(pool_size=10, negatives=2,

@@ -809,11 +809,12 @@ class TestTapeFreeForwardsInTrain:
 def batch_gradients(params, spec, batch, image_of, cache, loss_cfg,
                     loss_kind, lowest_conv):
     """train()'s two passes over one batch: the loss pass, then the
-    gradient pass. Returns (mean_loss, grads)."""
-    loss, desc_grads = training._batch_loss(params, spec, batch, image_of,
-                                            cache, loss_cfg, loss_kind)
-    return loss, training._param_gradients(params, spec, image_of,
-                                           desc_grads, lowest_conv)
+    gradient pass, both in this process. Returns (mean_loss, grads)."""
+    with training._image_workers(spec, image_of) as workers:
+        loss, desc_grads = training._batch_loss(params, batch, cache,
+                                                loss_cfg, loss_kind, workers)
+        return loss, training._param_gradients(params, desc_grads,
+                                               lowest_conv, workers)
 
 
 def reference_batch_gradients(params, spec, batch, image_of, loss_cfg,

@@ -1,13 +1,17 @@
-"""Tests for the persistent fork map (Workers) and worker_count."""
+"""Tests for the persistent fork map (Workers), the one-call map over it
+(map_images) and worker_count."""
 
 import multiprocessing
 import os
 import threading
 from functools import partial
 
+import numpy as np
 import pytest
 
-from macforge.workers import Workers, worker_count
+from macforge.images import write_ppm
+from macforge.ioutil import FormatError
+from macforge.workers import Workers, map_images, worker_count
 
 
 class WorkerFailed(Exception):
@@ -115,6 +119,46 @@ class TestWorkers:
                 pool.map(None, range(6))
                 raise WorkerFailed("after a map")
         assert multiprocessing.active_children() == []
+
+
+class TestMapImages:
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_results_in_item_order(self, workers):
+        items = [f"c{k // 3}/i{k % 3}" for k in range(7)]
+        assert map_images(str.upper, items, workers) == \
+            [i.upper() for i in items]
+        assert multiprocessing.active_children() == []
+
+    def test_parent_runs_the_first_chunk(self):
+        # 5 items over 2 workers: the caller takes the first 3
+        pids = map_images(lambda _: os.getpid(), range(5), 2)
+        assert pids[:3] == [os.getpid()] * 3
+        assert len(set(pids[3:])) == 1 and pids[3] != os.getpid()
+
+    def test_one_item_or_one_worker_starts_no_process(self):
+        assert map_images(lambda _: os.getpid(), ["a"], 4) == [os.getpid()]
+        assert map_images(lambda _: os.getpid(), range(3), 1) == \
+            [os.getpid()] * 3
+
+    @pytest.mark.parametrize("bad", [0, 5, 8])
+    def test_failure_re_raises_with_its_type_and_leaves_no_child(self, bad):
+        # item 0 fails in the caller, 5 and 8 in the second and third
+        # chunk's children
+        with pytest.raises(WorkerFailed, match=f"item {bad}"):
+            map_images(partial(fail_on, bad, None), range(9), 3)
+        assert multiprocessing.active_children() == []
+
+    def test_non_finite_ppm_in_a_child_is_a_format_error(self, tmp_path):
+        image = np.zeros((3, 2, 2))
+
+        def write(k):
+            write_ppm(tmp_path / f"{k}.ppm", image + (np.nan if k == 3 else 0))
+
+        with pytest.raises(FormatError, match="non-finite"):
+            map_images(write, range(4), 2)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "3.ppm").exists()
 
 
 class TestWorkerCount:
