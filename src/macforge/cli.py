@@ -302,9 +302,6 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int, help="top-level random seed")
-        p.add_argument("--threads", type=int,
-                       help="worker processes (0 = one per CPU)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key")
 
@@ -368,6 +365,13 @@ def build_parser():
     p.add_argument("--dim", type=int)
     p.add_argument("--out", help="also write the CSV here")
     p.set_defaults(func=cmd_eval)
+    # offered only by the subcommands whose stage reads the key
+    for name in ("synth", "mine", "train"):
+        sub.choices[name].add_argument("--seed", type=int,
+                                       help="top-level random seed")
+    for name in ("synth", "embed", "train"):
+        sub.choices[name].add_argument(
+            "--threads", type=int, help="worker processes (0 = one per CPU)")
     return parser
 
 

@@ -5,9 +5,9 @@ the Extractor (backbone forward + pooling + optional projection, with
 the two query-crop modes), embedding with deterministic output, cluster
 train/val splitting, benchmark ground truth, and the stage functions
 the command-line layer calls. Each stage's threads is a count of worker
-processes, 0 = one per CPU (workers.worker_count): rendering, embedding
-and training map their per-image work over forked processes through
-the workers module (map_images, Workers).
+processes, 0 = one per CPU (workers.worker_count): rendering and
+embedding map their per-image work with workers.map_images, and
+stage_train maps all of its own over one training.image_workers pool.
 """
 
 import functools
@@ -48,7 +48,13 @@ from .mining import (
 from .numeric import DimensionError, SeededStream
 from .retrieval import QueryGroundTruth, save_ground_truth
 from .synthscene import generate, render
-from .training import check_trainable, embed_image, train, write_metrics_csv
+from .training import (
+    check_trainable,
+    embedded,
+    image_workers,
+    train,
+    write_metrics_csv,
+)
 from .whitening import (
     KIND_LW,
     KIND_PCAW,
@@ -138,14 +144,12 @@ class Extractor:
         return self._pool(crop_activations(out, bbox, self.geometry))
 
 
-def embed_images(extractor, images, threads=1):
+def embed_images(extractor, images, workers):
     """Embed id -> image maps into id -> descriptor, in sorted-id order,
-    by map_images over `threads` worker processes. The children inherit
-    the extractor and the images through the fork and send back only
-    descriptors; at one worker the map is a plain loop here."""
+    by map_images over `workers` processes."""
     ids = sorted(images)
     return dict(zip(ids, map_images(lambda i: extractor.extract(images[i]),
-                                    ids, threads)))
+                                    ids, workers)))
 
 
 def split_clusters(graphs, val_fraction):
@@ -314,9 +318,9 @@ def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
     """Mine tuples on the training clusters, fine-tune, keep the best
     checkpoint by held-out mAP. Every image is capped at
     train_cfg.max_image_side once on load, as the Extractor caps it in
-    embed and eval. The initial embedding and train() map their
-    per-image work over worker_count(threads) processes; no output byte
-    depends on that count. Returns the TrainResult."""
+    embed and eval. The initial embedding and train() share one pool of
+    worker_count(threads) processes, forked once; no output byte depends
+    on that count. Returns the TrainResult."""
     graphs = load_scenes_dir(scenes_dir)
     images = {image_id: resize_max_side(image, train_cfg.max_image_side)
               for image_id, image in load_images_dir(images_dir).items()}
@@ -333,23 +337,19 @@ def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
         params = init_params(spec, stream.derive("init"))
     check_trainable(spec, train_cfg)
 
-    params0 = params.copy()
-    workers = worker_count(threads)
-    # negatives for a held-out query may come from any cluster, so the
-    # whole graph set is embedded once and serves the miner as well
-    ids = list(_graph_of(graphs))
-    initial = dict(zip(ids, map_images(
-        lambda i: embed_image(params0, spec, images[i]), ids, workers)))
-    miner, val_tuples = prepare_training(
-        graphs, initial, mining_cfg, positive_method, negative_variant,
-        val_fraction, stream)
-
-    os.makedirs(out_dir, exist_ok=True)
-    save_checkpoint(os.path.join(out_dir, "init.mfck"), spec, params0,
-                    meta={"epoch": 0, "loss": loss_kind})
-    result = train(miner, images.__getitem__, val_tuples, spec, params,
-                   train_cfg, loss_cfg, stream.derive("train"),
-                   loss_kind=loss_kind, workers=workers)
+    with image_workers(spec, images.__getitem__, worker_count(threads)) as pool:
+        # held-out negatives may come from any cluster: embed every image
+        ids = list(_graph_of(graphs))
+        initial = dict(zip(ids, embedded(pool, params, {}, ids)))
+        miner, val_tuples = prepare_training(
+            graphs, initial, mining_cfg, positive_method, negative_variant,
+            val_fraction, stream)
+        os.makedirs(out_dir, exist_ok=True)
+        save_checkpoint(os.path.join(out_dir, "init.mfck"), spec, params,
+                        meta={"epoch": 0, "loss": loss_kind})
+        result = train(miner, images.__getitem__, val_tuples, spec, params,
+                       train_cfg, loss_cfg, stream.derive("train"),
+                       loss_kind=loss_kind, workers=pool)
     save_checkpoint(os.path.join(out_dir, "best.mfck"), spec,
                     result.best_params,
                     meta={"epoch": result.best_epoch,

@@ -9,10 +9,9 @@ re-mines hard negatives at evenly spaced batch boundaries, and keeps the
 checkpoint with the best validation mAP.
 
 Its per-image work, the embeds and each image's taped forward and
-backward, runs over a Workers opened once per train() call: the caller
-and workers - 1 forked children. The loss, the sum of the per-image
-gradients and the SGD step stay in the caller, in a fixed order, so no
-byte depends on the worker count.
+backward, maps over an image_workers pool that the caller owns. The
+loss, the sum of the per-image gradients and the SGD step stay in the
+caller, in a fixed order, so no byte depends on the worker count.
 
 Each image is embedded at most once per parameter version across all
 workers: re-mining, validation and the batch losses share one id ->
@@ -221,7 +220,7 @@ def embed_image(params: NetParams, spec: list[LayerSpec], image: np.ndarray) -> 
 
 
 def _image_work(spec, image_of, payload, image_id):
-    """One image's part of a train() map. payload is (params, None,
+    """One image's part of an image_workers map. payload is (params, None,
     None) for its embed_image descriptor, or (params, desc_grads,
     lowest_conv) for its _image_gradients of desc_grads[image_id]."""
     params, desc_grads, lowest_conv = payload
@@ -232,8 +231,9 @@ def _image_work(spec, image_of, payload, image_id):
                             lowest_conv)
 
 
-def _image_workers(spec, image_of, n=1):
-    """Workers over _image_work; at n = 1 its maps are plain loops."""
+def image_workers(spec, image_of, n=1):
+    """The n-process Workers that embedded, validate and train map their
+    per-image work over; at n = 1 its maps are plain loops."""
     return Workers(functools.partial(_image_work, spec, image_of), n)
 
 
@@ -241,10 +241,10 @@ def _tuple_ids(tuples):
     return [i for t in tuples for i in (t.query, t.positive) + t.negatives]
 
 
-def _embedded(workers, params, cache: dict, ids):
+def embedded(workers, params, cache: dict, ids):
     """Descriptors of ids under params, in order, read from cache, an
     id -> descriptor map valid for params; the ids it lacks are embedded
-    in one map over workers (an _image_workers) and added to it."""
+    in one map over workers (an image_workers) and added to it."""
     missing = [i for i in dict.fromkeys(ids) if i not in cache]
     cache.update(zip(missing, workers.map((params, None, None), missing)))
     return [cache[i] for i in ids]
@@ -258,15 +258,15 @@ def validate(params: NetParams, spec: list[LayerSpec], tuples: list,
 
     cache, if given, is an id -> descriptor map valid for params; it is
     read and filled, so a caller can reuse what validation embedded.
-    workers, an _image_workers over spec and image_of, embeds what cache
+    workers, an image_workers over spec and image_of, embeds what cache
     lacks; None embeds in this process. A non-finite descriptor, which
     no ranking can order, raises TrainingDivergedError."""
     if not tuples:
         raise ValueError("validation tuple set is empty")
     if workers is None:
-        workers = _image_workers(spec, image_of)
+        workers = image_workers(spec, image_of)
     desc = {} if cache is None else cache
-    _embedded(workers, params, desc, _tuple_ids(tuples))
+    embedded(workers, params, desc, _tuple_ids(tuples))
     total = 0.0
     for t in tuples:
         db = DescriptorDB({i: desc[i] for i in (t.positive,) + t.negatives})
@@ -293,13 +293,13 @@ def _image_gradients(params, spec, image, desc_grad, lowest_conv):
 def _batch_loss(params, batch, cache, loss_cfg, loss_kind, workers):
     """Mean pair loss over one batch of tuples, from descriptors read
     through cache, an id -> descriptor map valid for params that this
-    reads and fills through workers (an _image_workers) as validate does.
+    reads and fills through workers (an image_workers) as validate does.
 
     Returns (mean_loss, desc_grads): desc_grads maps each image id of the
     batch to the gradient of mean_loss with respect to its descriptor,
     accumulated in tuple order.
     """
-    _embedded(workers, params, cache, _tuple_ids(batch))
+    embedded(workers, params, cache, _tuple_ids(batch))
     describe = cache.__getitem__
     desc_grads = {}
 
@@ -363,7 +363,7 @@ def _remine_batches(n_batches: int, per_epoch: int) -> set:
 def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
           params: NetParams, cfg: TrainConfig, loss_cfg: LossConfig,
           stream: SeededStream, loss_kind: str = "contrastive",
-          workers: int = 1):
+          workers=None):
     """Fine-tune the trunk on the pixels image_of returns; returns a
     TrainResult.
 
@@ -375,17 +375,13 @@ def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
 
     The source's tuples on entry must be the ones it mines under params
     (as pipeline.prepare_training builds them), so a re-mine before the
-    first SGD step is skipped. Re-mining, validation and the batch
-    losses share one id -> descriptor cache per parameter version,
-    dropped on every SGD step, so a batch right after a re-mine runs no
-    tape-free forward; the taped forward and backward of each batch
-    image then run one image at a time per process. The embeds and the
-    taped passes are mapped over one Workers of `workers` processes,
-    forked once here and joined on return or on any exception; the
-    result is the same at every count. A non-finite batch loss raises
-    TrainingDivergedError before that batch's first taped forward, and a
-    non-finite validation descriptor raises it before its params can
-    become the best.
+    first SGD step is skipped. The embeds and taped passes map over
+    workers, an open image_workers over spec and image_of that the
+    caller closes, or None for plain loops here; train() forks and joins
+    nothing, and its result is the same at every worker count. A
+    non-finite batch loss raises TrainingDivergedError before that
+    batch's first taped forward, and a non-finite validation descriptor
+    raises it before its params can become the best.
     """
     if loss_kind not in ("contrastive", "triplet"):
         raise ValueError(f"unknown loss {loss_kind!r}")
@@ -403,52 +399,50 @@ def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
     # id -> descriptor under params; the entry tuples were mined under them
     cache = {}
     mined_current = True
-    with _image_workers(spec, image_of, workers) as pool:
-        for epoch in range(cfg.max_epochs):
-            lr = lr_at(epoch, cfg)
-            tuples = source.current_tuples()
-            order = stream.derive("epoch", epoch).permutation(len(tuples))
-            tuples = [tuples[int(j)] for j in order]
-            n_batches = max(1, -(-len(tuples) // cfg.batch_tuples))
-            remine_at = _remine_batches(n_batches, cfg.remine_per_epoch)
-            loss_sum = 0.0
-            loss_batches = 0
-            for b in range(n_batches):
-                if b in remine_at and not mined_current:
-                    source.remine(functools.partial(_embedded, pool, params,
-                                                    cache))
-                    mined_current = True
-                    by_query = {t.query: t for t in source.current_tuples()}
-                    tuples = [by_query[t.query] for t in tuples]
-                batch = tuples[b * cfg.batch_tuples:(b + 1) * cfg.batch_tuples]
-                if not batch:
-                    continue
-                loss, desc_grads = _batch_loss(params, batch, cache,
-                                               loss_cfg, loss_kind, pool)
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(
-                        f"non-finite loss at epoch {epoch}, batch {b}")
-                grads = _param_gradients(params, desc_grads,
-                                         cfg.freeze_conv_layers, pool)
-                loss_sum += loss
-                loss_batches += 1
-                params, velocity = sgd_step_net(params, grads, velocity, lr,
-                                                cfg)
-                cache = {}
-                mined_current = False
-            try:
-                val_map = validate(params, spec, val_tuples, image_of, cache,
-                                   pool)
-            except TrainingDivergedError as exc:
+    if workers is None:
+        workers = image_workers(spec, image_of)
+    for epoch in range(cfg.max_epochs):
+        lr = lr_at(epoch, cfg)
+        tuples = source.current_tuples()
+        order = stream.derive("epoch", epoch).permutation(len(tuples))
+        tuples = [tuples[int(j)] for j in order]
+        n_batches = max(1, -(-len(tuples) // cfg.batch_tuples))
+        remine_at = _remine_batches(n_batches, cfg.remine_per_epoch)
+        loss_sum = 0.0
+        loss_batches = 0
+        for b in range(n_batches):
+            if b in remine_at and not mined_current:
+                source.remine(functools.partial(embedded, workers, params,
+                                                cache))
+                mined_current = True
+                by_query = {t.query: t for t in source.current_tuples()}
+                tuples = [by_query[t.query] for t in tuples]
+            batch = tuples[b * cfg.batch_tuples:(b + 1) * cfg.batch_tuples]
+            if not batch:
+                continue
+            loss, desc_grads = _batch_loss(params, batch, cache, loss_cfg,
+                                           loss_kind, workers)
+            if not np.isfinite(loss):
                 raise TrainingDivergedError(
-                    f"{exc} at epoch {epoch}") from None
-            metrics.append(EpochMetrics(epoch, lr,
-                                        loss_sum / max(1, loss_batches),
-                                        val_map))
-            if val_map > best_val:
-                best_val = val_map
-                best_epoch = epoch
-                best_params = params.copy()
+                    f"non-finite loss at epoch {epoch}, batch {b}")
+            grads = _param_gradients(params, desc_grads,
+                                     cfg.freeze_conv_layers, workers)
+            loss_sum += loss
+            loss_batches += 1
+            params, velocity = sgd_step_net(params, grads, velocity, lr, cfg)
+            cache = {}
+            mined_current = False
+        try:
+            val_map = validate(params, spec, val_tuples, image_of, cache,
+                               workers)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(f"{exc} at epoch {epoch}") from None
+        metrics.append(EpochMetrics(epoch, lr, loss_sum / max(1, loss_batches),
+                                    val_map))
+        if val_map > best_val:
+            best_val = val_map
+            best_epoch = epoch
+            best_params = params.copy()
     return TrainResult(best_params, best_epoch, best_val, metrics)
 
 

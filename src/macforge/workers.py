@@ -4,7 +4,7 @@ Workers(fn, n) forks n - 1 children once; each inherits fn through the
 fork and runs it over the chunks of items that later maps send it, so
 one set of processes serves every map of a run. map_images is one map
 over a Workers opened for that call alone. worker_count resolves a
-worker count where 0 means one per CPU.
+non-negative worker count where 0 means one per CPU.
 """
 
 import multiprocessing
@@ -13,7 +13,9 @@ import threading
 
 
 def worker_count(threads):
-    """threads, or with 0 one worker per CPU this process may run on."""
+    """threads > 0 as is; 0 is one worker per CPU this process may run on."""
+    if threads < 0:
+        raise ValueError(f"worker count must be non-negative, got {threads}")
     if threads > 0:
         return threads
     if hasattr(os, "sched_getaffinity"):

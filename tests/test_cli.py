@@ -186,6 +186,19 @@ class TestConfigResolution:
         cfg = self._resolve(command, option, str(value))
         assert cfg[key] == value
 
+    @pytest.mark.parametrize("command, flag", [
+        ("embed", "--seed"), ("whiten", "--seed"), ("eval", "--seed"),
+        ("mine", "--threads"), ("whiten", "--threads"),
+        ("eval", "--threads")])
+    def test_flag_of_a_key_the_stage_ignores_is_usage_error(
+            self, command, flag, capsys):
+        # --seed only where the stage is seeded (synth, mine, train),
+        # --threads only where it maps over workers (synth, embed, train)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, flag, "2")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
     def test_rmac_flag_sets_three_scales(self):
         parser = build_parser()
         args = parser.parse_args(["embed", "--rmac", "--checkpoint", "c",

@@ -7,6 +7,7 @@ import hashlib
 import multiprocessing
 import os
 from functools import partial
+from multiprocessing.context import ForkProcess
 
 import numpy as np
 import numpy.testing as npt
@@ -48,6 +49,7 @@ from macforge.synthscene import SceneConfig, generate, render
 from macforge.training import (
     LossConfig,
     TrainConfig,
+    TrainingDivergedError,
     embed_image,
     validate,
 )
@@ -279,7 +281,7 @@ class TestEmbedImages:
         stream = SeededStream(33)
         images = {"b": random_image(stream, size=32),
                   "a": random_image(stream, size=32)}
-        got = embed_images(Extractor(spec, params), images)
+        got = embed_images(Extractor(spec, params), images, 1)
         assert list(got) == ["a", "b"]
 
 
@@ -594,6 +596,61 @@ class TestStageTrain:
         with open(run / "init.mfck", "rb") as f1, \
                 open(second / "init.mfck", "rb") as f2:
             assert f1.read() == f2.read()
+
+
+class TestStageTrainForksOnce:
+    """stage_train maps its initial embedding and train() over one pool:
+    threads - 1 children started in all, and none left once it returns
+    or raises."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        started = []
+        original = ForkProcess.start
+
+        def counting_start(process):
+            started.append(process)
+            return original(process)
+
+        monkeypatch.setattr(ForkProcess, "start", counting_start)
+        return started
+
+    def run(self, synth_dir, run, train_cfg=TRAIN_CFG, mining_cfg=MINE_CFG,
+            threads=2):
+        out, _ = synth_dir
+        return stage_train(str(out / "scenes"), str(out / "images"),
+                           str(run), train_cfg, LossConfig(), mining_cfg,
+                           "m3", "N2", "contrastive", 0.25, seed=3,
+                           threads=threads)
+
+    @pytest.mark.parametrize("threads, started", [(1, 0), (2, 1)])
+    def test_one_pool_per_run(self, synth_dir, trained, tmp_path, starts,
+                              threads, started):
+        result = self.run(synth_dir, tmp_path / "run", threads=threads)
+        assert len(starts) == started
+        assert multiprocessing.active_children() == []
+        full, want = trained
+        assert result.metrics == want.metrics
+        assert (tmp_path / "run" / "best.mfck").read_bytes() == \
+            (full / "best.mfck").read_bytes()
+
+    def test_no_child_left_after_a_mining_failure(self, synth_dir, tmp_path,
+                                                  starts):
+        with pytest.raises(ValueError, match="training split produced no"):
+            self.run(synth_dir, tmp_path / "run",
+                     mining_cfg=MiningConfig(pool_size=10, negatives=50))
+        assert len(starts) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_left_after_divergence(self, synth_dir, tmp_path,
+                                            starts):
+        cfg = TrainConfig(base_lr=1e30, batch_tuples=2, max_epochs=2,
+                          remine_per_epoch=1, max_image_side=32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match="epoch"):
+                self.run(synth_dir, tmp_path / "run", train_cfg=cfg)
+        assert len(starts) == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestStageWhiten:

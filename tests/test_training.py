@@ -23,6 +23,7 @@ from macforge.training import (
     TrainingDivergedError,
     contrastive_loss,
     embed_image,
+    image_workers,
     l2n_backward,
     lr_at,
     sgd_step,
@@ -719,7 +720,8 @@ def tiny_scene():
 
 
 def train_tiny(tiny_scene, loss_kind, freeze, workers=1):
-    """train() on tiny_scene: m3/N2 tuples, 3 epochs, 2 re-mines each."""
+    """train() on tiny_scene: m3/N2 tuples, 3 epochs, 2 re-mines each,
+    over an image_workers pool of `workers` processes."""
     graphs, images, spec, params0, initial = tiny_scene
     stream = SeededStream(6)
     miner, val_tuples = prepare_training(
@@ -731,9 +733,10 @@ def train_tiny(tiny_scene, loss_kind, freeze, workers=1):
     cfg = TrainConfig(base_lr=0.01, weight_decay=0.0, batch_tuples=2,
                       max_epochs=3, remine_per_epoch=2,
                       freeze_conv_layers=freeze)
-    return train(miner, images.__getitem__, val_tuples, spec, params0,
-                 cfg, LossConfig(), stream.derive("train"),
-                 loss_kind=loss_kind, workers=workers)
+    with image_workers(spec, images.__getitem__, workers) as pool:
+        return train(miner, images.__getitem__, val_tuples, spec, params0,
+                     cfg, LossConfig(), stream.derive("train"),
+                     loss_kind=loss_kind, workers=pool)
 
 
 def assert_same_result(a, b):
@@ -810,7 +813,7 @@ def batch_gradients(params, spec, batch, image_of, cache, loss_cfg,
                     loss_kind, lowest_conv):
     """train()'s two passes over one batch: the loss pass, then the
     gradient pass, both in this process. Returns (mean_loss, grads)."""
-    with training._image_workers(spec, image_of) as workers:
+    with image_workers(spec, image_of) as workers:
         loss, desc_grads = training._batch_loss(params, batch, cache,
                                                 loss_cfg, loss_kind, workers)
         return loss, training._param_gradients(params, desc_grads,
@@ -1002,9 +1005,9 @@ class WorkerFailed(Exception):
 
 
 class TestTrainWorkers:
-    """train() maps its per-image work over one set of forked workers per
-    call and returns the same bytes at every worker count; no worker
-    outlives it."""
+    """train() maps its per-image work over the one set of forked workers
+    its caller's pool holds and returns the same bytes at every worker
+    count; no worker outlives the pool."""
 
     @pytest.mark.parametrize("freeze", [0, 1])
     @pytest.mark.parametrize("loss_kind", ["contrastive", "triplet"])
@@ -1023,7 +1026,7 @@ class TestTrainWorkers:
             children.clear()
             assert_same_result(serial, train_tiny(tiny_scene, loss_kind,
                                                   freeze, workers))
-            # forked once per call: the same workers - 1 children serve
+            # forked once per pool: the same workers - 1 children serve
             # every step
             assert len(children[0]) == workers - 1
             assert all(pids == children[0] for pids in children)
@@ -1034,10 +1037,12 @@ class TestTrainWorkers:
         images, tuples = small_problem(SeededStream(92), n_tuples=6)
         cfg = TrainConfig(base_lr=1e30, max_epochs=2, batch_tuples=3,
                           remine_per_epoch=1)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                image_workers(spec, images.__getitem__, 3) as pool:
             with pytest.raises(TrainingDivergedError, match="epoch"):
                 train(FakeSource(tuples), images.__getitem__, tuples, spec,
-                      params, cfg, LossConfig(), SeededStream(6), workers=3)
+                      params, cfg, LossConfig(), SeededStream(6),
+                      workers=pool)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("stage", ["embed", "gradient"])

@@ -168,3 +168,7 @@ class TestWorkerCount:
 
     def test_zero_is_one_per_cpu(self):
         assert worker_count(0) == len(os.sched_getaffinity(0))
+
+    def test_negative_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            worker_count(-1)
