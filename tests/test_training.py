@@ -1,12 +1,15 @@
 """Tests for losses, SGD, validation ranking, and the training loop."""
 
+import ast
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from testkit import central_difference, rel_err
+from testkit import central_difference, child_env, rel_err
 
 from macforge import training
 from macforge.backbone import (NetParams, conv, forward, init_params, maxpool,
@@ -952,6 +955,22 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def tape_peaks():
+    """(bytes of one tape, traced peak of batch_gradients, traced peak of
+    reference_batch_gradients) on a 14-image contrastive batch."""
+    spec = tiny_spec()
+    params = init_params(spec, SeededStream(5).derive("init"))
+    images = random_images(14, 96, 2)
+    batch = wide_batch(sorted(images))
+    one_tape = tape_bytes(forward(params, spec, images["im00"])[1])
+    loss_cfg = LossConfig()
+    peak = traced_peak(batch_gradients, params, spec, batch,
+                       images.__getitem__, {}, loss_cfg, "contrastive", 0)
+    ref_peak = traced_peak(reference_batch_gradients, params, spec, batch,
+                           images.__getitem__, loss_cfg, "contrastive", 0)
+    return one_tape, peak, ref_peak
+
+
 class TestOneTapeAlive:
     """A batch keeps at most one backward tape alive: each taped forward
     is followed by its backward before the next one starts."""
@@ -983,20 +1002,20 @@ class TestOneTapeAlive:
             assert taped == walked
 
     def test_peak_under_three_tapes(self):
-        spec = tiny_spec()
-        params = init_params(spec, SeededStream(5).derive("init"))
-        images = random_images(14, 96, 2)
-        batch = wide_batch(sorted(images))
-        one_tape = tape_bytes(forward(params, spec, images["im00"])[1])
+        # Traced in a new interpreter. In this one, the table of interned
+        # strings (1.9 MB at 2**17 slots) is rebuilt whenever its free
+        # slots run out, at a point set by every test that ran before; a
+        # rebuild inside the traced window counts as 1.75 tapes.
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import test_training; print(test_training.tape_peaks())"],
+            cwd=os.path.dirname(os.path.abspath(__file__)), env=child_env(),
+            capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        one_tape, peak, ref_peak = ast.literal_eval(child.stdout)
         assert one_tape > 1_000_000
-        loss_cfg = LossConfig()
-        peak = traced_peak(batch_gradients, params, spec, batch,
-                           images.__getitem__, {}, loss_cfg, "contrastive", 0)
         assert peak < 3 * one_tape
         # the bound has teeth: the one-pass routine keeps all 14 tapes
-        ref_peak = traced_peak(reference_batch_gradients, params, spec,
-                               batch, images.__getitem__, loss_cfg,
-                               "contrastive", 0)
         assert ref_peak > 3 * one_tape
 
 
