@@ -42,7 +42,6 @@ from .retrieval import (
 from .synthscene import GenerationError, SceneConfig
 from .training import LossConfig, TrainConfig, TrainingDivergedError
 from .whitening import KIND_LW, KIND_PCAW, load_projection
-from .workers import worker_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,7 +79,7 @@ def _field_defaults():
 # below are stage arguments; the rest come from the config dataclasses.
 DEFAULTS = {
     **_field_defaults(),
-    "threads": 0,  # worker processes; 0 = one per CPU
+    "threads": 0,  # worker processes; 0 = one per CPU, resolved by the stage
     "positive_method": "m3",
     "negative_variant": "N2",
     "mine_all_queries": False,
@@ -180,7 +179,6 @@ def resolve_config(args):
         if cfg[key] not in allowed:
             raise ConfigError(f"{key} must be one of {list(allowed)}, "
                               f"got {cfg[key]!r}")
-    cfg["threads"] = worker_count(cfg["threads"])
     return cfg
 
 
@@ -283,7 +281,8 @@ def cmd_eval(args, cfg):
     for query_id in sorted(gt):
         image = read_ppm(image_path(args.images, query_id))
         queries.append((query_id, image, gt[query_id].bbox))
-    mean_ap, per_query = evaluate(db, queries, gt, cfg["mode"], extractor)
+    mean_ap, per_query = evaluate(db, queries, gt, cfg["mode"], extractor,
+                                  threads=cfg["threads"])
     for query_id, ap in per_query:
         print(f"{query_id},{ap:.6f}")
     print(f"mAP,{mean_ap:.6f}")
@@ -369,7 +368,7 @@ def build_parser():
     for name in ("synth", "mine", "train"):
         sub.choices[name].add_argument("--seed", type=int,
                                        help="top-level random seed")
-    for name in ("synth", "embed", "train"):
+    for name in ("synth", "embed", "train", "eval"):
         sub.choices[name].add_argument(
             "--threads", type=int, help="worker processes (0 = one per CPU)")
     return parser

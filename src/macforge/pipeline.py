@@ -6,8 +6,9 @@ the two query-crop modes), embedding with deterministic output, cluster
 train/val splitting, benchmark ground truth, and the stage functions
 the command-line layer calls. Each stage's threads is a count of worker
 processes, 0 = one per CPU (workers.worker_count): rendering and
-embedding map their per-image work with workers.map_images, and
-stage_train maps all of its own over one training.image_workers pool.
+embedding map their per-image work with workers.map_images, as
+retrieval.evaluate maps its queries, and stage_train maps all of its
+own over one training.image_workers pool.
 """
 
 import functools

@@ -3,7 +3,9 @@
 Retrieval is exhaustive inner-product search with deterministic
 tie-breaking. Evaluation supports three query modes: Full (whole
 image), Crop_I (crop pixels, then extract), and Crop_X (extract on the
-full image, then crop the activation grid before pooling).
+full image, then crop the activation grid before pooling). evaluate
+checks every query against the protocol, then maps each query's
+extract, search and AP over forked workers (workers.map_images).
 """
 
 from dataclasses import dataclass
@@ -14,6 +16,7 @@ import numpy as np
 from .descriptor import BBox
 from .ioutil import FormatError, load_json, write_json, write_text
 from .numeric import DimensionError
+from .workers import map_images, worker_count
 
 MODE_FULL = "Full"
 MODE_CROP_I = "Crop_I"
@@ -111,43 +114,66 @@ def average_precision(ranking, gt):
     return total / len(gt.relevant)
 
 
-def evaluate(db, queries, gt, mode, extractor):
+def _checked_bbox(query_id, image, bbox, gt, mode):
+    """The query's bbox as a BBox (None in Full mode) once its protocol
+    checks pass: a ground-truth entry with a relevant set, and in the
+    crop modes a bbox inside the image."""
+    if query_id not in gt:
+        raise ProtocolError(f"no ground truth for query {query_id!r}")
+    if not gt[query_id].relevant:
+        raise ProtocolError(f"query {query_id!r} has an empty relevant set")
+    if mode == MODE_FULL:
+        return None
+    if bbox is None:
+        raise ProtocolError(
+            f"mode {mode} requires a bbox for query {query_id!r}")
+    bbox = BBox(*bbox)
+    x0, y0, x1, y1 = bbox
+    height, width = image.shape[1], image.shape[2]
+    if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
+        raise ProtocolError(
+            f"bbox {tuple(bbox)} of query {query_id!r} is empty "
+            f"or outside its {width}x{height} image")
+    return bbox
+
+
+def evaluate(db, queries, gt, mode, extractor, threads=0):
     """Rank the database for each query and average the per-query APs.
 
     queries: list of (query_id, image, bbox-or-None); the extractor
-    must provide extract(image) and extract_region(image, bbox). In the
-    crop modes a missing, empty or out-of-image bbox is a ProtocolError.
-    Returns (mAP, list of (query_id, ap) in query order).
+    must provide extract(image) and extract_region(image, bbox). Every
+    query's protocol checks run first, in query order and before any
+    extract: a query without ground truth or with an empty relevant
+    set, or in the crop modes a missing, empty or out-of-image bbox, is
+    a ProtocolError even when an earlier query would fail to extract.
+    Each query's extract, search and AP then run by one map_images over
+    worker_count(threads) processes, which inherit db, gt, the extractor
+    and the images through the fork and send back one AP each. The APs
+    are summed in query order, so no result depends on the worker
+    count. Returns (mAP, list of (query_id, ap) in query order).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if not queries:
         raise ValueError("no queries to evaluate")
-    per_query = []
-    for query_id, image, bbox in queries:
-        if query_id not in gt:
-            raise ProtocolError(f"no ground truth for query {query_id!r}")
+    boxes = [_checked_bbox(query_id, image, bbox, gt, mode)
+             for query_id, image, bbox in queries]
+
+    def query_ap(k):
+        query_id, image, _ = queries[k]
         if mode == MODE_FULL:
             descriptor = extractor.extract(image)
+        elif mode == MODE_CROP_I:
+            x0, y0, x1, y1 = boxes[k]
+            descriptor = extractor.extract(image[:, y0:y1, x0:x1])
         else:
-            if bbox is None:
-                raise ProtocolError(
-                    f"mode {mode} requires a bbox for query {query_id!r}")
-            bbox = BBox(*bbox)
-            x0, y0, x1, y1 = bbox
-            height, width = image.shape[1], image.shape[2]
-            if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
-                raise ProtocolError(
-                    f"bbox {tuple(bbox)} of query {query_id!r} is empty "
-                    f"or outside its {width}x{height} image")
-            if mode == MODE_CROP_I:
-                descriptor = extractor.extract(image[:, y0:y1, x0:x1])
-            else:
-                descriptor = extractor.extract_region(image, bbox)
+            descriptor = extractor.extract_region(image, boxes[k])
         ranking = [db.ids[row] for row in search(db, descriptor).tolist()]
-        per_query.append((query_id, average_precision(ranking,
-                                                      gt[query_id])))
-    mean_ap = sum(ap for _, ap in per_query) / len(per_query)
+        return average_precision(ranking, gt[query_id])
+
+    aps = map_images(query_ap, range(len(queries)), worker_count(threads))
+    per_query = [(query_id, ap) for (query_id, _, _), ap in zip(queries, aps)]
+    mean_ap = sum(aps) / len(aps)
     return mean_ap, per_query
 
 

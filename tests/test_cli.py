@@ -35,6 +35,7 @@ from macforge.mining import MiningConfig, TrainingTuple, save_tuples
 from macforge.pipeline import load_scenes_dir
 from macforge.synthscene import SceneConfig
 from macforge.training import LossConfig, TrainConfig
+from macforge.workers import worker_count
 from testkit import child_env
 
 
@@ -88,10 +89,27 @@ class TestConfigResolution:
         return resolve_config(parser.parse_args(list(argv)))
 
     def test_threads_zero_is_one_worker_per_usable_cpu(self):
+        # the config keeps 0; each stage resolves it with worker_count
         cfg = self._resolve("synth", "--out", "x")
-        assert cfg["threads"] == len(os.sched_getaffinity(0))
+        assert cfg["threads"] == 0
+        assert worker_count(cfg["threads"]) == len(os.sched_getaffinity(0))
         assert self._resolve("synth", "--out", "x",
                              "--threads", "3")["threads"] == 3
+
+    def test_config_hash_does_not_depend_on_the_host(self, tmp_path,
+                                                      monkeypatch, capsys):
+        hashes = set()
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)))
+            assert run_cli("whiten", "--descriptors",
+                           str(tmp_path / "missing.macd"), "--kind", "pcaw",
+                           "--out", str(tmp_path / "p.mfpw")) == EXIT_IO
+            err = capsys.readouterr().err
+            assert "threads=0" in err
+            hashes.update(line for line in err.splitlines()
+                          if line.startswith("config_hash="))
+        assert len(hashes) == 1
 
     def test_defaults(self):
         cfg = self._resolve("synth", "--out", "x")
@@ -188,12 +206,12 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("command, flag", [
         ("embed", "--seed"), ("whiten", "--seed"), ("eval", "--seed"),
-        ("mine", "--threads"), ("whiten", "--threads"),
-        ("eval", "--threads")])
+        ("mine", "--threads"), ("whiten", "--threads")])
     def test_flag_of_a_key_the_stage_ignores_is_usage_error(
             self, command, flag, capsys):
         # --seed only where the stage is seeded (synth, mine, train),
-        # --threads only where it maps over workers (synth, embed, train)
+        # --threads only where it maps over workers (synth, embed, train,
+        # eval)
         with pytest.raises(SystemExit) as exc:
             run_cli(command, flag, "2")
         assert exc.value.code == 2
@@ -366,6 +384,25 @@ class TestReproducibility:
                        "--set", "max_image_side=32") == EXIT_OK
         capsys.readouterr()
         assert file_sha(out) == file_sha(f"{run}/db.macd")
+
+    @pytest.mark.parametrize("mode", ["Full", "Crop_I", "Crop_X"])
+    def test_eval_threads_do_not_change_bytes(self, workspace, tmp_path,
+                                              capsys, mode):
+        data, run = str(workspace / "data"), str(workspace / "run")
+        csvs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.csv"
+            assert run_cli("eval", "--db", f"{run}/db.macd",
+                           "--checkpoint", f"{run}/init.mfck",
+                           "--images", f"{data}/images",
+                           "--gt", f"{data}/ground_truth.json",
+                           "--mode", mode, "--threads", threads,
+                           "--out", str(out),
+                           "--set", "max_image_side=32") == EXIT_OK
+            assert f"threads={threads}" in capsys.readouterr().err
+            csvs[threads] = out.read_bytes()
+        assert csvs["1"] == csvs["2"]
+        assert multiprocessing.active_children() == []
 
     def test_train_threads_do_not_change_bytes(self, workspace, tmp_path,
                                                capsys):

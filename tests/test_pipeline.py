@@ -57,10 +57,9 @@ from macforge.whitening import (
     KIND_LW,
     KIND_PCAW,
     apply_projection,
-    fit_lw,
-    fit_pcaw,
     load_projection,
 )
+from testkit import random_lw, random_pcaw
 
 
 def make_net(seed=0):
@@ -71,19 +70,6 @@ def make_net(seed=0):
 
 def random_image(stream, size=48):
     return stream.random((3, size, size)).astype(np.float32)
-
-
-def random_pcaw(stream, dim=32):
-    vectors = [stream.normal(size=dim) for _ in range(6 * dim)]
-    return fit_pcaw(vectors)
-
-
-def random_lw(stream, dim=32):
-    matching = [(stream.normal(size=dim), stream.normal(size=dim))
-                for _ in range(6 * dim)]
-    nonmatching = [(stream.normal(size=dim), stream.normal(size=dim))
-                   for _ in range(6 * dim)]
-    return fit_lw(matching, nonmatching, [a for a, _ in matching])
 
 
 class TestExtractorMac:

@@ -1,10 +1,13 @@
 """Tests for search, average precision, and the evaluation protocol."""
 
+import multiprocessing
 from fractions import Fraction
+from multiprocessing.context import ForkProcess
 
 import numpy as np
 import pytest
 
+from macforge.backbone import ShapeError, init_params, tiny_spec
 from macforge.descriptor import BBox, l2n
 from macforge.ioutil import FormatError
 from macforge.numeric import DimensionError, SeededStream
@@ -22,6 +25,8 @@ from macforge.retrieval import (
     search,
     write_eval_csv,
 )
+from macforge.pipeline import Extractor
+from testkit import random_lw, random_pcaw
 
 
 def unit_rows(stream, n, k):
@@ -259,6 +264,117 @@ class TestEvaluate:
             for mode in (MODE_CROP_I, MODE_CROP_X):
                 with pytest.raises(ProtocolError, match="bbox"):
                     evaluate(db, bad, gt, mode, extractor)
+
+
+class TestEvaluateWorkers:
+    """evaluate maps each query's extract, search and AP over forked
+    workers after checking every query in the caller: the same mAP and
+    per-query APs at any worker count, no process at one worker or on a
+    protocol error, and no child left behind."""
+
+    EXTRACTORS = {
+        "mac": lambda: {},
+        "rmac-lw": lambda: {"rmac_scales": 2,
+                            "projection": random_lw(SeededStream(43))},
+        "rmac-pcaw": lambda: {"rmac_scales": 3, "out_dim": 16,
+                              "projection": random_pcaw(SeededStream(44))},
+    }
+    MODES = (MODE_FULL, MODE_CROP_I, MODE_CROP_X)
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        started = []
+        original = ForkProcess.start
+
+        def counting_start(process):
+            started.append(process)
+            return original(process)
+
+        monkeypatch.setattr(ForkProcess, "start", counting_start)
+        return started
+
+    def build(self, config="mac", n_db=10, n_queries=6, seed=50):
+        stream = SeededStream(seed)
+        spec = tiny_spec()
+        extractor = Extractor(spec, init_params(spec, stream.derive("net")),
+                              **self.EXTRACTORS[config]())
+        ids = [f"d{i}" for i in range(n_db)]
+        db = DescriptorDB({i: extractor.extract(
+            stream.derive("db", i).random((3, 40, 40)).astype(np.float32))
+            for i in ids})
+        queries, gt = [], {}
+        for k in range(n_queries):
+            s = stream.derive("q", k)
+            x0, y0 = (int(v) for v in s.integers(0, 12, size=2))
+            x1, y1 = (int(v) for v in s.integers(28, 41, size=2))
+            qid = f"q{k}"
+            queries.append((qid, s.random((3, 40, 40)).astype(np.float32),
+                            BBox(x0, y0, x1, y1)))
+            chosen = [ids[i] for i in s.permutation(n_db)[:4].tolist()]
+            gt[qid] = QueryGroundTruth(frozenset(chosen[:3]),
+                                       frozenset(chosen[3:]))
+        return db, queries, gt, extractor
+
+    @pytest.mark.parametrize("config", sorted(EXTRACTORS))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_same_result_at_any_worker_count(self, config, mode):
+        db, queries, gt, extractor = self.build(config)
+        want = evaluate(db, queries, gt, mode, extractor, threads=1)
+        assert 0.0 < want[0] < 1.0
+        for threads in (2, 3, 0):
+            got = evaluate(db, queries, gt, mode, extractor, threads=threads)
+            assert got == want
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads, n_queries, started",
+                             [(1, 6, 0), (3, 6, 2), (8, 3, 2)])
+    def test_processes_started(self, starts, threads, n_queries, started):
+        # one worker is a plain loop; the count is capped at the queries
+        db, queries, gt, extractor = self.build(n_queries=n_queries)
+        evaluate(db, queries, gt, MODE_CROP_X, extractor, threads=threads)
+        assert len(starts) == started
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_protocol_error_on_the_last_query_starts_nothing(self, starts,
+                                                             mode):
+        db, queries, gt, extractor = self.build()
+        # the first query's image is too small to extract, yet the last
+        # query's protocol error is what evaluate reports
+        tiny = np.ones((3, 4, 4), dtype=np.float32)
+        queries[0] = (queries[0][0], tiny, BBox(0, 0, 4, 4))
+        last_id, last_image, _ = queries[-1]
+        if mode == MODE_FULL:
+            queries[-1] = ("unknown", last_image, None)
+            match = "no ground truth"
+        else:
+            queries[-1] = (last_id, last_image, BBox(10, 10, 50, 20))
+            match = "bbox"
+        with pytest.raises(ProtocolError, match=match):
+            evaluate(db, queries, gt, mode, extractor, threads=2)
+        assert starts == []
+        assert multiprocessing.active_children() == []
+
+    def test_empty_relevant_set_is_checked_before_any_extract(self, starts):
+        db, queries, gt, extractor = self.build()
+        queries[0] = (queries[0][0], np.ones((3, 4, 4), dtype=np.float32),
+                      None)
+        gt[queries[-1][0]] = QueryGroundTruth(frozenset())
+        with pytest.raises(ProtocolError, match="empty relevant set"):
+            evaluate(db, queries, gt, MODE_FULL, extractor, threads=2)
+        assert starts == []
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_shape_error_in_a_child_keeps_its_type(self, starts, mode):
+        db, queries, gt, extractor = self.build()
+        # at two workers the last query is in the child's chunk
+        qid = queries[-1][0]
+        queries[-1] = (qid, np.ones((3, 4, 4), dtype=np.float32),
+                       BBox(0, 0, 4, 4))
+        with pytest.raises(ShapeError, match="maxpool window"):
+            evaluate(db, queries, gt, mode, extractor, threads=2)
+        assert len(starts) == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestGroundTruthFile:

@@ -1,11 +1,13 @@
 """Helpers shared by several test files: finite-difference gradients,
-random visibility graphs and the environment of a child interpreter."""
+random visibility graphs, random Lw and PCAw projections and the
+environment of a child interpreter."""
 
 import os
 
 import numpy as np
 
 from macforge.mining import Camera, VisibilityGraph
+from macforge.whitening import fit_lw, fit_pcaw
 
 
 def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -78,6 +80,19 @@ def random_graph(stream, cluster_id="c0", n_images=8, n_points=30,
     g = VisibilityGraph(cluster_id, images, points, edges)
     g.validate()
     return g
+
+
+def random_pcaw(stream, dim=32):
+    vectors = [stream.normal(size=dim) for _ in range(6 * dim)]
+    return fit_pcaw(vectors)
+
+
+def random_lw(stream, dim=32):
+    matching = [(stream.normal(size=dim), stream.normal(size=dim))
+                for _ in range(6 * dim)]
+    nonmatching = [(stream.normal(size=dim), stream.normal(size=dim))
+                   for _ in range(6 * dim)]
+    return fit_lw(matching, nonmatching, [a for a, _ in matching])
 
 
 def child_env():
