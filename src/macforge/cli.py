@@ -79,7 +79,7 @@ def _field_defaults():
 # below are stage arguments; the rest come from the config dataclasses.
 DEFAULTS = {
     **_field_defaults(),
-    "threads": 0,  # worker processes; 0 = one per CPU, resolved by the stage
+    "threads": 0,  # worker processes, resolved by workers alone
     "positive_method": "m3",
     "negative_variant": "N2",
     "mine_all_queries": False,

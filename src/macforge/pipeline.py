@@ -4,9 +4,8 @@ Everything a pipeline stage needs beyond a single module lives here:
 the Extractor (backbone forward + pooling + optional projection, with
 the two query-crop modes), embedding with deterministic output, cluster
 train/val splitting, benchmark ground truth, and the stage functions
-the command-line layer calls. Each stage's threads is a count of worker
-processes, 0 = one per CPU (workers.worker_count): rendering and
-embedding map their per-image work with workers.map_images, as
+the command-line layer calls. Rendering and embedding map their
+per-image work with workers.map_images over a stage's threads, as
 retrieval.evaluate maps its queries, and stage_train maps all of its
 own over one training.image_workers pool.
 """
@@ -64,7 +63,7 @@ from .whitening import (
     fit_pcaw,
     save_projection,
 )
-from .workers import map_images, worker_count
+from .workers import map_images
 
 
 class Extractor:
@@ -145,12 +144,12 @@ class Extractor:
         return self._pool(crop_activations(out, bbox, self.geometry))
 
 
-def embed_images(extractor, images, workers):
+def embed_images(extractor, images, threads):
     """Embed id -> image maps into id -> descriptor, in sorted-id order,
-    by map_images over `workers` processes."""
+    by map_images over threads."""
     ids = sorted(images)
     return dict(zip(ids, map_images(lambda i: extractor.extract(images[i]),
-                                    ids, workers)))
+                                    ids, threads)))
 
 
 def split_clusters(graphs, val_fraction):
@@ -180,7 +179,7 @@ def render_images(graphs, size):
     worker per CPU."""
     graph_of = _graph_of(graphs)
     rendered = map_images(lambda i: render(graph_of[i], i, size=size),
-                          graph_of, worker_count(0))
+                          graph_of, 0)
     return dict(zip(graph_of, rendered))
 
 
@@ -238,9 +237,8 @@ def stage_synth(scene_cfg, out_dir, threads=0):
 
     Layout: <out>/scenes/<cluster>.json, <out>/images/<image-id>.ppm,
     <out>/ground_truth.json. Scenes are generated and saved here; the
-    images are rendered and written by map_images over
-    worker_count(threads) workers, each writing its own PPMs. Returns
-    (clusters, images, points).
+    images are rendered and written by map_images over threads, each
+    worker writing its own PPMs. Returns (clusters, images, points).
     """
     scenes_dir = os.path.join(out_dir, "scenes")
     images_dir = os.path.join(out_dir, "images")
@@ -257,7 +255,7 @@ def stage_synth(scene_cfg, out_dir, threads=0):
                     exist_ok=True)
     map_images(functools.partial(_render_ppm, graph_of,
                                  scene_cfg.image_size, images_dir),
-               graph_of, worker_count(threads))
+               graph_of, threads)
     save_ground_truth(os.path.join(out_dir, "ground_truth.json"),
                       benchmark_ground_truth(graphs, scene_cfg.image_size))
     return (len(graphs), len(graph_of),
@@ -266,15 +264,14 @@ def stage_synth(scene_cfg, out_dir, threads=0):
 
 def stage_embed(checkpoint_path, images_dir, out_path, rmac_scales=0,
                 projection=None, out_dim=None, max_side=None, threads=0):
-    """Embed every PPM under images_dir over worker_count(threads)
-    processes and write the .macd; no byte depends on that count.
-    Returns the number of descriptors."""
+    """Embed every PPM under images_dir over threads and write the .macd;
+    no byte depends on threads. Returns the number of descriptors."""
     spec, params, _ = load_checkpoint(checkpoint_path)
     extractor = Extractor(spec, params, rmac_scales=rmac_scales,
                           projection=projection, out_dim=out_dim,
                           max_side=max_side)
     images = load_images_dir(images_dir)
-    descriptors = embed_images(extractor, images, worker_count(threads))
+    descriptors = embed_images(extractor, images, threads)
     save_descriptors(out_path, descriptors)
     return len(descriptors)
 
@@ -319,9 +316,9 @@ def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
     """Mine tuples on the training clusters, fine-tune, keep the best
     checkpoint by held-out mAP. Every image is capped at
     train_cfg.max_image_side once on load, as the Extractor caps it in
-    embed and eval. The initial embedding and train() share one pool of
-    worker_count(threads) processes, forked once; no output byte depends
-    on that count. Returns the TrainResult."""
+    embed and eval. The initial embedding and train() share one pool
+    over threads, forked once; no output byte depends on threads.
+    Returns the TrainResult."""
     graphs = load_scenes_dir(scenes_dir)
     images = {image_id: resize_max_side(image, train_cfg.max_image_side)
               for image_id, image in load_images_dir(images_dir).items()}
@@ -338,7 +335,7 @@ def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
         params = init_params(spec, stream.derive("init"))
     check_trainable(spec, train_cfg)
 
-    with image_workers(spec, images.__getitem__, worker_count(threads)) as pool:
+    with image_workers(spec, images.__getitem__, threads) as pool:
         # held-out negatives may come from any cluster: embed every image
         ids = list(_graph_of(graphs))
         initial = dict(zip(ids, embedded(pool, params, {}, ids)))

@@ -16,7 +16,7 @@ import numpy as np
 from .descriptor import BBox
 from .ioutil import FormatError, load_json, write_json, write_text
 from .numeric import DimensionError
-from .workers import map_images, worker_count
+from .workers import map_images
 
 MODE_FULL = "Full"
 MODE_CROP_I = "Crop_I"
@@ -147,10 +147,10 @@ def evaluate(db, queries, gt, mode, extractor, threads=0):
     set, or in the crop modes a missing, empty or out-of-image bbox, is
     a ProtocolError even when an earlier query would fail to extract.
     Each query's extract, search and AP then run by one map_images over
-    worker_count(threads) processes, which inherit db, gt, the extractor
-    and the images through the fork and send back one AP each. The APs
-    are summed in query order, so no result depends on the worker
-    count. Returns (mAP, list of (query_id, ap) in query order).
+    threads, whose workers inherit db, gt, the extractor and the images
+    through the fork and send back one AP each. The APs are summed in
+    query order, so no result depends on threads. Returns (mAP, list of
+    (query_id, ap) in query order).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -171,7 +171,7 @@ def evaluate(db, queries, gt, mode, extractor, threads=0):
         ranking = [db.ids[row] for row in search(db, descriptor).tolist()]
         return average_precision(ranking, gt[query_id])
 
-    aps = map_images(query_ap, range(len(queries)), worker_count(threads))
+    aps = map_images(query_ap, range(len(queries)), threads)
     per_query = [(query_id, ap) for (query_id, _, _), ap in zip(queries, aps)]
     mean_ap = sum(aps) / len(aps)
     return mean_ap, per_query

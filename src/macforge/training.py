@@ -231,10 +231,10 @@ def _image_work(spec, image_of, payload, image_id):
                             lowest_conv)
 
 
-def image_workers(spec, image_of, n=1):
-    """The n-process Workers that embedded, validate and train map their
-    per-image work over; at n = 1 its maps are plain loops."""
-    return Workers(functools.partial(_image_work, spec, image_of), n)
+def image_workers(spec, image_of, threads=1):
+    """The Workers over threads that embedded, validate and train map
+    their per-image work over; at one process its maps are plain loops."""
+    return Workers(functools.partial(_image_work, spec, image_of), threads)
 
 
 def _tuple_ids(tuples):

@@ -1,15 +1,30 @@
 """Pure per-item work mapped over forked worker processes.
 
-Workers(fn, n) forks n - 1 children once; each inherits fn through the
-fork and runs it over the chunks of items that later maps send it, so
-one set of processes serves every map of a run. map_images is one map
-over a Workers opened for that call alone. worker_count resolves a
-non-negative worker count where 0 means one per CPU.
+Workers(fn, threads) forks its children once; each inherits fn through
+the fork and serves the chunks of items later maps send it, so one set
+of processes serves a whole run; map_images is one map over a Workers
+of its own. threads counts processes, the caller's included, and
+worker_count alone resolves it: 0 is one per CPU this process may run
+on, n > 0 is n, and a negative count is a ValueError before any fork.
+
+Each process also runs BLAS threads of its own, one per CPU by default
+in the bundled OpenBLAS, so n processes would run n times as many
+threads as there are CPUs. The macforge executable therefore calls
+one_blas_thread before numpy loads; a library caller calls it (or sets
+the variables itself) before its first numpy import.
 """
 
 import multiprocessing
 import os
 import threading
+from multiprocessing.reduction import ForkingPickler
+
+
+def one_blas_thread():
+    """Set each BLAS thread-count variable the environment lacks to 1.
+    A value already set is kept, and numpy reads them only on import."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
 
 
 def worker_count(threads):
@@ -30,13 +45,24 @@ def _chunks(items, n):
     return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _sendable(exc):
+    """exc if it survives a pickle round trip, else a RuntimeError that
+    names its type and message."""
+    try:
+        ForkingPickler.loads(ForkingPickler.dumps(exc))
+    except Exception:
+        return RuntimeError(f"worker raised {type(exc).__name__}: {exc}")
+    return exc
+
+
 def _serve(fn, conn, inherited):
     """A child's loop: for each (payload, chunk) received, run fn over
     the chunk, then send (True, result) per item in order, or
     (False, exception) and exit; exit on None or once the caller's end
     closes. The results are sent only once all are computed, because
     the caller reads them only after its own chunk: a child that sent
-    as it went would stall on a full pipe."""
+    as it went would stall on a full pipe. An exception or result that
+    cannot cross the pipe arrives as a RuntimeError naming it."""
     # the caller's ends of every pipe forked so far: holding none, the
     # child sees end-of-file as soon as the caller closes its end
     for other in inherited:
@@ -53,15 +79,22 @@ def _serve(fn, conn, inherited):
             try:
                 results = [fn(payload, item) for item in chunk]
             except Exception as exc:  # re-raised in the caller
-                conn.send((False, exc))
+                conn.send((False, _sendable(exc)))
                 return
             for result in results:
-                conn.send((True, result))
+                try:  # what send does, with the pickling apart
+                    reply = ForkingPickler.dumps((True, result))
+                except Exception as exc:
+                    conn.send((False, RuntimeError(
+                        f"worker result {type(result).__name__} cannot be "
+                        f"sent: {type(exc).__name__}: {exc}")))
+                    return
+                conn.send_bytes(reply)
 
 
 class Workers:
     """fn(payload, item) mapped over lists of items, in the calling
-    process and n - 1 children forked once, on entry.
+    process and worker_count(threads) - 1 children forked once, on entry.
 
     A child inherits fn through the fork, so fn is never pickled. A map
     sends each child only the payload and its contiguous chunk of items,
@@ -71,16 +104,17 @@ class Workers:
     child re-raises in the caller with its type. A failure, an exception
     in the caller's chunk, and close() (or leaving a with block)
     terminate and join every child; maps after that run in the caller.
-    With n <= 1, where fork is unavailable, or while other threads run
+    With one process, where fork is unavailable, or while other threads run
     (a fork could copy a lock one of them holds), no process starts and
     a map is a plain loop. fn must be pure per item for a map to match
     that loop.
     """
 
-    def __init__(self, fn, n):
+    def __init__(self, fn, threads):
         self.fn = fn
         self._children = []  # (process, the caller's end of its pipe)
-        if (n <= 1 or threading.active_count() > 1
+        n = worker_count(threads)
+        if (n == 1 or threading.active_count() > 1
                 or "fork" not in multiprocessing.get_all_start_methods()):
             return
         context = multiprocessing.get_context("fork")
@@ -144,9 +178,10 @@ class Workers:
                 child.join()
 
 
-def map_images(fn, items, workers):
-    """[fn(item) for item in items], over a Workers of up to `workers`
-    processes started for this call alone."""
+def map_images(fn, items, threads):
+    """[fn(item) for item in items], over a Workers of threads processes,
+    at most one per item, started for this call alone."""
     items = list(items)
-    with Workers(lambda _, item: fn(item), min(workers, len(items))) as pool:
+    n = max(1, min(worker_count(threads), len(items)))
+    with Workers(lambda _, item: fn(item), n) as pool:
         return pool.map(None, items)

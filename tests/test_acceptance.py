@@ -68,6 +68,8 @@ from macforge.training import (
     TrainConfig,
     contrastive_loss,
     embed_image,
+    embedded,
+    image_workers,
     l2n_backward,
     train,
     triplet_loss,
@@ -114,32 +116,38 @@ def benchmark_runs():
         images = render_images(graphs, scene.image_size)
         train_graphs, val_graphs = split_clusters(graphs, 0.2)
         gt_val = benchmark_ground_truth(val_graphs)
+        val_ids = sorted(gt_val)
         stream = SeededStream(seed)
         params0 = init_params(spec, stream.derive("init"))
-        all0 = {i: embed_image(params0, spec, images[i]) for g in graphs
-                for i in sorted(g.images)}
-        map0 = _retrieval_map({i: all0[i] for i in sorted(gt_val)}, gt_val)
-        setup_seconds = time.perf_counter() - t0
+        # one pool per seed, as stage_train opens one per run: the
+        # embeds and both train() runs map over it, and no result
+        # depends on its worker count
+        with image_workers(spec, images.__getitem__, 0) as pool:
+            ids = [i for g in graphs for i in sorted(g.images)]
+            all0 = dict(zip(ids, embedded(pool, params0, {}, ids)))
+            map0 = _retrieval_map({i: all0[i] for i in val_ids}, gt_val)
+            setup_seconds = time.perf_counter() - t0
 
-        record = {"spec": spec, "images": images, "train_graphs": train_graphs,
-                  "gt_val": gt_val, "map0": map0,
-                  "setup_seconds": setup_seconds}
-        for pm, nv in (("m3", "N2"), ("m1", "N1")):
-            t1 = time.perf_counter()
-            miner, val_tuples = prepare_training(
-                graphs, all0, MiningConfig(), pm, nv, 0.2, stream)
-            result = train(miner, images.__getitem__, val_tuples, spec,
-                           params0, TrainConfig(max_epochs=5), LossConfig(),
-                           stream.derive("train"), loss_kind="contrastive")
-            trained = {i: embed_image(result.best_params, spec, images[i])
-                       for i in sorted(gt_val)}
-            record[pm + nv] = {
-                "result": result,
-                "map1": _retrieval_map(trained, gt_val),
-                "positives": {t.query: t.positive
-                              for t in miner.current_tuples()},
-                "seconds": time.perf_counter() - t1,
-            }
+            record = {"spec": spec, "images": images,
+                      "train_graphs": train_graphs, "gt_val": gt_val,
+                      "map0": map0, "setup_seconds": setup_seconds}
+            for pm, nv in (("m3", "N2"), ("m1", "N1")):
+                t1 = time.perf_counter()
+                miner, val_tuples = prepare_training(
+                    graphs, all0, MiningConfig(), pm, nv, 0.2, stream)
+                result = train(miner, images.__getitem__, val_tuples, spec,
+                               params0, TrainConfig(max_epochs=5),
+                               LossConfig(), stream.derive("train"),
+                               loss_kind="contrastive", workers=pool)
+                trained = dict(zip(val_ids, embedded(
+                    pool, result.best_params, {}, val_ids)))
+                record[pm + nv] = {
+                    "result": result,
+                    "map1": _retrieval_map(trained, gt_val),
+                    "positives": {t.query: t.positive
+                                  for t in miner.current_tuples()},
+                    "seconds": time.perf_counter() - t1,
+                }
         runs[seed] = record
     return runs
 

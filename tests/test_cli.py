@@ -7,6 +7,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -280,6 +281,73 @@ class TestPackageImports:
                                text=True, timeout=120)
         assert child.returncode == 0, child.stderr
         assert "usage:" in child.stdout
+
+
+# Runs one macforge entry (argv[1]: "-m", or a console-script
+# "module:function") with --help in a fresh interpreter, and prints the
+# BLAS variables as they stood when numpy was first imported.
+BLAS_PROBE = r"""
+import importlib, json, os, runpy, sys
+
+NAMES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+assert "numpy" not in sys.modules
+at_numpy_import = {}
+
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not at_numpy_import:
+            at_numpy_import.update((v, os.environ.get(v)) for v in NAMES)
+
+
+sys.meta_path.insert(0, Watch())
+entry = sys.argv[1]
+sys.argv = ["macforge", "--help"]
+try:
+    if entry == "-m":
+        runpy.run_module("macforge", run_name="__main__", alter_sys=True)
+    else:
+        module, function = entry.split(":")
+        getattr(importlib.import_module(module), function)()
+except SystemExit as exc:
+    assert exc.code in (0, None), exc.code
+assert "numpy" in sys.modules
+print(json.dumps(at_numpy_import))
+"""
+
+
+def console_script():
+    """The macforge entry declared in pyproject.toml's [project.scripts]."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as f:
+        return re.search(r'^macforge = "(.+)"$', f.read(), re.M).group(1)
+
+
+class TestExecutableBlasThreads:
+    """Both entries of the executable set every BLAS thread variable
+    the caller left unset to 1 before numpy loads, and keep a value the
+    caller set."""
+
+    NAMES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @pytest.mark.parametrize("entry", ["-m", "console-script"])
+    @pytest.mark.parametrize("openblas", [None, "2"])
+    def test_one_blas_thread_unless_set(self, entry, openblas):
+        env = child_env()
+        for name in self.NAMES:
+            env.pop(name, None)
+        if openblas is not None:
+            env["OPENBLAS_NUM_THREADS"] = openblas
+        if entry == "console-script":
+            entry = console_script()
+        child = subprocess.run([sys.executable, "-c", BLAS_PROBE, entry],
+                               env=env, capture_output=True, text=True,
+                               timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert "usage:" in child.stdout
+        seen = json.loads(child.stdout.splitlines()[-1])
+        assert seen == {"OPENBLAS_NUM_THREADS": openblas or "1",
+                        "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 class TestPipelineSmoke:

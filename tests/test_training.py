@@ -722,9 +722,9 @@ def tiny_scene():
     return graphs, images, spec, params0, initial
 
 
-def train_tiny(tiny_scene, loss_kind, freeze, workers=1):
+def train_tiny(tiny_scene, loss_kind, freeze, threads=1):
     """train() on tiny_scene: m3/N2 tuples, 3 epochs, 2 re-mines each,
-    over an image_workers pool of `workers` processes."""
+    over an image_workers pool over threads."""
     graphs, images, spec, params0, initial = tiny_scene
     stream = SeededStream(6)
     miner, val_tuples = prepare_training(
@@ -736,7 +736,7 @@ def train_tiny(tiny_scene, loss_kind, freeze, workers=1):
     cfg = TrainConfig(base_lr=0.01, weight_decay=0.0, batch_tuples=2,
                       max_epochs=3, remine_per_epoch=2,
                       freeze_conv_layers=freeze)
-    with image_workers(spec, images.__getitem__, workers) as pool:
+    with image_workers(spec, images.__getitem__, threads) as pool:
         return train(miner, images.__getitem__, val_tuples, spec, params0,
                      cfg, LossConfig(), stream.derive("train"),
                      loss_kind=loss_kind, workers=pool)
@@ -1079,7 +1079,7 @@ class TestTrainWorkers:
         name = "embed_image" if stage == "embed" else "_image_gradients"
         monkeypatch.setattr(training, name, fail_in_a_child)
         with pytest.raises(WorkerFailed, match=f"{stage} in a child"):
-            train_tiny(tiny_scene, "contrastive", 0, workers=2)
+            train_tiny(tiny_scene, "contrastive", 0, threads=2)
         assert multiprocessing.active_children() == []
 
 

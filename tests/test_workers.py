@@ -1,21 +1,42 @@
 """Tests for the persistent fork map (Workers), the one-call map over it
-(map_images) and worker_count."""
+(map_images), worker_count and the one meaning of threads in every
+entry that takes a process count."""
 
 import multiprocessing
 import os
 import threading
 from functools import partial
+from multiprocessing.context import ForkProcess
 
 import numpy as np
 import pytest
 
+from macforge.backbone import init_params, tiny_spec
 from macforge.images import write_ppm
 from macforge.ioutil import FormatError
+from macforge.numeric import SeededStream
+from macforge.pipeline import Extractor, embed_images
+from macforge.training import embedded, image_workers
 from macforge.workers import Workers, map_images, worker_count
 
 
 class WorkerFailed(Exception):
     pass
+
+
+class LambdaError(Exception):
+    """Holds a lambda, so it cannot be pickled."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but its args alone cannot rebuild it."""
+
+    def __init__(self, item, reason):
+        super().__init__(f"item {item}: {reason}")
 
 
 def tagged(payload, item):
@@ -27,6 +48,36 @@ def fail_on(bad, payload, item):
     if item == bad:
         raise WorkerFailed(f"item {item}")
     return item
+
+
+def raise_lambda_error(payload, item):
+    if item == 3:
+        raise LambdaError(f"item {item}")
+    return item
+
+
+def raise_two_argument_error(payload, item):
+    if item == 3:
+        raise TwoArgumentError(item, "bad")
+    return item
+
+
+def return_lambda(payload, item):
+    return (lambda: item) if item == 3 else item
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """The fork processes started during a test."""
+    started = []
+    original = ForkProcess.start
+
+    def counting_start(process):
+        started.append(process)
+        return original(process)
+
+    monkeypatch.setattr(ForkProcess, "start", counting_start)
+    return started
 
 
 class TestWorkers:
@@ -113,6 +164,21 @@ class TestWorkers:
                 pool.map(None, range(4))
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("fn, message", [
+        (raise_lambda_error, "worker raised LambdaError: item 3$"),
+        (raise_two_argument_error,
+         "worker raised TwoArgumentError: item 3: bad$"),
+        (return_lambda, "worker result function cannot be sent: "),
+    ], ids=["exception-not-pickled", "exception-not-rebuilt",
+            "result-not-pickled"])
+    def test_reply_that_cannot_cross_the_pipe_names_itself(self, fn,
+                                                          message):
+        # item 3 is in the child's chunk of range(4) at two processes
+        with Workers(fn, 2) as pool:
+            with pytest.raises(RuntimeError, match=message):
+                pool.map(None, range(4))
+        assert multiprocessing.active_children() == []
+
     def test_exception_outside_a_map_leaves_no_child(self):
         with pytest.raises(WorkerFailed):
             with Workers(tagged, 3) as pool:
@@ -172,3 +238,60 @@ class TestWorkerCount:
     def test_negative_is_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             worker_count(-1)
+
+
+class TestThreads:
+    """Every entry that takes a process count reads threads one way,
+    resolved inside workers: 0 is one process per usable CPU (here
+    three), a one-call map starts no more than it has items, and a
+    negative count is a ValueError before anything forks."""
+
+    CPUS = 3
+    KINDS = ("Workers", "image_workers", "map_images", "embed_images")
+
+    @pytest.fixture
+    def starts(self, starts, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(self.CPUS)))
+        return starts
+
+    @staticmethod
+    def run(kind, threads, n):
+        """n items mapped over threads processes by one entry."""
+        ids = [f"i{k}" for k in range(n)]
+        if kind == "Workers":
+            with Workers(lambda _, item: item.upper(), threads) as pool:
+                return pool.map(None, ids)
+        if kind == "map_images":
+            return map_images(str.upper, ids, threads)
+        spec = tiny_spec()
+        stream = SeededStream(60)
+        params = init_params(spec, stream.derive("net"))
+        images = {i: stream.derive("image", k).random((3, 32, 32))
+                  .astype(np.float32) for k, i in enumerate(ids)}
+        if kind == "embed_images":
+            return [d.tobytes() for d in embed_images(
+                Extractor(spec, params), images, threads).values()]
+        with image_workers(spec, images.__getitem__, threads) as pool:
+            return [d.tobytes() for d in embedded(pool, params, {}, ids)]
+
+    @pytest.mark.parametrize("kind, n", [(kind, 5) for kind in KINDS] + [
+        ("map_images", 2), ("embed_images", 2)])
+    def test_zero_is_one_process_per_cpu(self, starts, kind, n):
+        want = self.run(kind, 1, n)
+        assert starts == []
+        assert self.run(kind, 0, n) == want
+        assert len(starts) == min(self.CPUS, n) - 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("kind", ["map_images", "embed_images"])
+    def test_empty_map_at_zero_starts_none(self, starts, kind):
+        assert self.run(kind, 0, 0) == []
+        assert starts == []
+
+    @pytest.mark.parametrize("n", [5, 0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_negative_is_an_error_before_any_fork(self, starts, kind, n):
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            self.run(kind, -1, n)
+        assert starts == []
