@@ -4,12 +4,19 @@ cameras, visibility graphs, and deterministic blob-splat rendering.
 Each cluster is an independent Gaussian point cloud observed by cameras
 on randomized orbits that look at the cloud centroid. A visibility edge
 (image, point) exists iff the point projects inside the frame with
-positive depth and survives an occlusion coin flip. Appearance (point
-colors, background texture) is derived by hashing ids against a fixed
-constant, which makes render() a pure function of (graph, image id,
-size). The id-only parts (each point's color, the cluster-fixed
-backdrop waves per size) are computed once per graph and cached on it,
-next to its observation and depth tables.
+positive depth and survives an occlusion coin flip. Visibility is
+decided per camera over all of the cluster's points at once; a point
+whose vector projection lies within float error of a frame bound or of
+zero depth is re-decided by project(), so the edges are exactly those
+of a per-point project() loop. Appearance (point colors, background
+texture) is derived by hashing ids against a fixed constant, which
+makes render() a pure function of (graph, image id, size). The id-only
+parts (each point's color, the cluster-fixed backdrop waves per size)
+are computed once per graph and cached on it, next to its observation
+and depth tables. render() builds one table per image of the squared
+distances from every pixel centre to every splat centre, plus each
+splat's width and window, so its per-splat loop only takes the
+exponential and blends.
 """
 
 import math
@@ -24,6 +31,9 @@ DEFAULT_IMAGE_SIZE = 96
 
 # base seed of the appearance hash; not a tunable
 _APPEARANCE_SEED = 0x4D414346
+
+# unit roundoff of float64
+_EPS = 2.0 ** -53
 
 
 class GenerationError(RuntimeError):
@@ -93,8 +103,64 @@ def _cluster_tag(index):
     return f"c{index:02d}"
 
 
-def _generate_cluster(cfg, index, stream):
-    tag = _cluster_tag(index)
+def _in_frame(camera, positions, size):
+    """project()'s visibility test (positive depth, 0 <= u < size and
+    0 <= v < size) for every row of `positions` at once.
+
+    The camera coordinates here are elementwise dot products, while
+    project() multiplies by the rotation with matmul, so the two can
+    differ in their last bits. A point is decided from the vector values
+    only where that difference cannot flip the decision; every other
+    point is re-decided with project() itself, so the result is
+    project()'s by construction.
+
+    The tolerance, with eps = 2^-53 and d = point - center (the same
+    subtraction in both): a camera coordinate is a 3-term dot product of
+    d with a rotation row, whose entries are at most 1 + 1e-9 in
+    magnitude (Camera checks orthonormality). Rounded in any order,
+    fused or not, it is within gamma_3 sum|d| < 3.01 eps sum|d| of the
+    exact value, so the two formulations differ by at most
+    err = 7 eps sum|d| per coordinate.
+    - Depth: within 2 err of 0, the point falls back. Otherwise
+      z > 2 err, and project()'s depth z' > z - err > z / 2 is positive
+      too.
+    - u for a point ahead: f x / z - f x' / z' equals
+      f (x (z' - z) + z (x - x')) / (z z'), at most
+      2 f err (|x| + z) / z^2 in magnitude. Each side then rounds the
+      same three operations (times f, over z, plus size / 2), which adds
+      at most 3.01 eps (|f x / z| + size / 2) < 3.5 eps (|u| + size)
+      per side. So a u further than
+      tol = 3 f err (|x| + z) / z^2 + 7 eps (|u| + size)
+      from 0 and from size lies on the same side of both bounds in both
+      formulations; a nearer one falls back. v is the same with y.
+    """
+    d = positions - camera.center
+    x, y, z = (d[:, None, :] * camera.rotation).sum(axis=2).T
+    err = 7.0 * _EPS * np.abs(d).sum(axis=1)
+    undecided = np.abs(z) <= 2.0 * err
+    ahead = np.flatnonzero(z > 2.0 * err)
+    x, y, z, err = x[ahead], y[ahead], z[ahead], err[ahead]
+    half = size / 2.0
+    u = camera.focal * x / z + half
+    v = camera.focal * y / z + half
+    spread = 3.0 * camera.focal * err / (z * z)
+
+    def near_bound(w, lateral):
+        tol = spread * (np.abs(lateral) + z) + 7.0 * _EPS * (np.abs(w) + size)
+        return (np.abs(w) <= tol) | (np.abs(w - size) <= tol)
+
+    undecided[ahead[near_bound(u, x) | near_bound(v, y)]] = True
+    inside = np.zeros(len(d), dtype=bool)
+    inside[ahead] = (0.0 <= u) & (u < size) & (0.0 <= v) & (v < size)
+    for j in np.flatnonzero(undecided):
+        pu, pv, depth = project(camera, positions[j], size)
+        inside[j] = depth > 0.0 and 0.0 <= pu < size and 0.0 <= pv < size
+    return inside
+
+
+def _cluster_geometry(cfg, tag, stream):
+    """The cluster's points (id -> position) and cameras (id -> Camera),
+    before any visibility decision."""
     n_points = int(stream.integers(cfg.points_per_cluster[0],
                                    cfg.points_per_cluster[1] + 1))
     n_images = int(stream.integers(cfg.images_per_cluster[0],
@@ -113,31 +179,31 @@ def _generate_cluster(cfg, index, stream):
         images[f"{tag}/i{i:03d}"] = Camera(
             center=center, rotation=look_at(center, np.zeros(3)),
             focal=focal)
+    return points, images
 
-    edges = set()
+
+def _generate_cluster(cfg, index, stream):
+    tag = _cluster_tag(index)
+    points, images = _cluster_geometry(cfg, tag, stream)
+    # seen[r, c]: image r keeps an edge to point c (ids ascending); the
+    # coins are drawn per image in point-id order
     point_ids = sorted(points)
-    for image_id in sorted(images):
-        camera = images[image_id]
-        coins = stream.derive("occlusion", image_id).random(len(point_ids))
-        for j, point_id in enumerate(point_ids):
-            u, v, depth = project(camera, points[point_id], cfg.image_size)
-            if depth <= 0.0:
-                continue
-            if not (0.0 <= u < cfg.image_size and 0.0 <= v < cfg.image_size):
-                continue
-            if coins[j] < cfg.occlusion_rate:
-                continue
-            edges.add((image_id, point_id))
-
-    observers = {}
-    for image_id, point_id in edges:
-        observers.setdefault(point_id, set()).add(image_id)
-    kept = {p for p, obs in observers.items() if len(obs) >= 2}
-    if not kept:
+    positions = np.array([points[p] for p in point_ids])
+    image_ids = sorted(images)
+    seen = np.array([
+        _in_frame(images[i], positions, cfg.image_size)
+        & (stream.derive("occlusion", i).random(len(point_ids))
+           >= cfg.occlusion_rate)
+        for i in image_ids])
+    kept = np.flatnonzero(seen.sum(axis=0) >= 2)
+    if not len(kept):
         raise GenerationError(
             f"cluster {tag} retained no points; loosen the configuration")
-    points = {p: points[p] for p in sorted(kept)}
-    edges = {(i, p) for i, p in edges if p in kept}
+    kept_ids = [point_ids[c] for c in kept.tolist()]
+    edges = {(image_id, kept_ids[c])
+             for image_id, row in zip(image_ids, seen[:, kept])
+             for c in np.flatnonzero(row).tolist()}
+    points = {p: points[p] for p in kept_ids}
     return VisibilityGraph(cluster_id=tag, images=images, points=points,
                            edges=edges)
 
@@ -230,30 +296,40 @@ def render(graph, image_id, size=DEFAULT_IMAGE_SIZE):
         if depth <= 0.0:
             continue
         splats.append((depth, point_id, u, v))
+    if not splats:
+        return img.astype(np.float32)
     splats.sort(key=lambda s: (-s[0], s[1]))
+    depth, point_ids, u, v = zip(*splats)
+    u, v = np.array(u), np.array(v)
 
     # perspective splat width: world radius scaled by focal over depth,
     # clamped so distant points stay visible and near ones stay local
     radius = 0.1
-    for depth, point_id, u, v in splats:
-        sigma = min(max(radius * camera.focal / depth, size / 96.0),
-                    size / 12.0)
-        support = int(math.ceil(3.0 * sigma))
-        x0 = max(0, int(math.floor(u - support)))
-        x1 = min(size, int(math.ceil(u + support)) + 1)
-        y0 = max(0, int(math.floor(v - support)))
-        y1 = min(size, int(math.ceil(v + support)) + 1)
-        if x0 >= x1 or y0 >= y1:
+    sigma = np.minimum(np.maximum(radius * camera.focal / np.array(depth),
+                                  size / 96.0), size / 12.0)
+    support = np.ceil(3.0 * sigma)
+    # each splat's window, clipped to the frame before the integer cast;
+    # an empty window (x0 >= x1 or y0 >= y1) paints nothing
+    x0 = np.clip(np.floor(u - support), 0, size).astype(int).tolist()
+    x1 = np.clip(np.ceil(u + support) + 1, 0, size).astype(int).tolist()
+    y0 = np.clip(np.floor(v - support), 0, size).astype(int).tolist()
+    y1 = np.clip(np.ceil(v + support) + 1, 0, size).astype(int).tolist()
+    # squared distances from every pixel centre to every splat centre; a
+    # window slices its splat's row, the bits a per-window arange gives
+    centres = np.arange(size) + 0.5
+    dx2 = (centres[None, :] - u[:, None]) ** 2
+    dy2 = (centres[None, :] - v[:, None]) ** 2
+    # dividing by the negated width is exact: the same exponent as
+    # -(dx2 + dy2) / (2 sigma^2), one array pass fewer
+    width = -(2.0 * sigma * sigma)
+    for k, point_id in enumerate(point_ids):
+        if x0[k] >= x1[k] or y0[k] >= y1[k]:
             continue
-        dx2 = (np.arange(x0, x1) + 0.5 - u) ** 2
-        dy2 = (np.arange(y0, y1) + 0.5 - v) ** 2
-        # dividing by the negated width is exact: the same exponent as
-        # -(dx2 + dy2) / (2 sigma^2), one array pass fewer
-        alpha = np.exp((dx2[None, :] + dy2[:, None])
-                       / -(2.0 * sigma * sigma))
+        xs, ys = slice(x0[k], x1[k]), slice(y0[k], y1[k])
+        alpha = np.exp((dx2[k, None, xs] + dy2[k, ys, None]) / width[k])
         # in place, but the same products and sum per pixel as
         # patch * (1 - alpha) + color * alpha
-        patch = img[:, y0:y1, x0:x1]
+        patch = img[:, ys, xs]
         patch *= 1.0 - alpha
         patch += colors[point_id] * alpha
     return img.astype(np.float32)

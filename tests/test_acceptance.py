@@ -67,7 +67,6 @@ from macforge.training import (
     LossConfig,
     TrainConfig,
     contrastive_loss,
-    embed_image,
     embedded,
     image_workers,
     l2n_backward,
@@ -579,8 +578,14 @@ class TestAcceptance:
             images = record["images"]
             train_ids = sorted(i for g in record["train_graphs"]
                                for i in g.images)
-            fit_desc = {i: embed_image(best, spec, images[i])
-                        for i in train_ids}
+            gt = record["gt_val"]
+            val_ids = sorted(gt)
+            # the fit and held-out sets in one map over a pool, as the
+            # fixture embeds
+            with image_workers(spec, images.__getitem__, 0) as pool:
+                desc = embedded(pool, best, {}, train_ids + val_ids)
+            fit_desc = dict(zip(train_ids, desc))
+            val_desc = dict(zip(val_ids, desc[len(train_ids):]))
             tuples, _ = build_tuples(
                 record["train_graphs"], fit_desc, MiningConfig(),
                 "m3", "N2", SeededStream(seed).derive("whiten"),
@@ -590,9 +595,6 @@ class TestAcceptance:
                 lw = fit_lw_tuples(fit_desc, tuples)
                 pcaw = fit_pcaw([fit_desc[i] for i in train_ids])
 
-            gt = record["gt_val"]
-            val_desc = {i: embed_image(best, spec, images[i])
-                        for i in sorted(gt)}
             for d in (k, k // 2):
                 maps = {}
                 for name, model in (("Lw", lw), ("PCAw", pcaw)):

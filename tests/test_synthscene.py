@@ -7,10 +7,13 @@ import pytest
 
 from macforge.mining import Camera, GraphError, VisibilityGraph, save_scene
 from macforge.numeric import SeededStream
+from macforge import synthscene
 from macforge.synthscene import (
     GenerationError,
     _appearance,
     _background,
+    _cluster_geometry,
+    _in_frame,
     SceneConfig,
     generate,
     look_at,
@@ -166,6 +169,165 @@ class TestGenerate:
                 for p in a[0].points if p in b[0].points)
 
 
+BENCH_SCALE = dict(clusters=8, images_per_cluster=(24, 24),
+                   points_per_cluster=(80, 80), image_size=96)
+
+
+def reference_edges(images, points, coins, size, occlusion_rate):
+    """generate()'s visibility as a per-point loop: one project() call
+    per (camera, point), then the points with at least two observers.
+    coins[image_id] holds the image's occlusion draws in point-id order.
+    Returns (edges, kept point ids)."""
+    edges = set()
+    point_ids = sorted(points)
+    for image_id in sorted(images):
+        camera = images[image_id]
+        for j, point_id in enumerate(point_ids):
+            u, v, depth = project(camera, points[point_id], size)
+            if depth <= 0.0:
+                continue
+            if not (0.0 <= u < size and 0.0 <= v < size):
+                continue
+            if coins[image_id][j] < occlusion_rate:
+                continue
+            edges.add((image_id, point_id))
+    observers = {}
+    for image_id, point_id in edges:
+        observers.setdefault(point_id, set()).add(image_id)
+    kept = {p for p, obs in observers.items() if len(obs) >= 2}
+    return {(i, p) for i, p in edges if p in kept}, kept
+
+
+def cluster_inputs(cfg, index):
+    """Cluster index's cameras, points and occlusion coins, drawn from
+    the streams generate() draws them from."""
+    stream = SeededStream(cfg.seed).derive("cluster", index)
+    points, images = _cluster_geometry(cfg, f"c{index:02d}", stream)
+    coins = {i: stream.derive("occlusion", i).random(len(points))
+             for i in images}
+    return images, points, coins
+
+
+def count_project_calls(monkeypatch):
+    """The positions synthscene.project() is called with, as tuples."""
+    calls = []
+
+    def counting(camera, point, size):
+        calls.append(tuple(point))
+        return project(camera, point, size)
+
+    monkeypatch.setattr(synthscene, "project", counting)
+    return calls
+
+
+def bound_cameras(size=96):
+    """Axis-aligned cameras on -z (i000) and +z (i001) looking at the
+    origin, whose rotations and projections are exact: at 96 px a point
+    (X, Y, 0) lands at v = 24 Y + 48 in both, u = 24 X + 48 in i000 and
+    u = 48 - 24 X in i001."""
+    cams = {}
+    for name, z in (("b/i000", -4.0), ("b/i001", 4.0)):
+        center = np.array([0.0, 0.0, z])
+        cams[name] = Camera(center=center,
+                            rotation=look_at(center, np.zeros(3)),
+                            focal=float(size))
+    return cams
+
+
+class TestVisibility:
+    """Per-camera visibility against the per-point project() loop."""
+
+    @staticmethod
+    def assert_matches_loop(cfg):
+        for k, graph in enumerate(generate(cfg)):
+            images, points, coins = cluster_inputs(cfg, k)
+            edges, kept = reference_edges(images, points, coins,
+                                          cfg.image_size,
+                                          cfg.occlusion_rate)
+            assert graph.edges == edges
+            assert sorted(graph.points) == sorted(kept)
+            for point_id in kept:
+                assert graph.points[point_id].tobytes() == \
+                    points[point_id].tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_default_scene_edges_equal_loop(self, seed):
+        self.assert_matches_loop(SceneConfig(seed=seed))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bench_scale_edges_equal_loop(self, seed):
+        self.assert_matches_loop(SceneConfig(seed=seed, **BENCH_SCALE))
+
+    def test_points_on_bounds_fall_back(self, monkeypatch):
+        # u = 0 and v = 0 are inside, u = size and v = size outside, and
+        # depth 0 (in the camera's plane, or at its centre) is not ahead
+        cams = bound_cameras()
+        positions = np.array([
+            (-2.0, 0.0, 0.0),    # u = 0 at i000, u = 96 at i001
+            (2.0, 0.0, 0.0),     # u = 96 at i000, u = 0 at i001
+            (0.0, -2.0, 0.0),    # v = 0 at both
+            (0.0, 2.0, 0.0),     # v = 96 at both
+            (0.5, 0.5, -4.0),    # depth 0 at i000
+            (0.0, 0.0, -4.0),    # i000's centre
+            (0.3, -0.2, 0.1),    # well inside both
+            (0.0, 0.0, -9.0),    # behind i000
+        ])
+        on_bound = {"b/i000": range(6), "b/i001": range(4)}
+        inside = {"b/i000": [True, False, True, False, False, False, True,
+                             False],
+                  "b/i001": [False, True, True, False, True, True, True,
+                             True]}
+        for image_id, camera in sorted(cams.items()):
+            loop = []
+            for p in positions:
+                u, v, depth = project(camera, p, 96)
+                loop.append(bool(depth > 0.0 and 0.0 <= u < 96
+                                 and 0.0 <= v < 96))
+            assert loop == inside[image_id]
+            calls = count_project_calls(monkeypatch)
+            assert _in_frame(camera, positions, 96).tolist() == loop
+            assert sorted(calls) == sorted(tuple(positions[j])
+                                           for j in on_bound[image_id])
+
+    def test_near_bound_points_decided_as_project(self, monkeypatch):
+        # points placed on u = 0 or u = size through rotated cameras land
+        # within a few ulps of the bound, where the vector projection
+        # can round to the other side: each must fall back and agree
+        stream = SeededStream(61)
+        for trial in range(20):
+            s = stream.derive("camera", trial)
+            direction = s.normal(size=3)
+            center = s.uniform(2.5, 4.0) * direction / np.linalg.norm(
+                direction)
+            camera = Camera(center=center,
+                            rotation=look_at(center, np.zeros(3)),
+                            focal=96.0 * s.uniform(0.7, 1.5))
+            z = s.uniform(1.0, 6.0, size=50)
+            u = s.integers(0, 2, size=50) * 96.0
+            cam = np.stack([(u - 48.0) * z / camera.focal,
+                            s.uniform(-0.3, 0.3, size=50) * z, z], axis=1)
+            positions = cam @ camera.rotation + center
+            expected = []
+            for p in positions:
+                pu, pv, depth = project(camera, p, 96)
+                expected.append(depth > 0.0 and 0.0 <= pu < 96
+                                and 0.0 <= pv < 96)
+            calls = count_project_calls(monkeypatch)
+            assert _in_frame(camera, positions, 96).tolist() == expected
+            assert len(calls) == len(positions)
+
+    def test_generated_scene_rarely_falls_back(self, monkeypatch):
+        # the fallback serves points on a bound, not every point
+        cfg = SceneConfig(clusters=2, seed=3)
+        pairs = 0
+        for k in range(cfg.clusters):
+            images, points, _ = cluster_inputs(cfg, k)
+            pairs += len(images) * len(points)
+        calls = count_project_calls(monkeypatch)
+        generate(cfg)
+        assert len(calls) < pairs // 100
+
+
 def behind_camera_graph():
     """The one point sits behind the -z camera, which still has an edge
     to it."""
@@ -268,6 +430,42 @@ class TestRender:
                         render(g, image_id, size),
                         reference_render(g, image_id, size))
 
+    def test_bit_equal_to_reference_at_362_px(self):
+        # the paper's image scale and max_image_side's default
+        cfg = SceneConfig(clusters=1, images_per_cluster=(3, 3),
+                          points_per_cluster=(40, 40), image_size=362,
+                          seed=5)
+        graph = generate(cfg)[0]
+        for image_id in sorted(graph.images):
+            np.testing.assert_array_equal(
+                render(graph, image_id, 362),
+                reference_render(graph, image_id, 362))
+
+    def test_splats_clipped_at_every_edge_bit_equal_to_reference(self):
+        # at 96 px, u = 24 X + 48 and v = 24 Y + 48 from i000, and i001
+        # mirrors u: centres just inside and outside each edge and in two
+        # corners clip their windows, and one lies too far out to paint
+        points = [(-2.0, 0.1, 0.0), (2.0, -0.3, 0.0), (0.2, -2.0, 0.0),
+                  (-0.4, 2.0, 0.0), (-2.1, 0.0, 0.0), (0.0, 2.08, 0.0),
+                  (-1.98, -1.98, 0.0), (1.99, 1.97, 0.0), (6.0, 0.0, 0.0)]
+        graph = two_camera_graph(points)
+        for image_id in sorted(graph.images):
+            np.testing.assert_array_equal(
+                render(graph, image_id),
+                reference_render(graph, image_id, 96))
+
+    def test_image_that_sees_no_point_is_its_background(self):
+        graph = two_camera_graph(
+            [(0.0, 0.0, 0.0)], extra_edges={("t/i001", "t/p000")})
+        img = render(graph, "t/i000")
+        np.testing.assert_array_equal(img,
+                                      reference_render(graph, "t/i000", 96))
+        np.testing.assert_array_equal(
+            img, _background(graph, "t/i000", 96).astype(np.float32))
+        assert not np.array_equal(render(graph, "t/i001"),
+                                  _background(graph, "t/i001", 96)
+                                  .astype(np.float32))
+
     def test_cached_backdrop_keeps_float64_bits(self):
         # float64 addition does not associate: the cached cluster waves
         # must be added one by one, as a fresh backdrop adds them
@@ -293,7 +491,6 @@ class TestRender:
             np.testing.assert_array_equal(
                 render(graph, image_id),
                 reference_render(graph, image_id, 96))
-
 
     def test_shape_dtype_range(self):
         graph = generate(SMALL)[0]
