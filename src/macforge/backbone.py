@@ -231,18 +231,27 @@ def _im2col(x: np.ndarray, kernel: int, stride: int):
     maps, h, w = x.shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
-    # as_strided keeps x's own strides, so a sliced or flipped input (a
-    # pad-0 first conv reads the caller's array) needs no copy first
     sm, sh, sw = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x, (maps, kernel, kernel, out_h, out_w),
-        (sm, sh, sw, sh * stride, sw * stride), writeable=False)
+    shape = (maps, kernel, kernel, out_h, out_w)
+    strides = (sm, sh, sw, sh * stride, sw * stride)
+    if x.flags.c_contiguous:
+        # every padded input; the ndarray constructor over x's buffer
+        # costs a fraction of as_strided's per-call overhead
+        win = np.ndarray(shape, x.dtype, x, 0, strides)
+    else:
+        # a pad-0 first conv reads the caller's array, maybe sliced or
+        # flipped: no contiguous buffer to view, but as_strided keeps its
+        # offset and strides, so it needs no copy first
+        win = np.lib.stride_tricks.as_strided(x, shape, strides,
+                                              writeable=False)
     cols = win.reshape(maps * kernel * kernel, out_h * out_w)
     return np.ascontiguousarray(cols), (out_h, out_w)
 
 
 def _conv_forward(x, weight, bias, layer):
-    """(y, (cols, padded input shape)) of one conv."""
+    """(y, (cols, padded input shape)) of one conv. It allocates the
+    padded input (pad > 0 only), the patch columns and the output, to
+    which the bias is added in place."""
     p = layer.pad
     if p:
         # the bytes np.pad writes, without its per-call overhead
@@ -253,9 +262,9 @@ def _conv_forward(x, weight, bias, layer):
         x_pad = x
     cols, (out_h, out_w) = _im2col(x_pad, layer.kernel, layer.stride)
     w_mat = weight.reshape(layer.out_maps, -1)
-    y = w_mat @ cols + bias[:, None]
-    y = np.ascontiguousarray(y.reshape(layer.out_maps, out_h, out_w))
-    return y, (cols, x_pad.shape)
+    y = w_mat @ cols
+    y += bias[:, None]
+    return y.reshape(layer.out_maps, out_h, out_w), (cols, x_pad.shape)
 
 
 def _conv_backward(g, weight, layer, cache, input_grad):

@@ -317,8 +317,9 @@ def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
     checkpoint by held-out mAP. Every image is capped at
     train_cfg.max_image_side once on load, as the Extractor caps it in
     embed and eval. The initial embedding and train() share one pool
-    over threads, forked once; no output byte depends on threads.
-    Returns the TrainResult."""
+    over threads, forked once, and train() starts from those descriptors
+    as its entry cache; no output byte depends on threads. Returns the
+    TrainResult."""
     graphs = load_scenes_dir(scenes_dir)
     images = {image_id: resize_max_side(image, train_cfg.max_image_side)
               for image_id, image in load_images_dir(images_dir).items()}
@@ -347,7 +348,8 @@ def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
                         meta={"epoch": 0, "loss": loss_kind})
         result = train(miner, images.__getitem__, val_tuples, spec, params,
                        train_cfg, loss_cfg, stream.derive("train"),
-                       loss_kind=loss_kind, workers=pool)
+                       loss_kind=loss_kind, workers=pool,
+                       entry_cache=initial)
     save_checkpoint(os.path.join(out_dir, "best.mfck"), spec,
                     result.best_params,
                     meta={"epoch": result.best_epoch,

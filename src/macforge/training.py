@@ -18,10 +18,12 @@ workers: re-mining, validation and the batch losses share one id ->
 descriptor cache in the caller, dropped on every SGD step; each fills it
 with the ids it lacks in one map, and a re-mine with no SGD step since
 the tuples were last mined is skipped. The source's tuples on entry
-count as mined under the entry params. Once a batch's loss is known from
-that cache, each of its images runs one taped forward and backward in
-some worker, in turn within that worker, so one backward tape is alive
-per process at a time.
+count as mined under the entry params, and the caller may hand in the
+descriptors it mined them from as the entry cache, so the count holds
+from pipeline.stage_train's initial embedding on. Once a batch's loss
+is known from that cache, each of its images runs one taped forward
+and backward in some worker, in turn within that worker, so one
+backward tape is alive per process at a time.
 """
 
 from __future__ import annotations
@@ -363,7 +365,7 @@ def _remine_batches(n_batches: int, per_epoch: int) -> set:
 def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
           params: NetParams, cfg: TrainConfig, loss_cfg: LossConfig,
           stream: SeededStream, loss_kind: str = "contrastive",
-          workers=None):
+          workers=None, entry_cache=None):
     """Fine-tune the trunk on the pixels image_of returns; returns a
     TrainResult.
 
@@ -375,10 +377,13 @@ def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
 
     The source's tuples on entry must be the ones it mines under params
     (as pipeline.prepare_training builds them), so a re-mine before the
-    first SGD step is skipped. The embeds and taped passes map over
-    workers, an open image_workers over spec and image_of that the
-    caller closes, or None for plain loops here; train() forks and joins
-    nothing, and its result is the same at every worker count. A
+    first SGD step is skipped. entry_cache, if given, is an id ->
+    descriptor map valid for params, such as the initial embedding the
+    tuples were mined from; train() reads a copy of it, so the first
+    loss pass embeds only the ids it lacks. The embeds and taped passes
+    map over workers, an open image_workers over spec and image_of that
+    the caller closes, or None for plain loops here; train() forks and
+    joins nothing, and its result is the same at every worker count. A
     non-finite batch loss raises TrainingDivergedError before that
     batch's first taped forward, and a non-finite validation descriptor
     raises it before its params can become the best.
@@ -397,7 +402,7 @@ def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
     best_val = -1.0
     metrics = []
     # id -> descriptor under params; the entry tuples were mined under them
-    cache = {}
+    cache = dict(entry_cache or {})
     mined_current = True
     if workers is None:
         workers = image_workers(spec, image_of)

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from testkit import central_difference, rel_err
+from testkit import (central_difference, in_new_interpreter, rel_err,
+                     traced_peak)
 
 from macforge.backbone import (
     INIT_GAIN,
@@ -353,7 +354,7 @@ def _nans(dtype):
 
 class TestForwardMatchesReference:
     """forward() pads by slice assignment, unfolds patches through one
-    as_strided view and pools by an in-place running np.maximum on the
+    strided window view and pools by an in-place running np.maximum on the
     strided window views; backward() routes from the activations. Outputs,
     taped and untaped, and gradients must equal the np.pad/argmax
     reference bit for bit."""
@@ -455,6 +456,100 @@ class TestForwardMatchesReference:
             y, _ = forward(NetParams([], []), [maxpool(1, 1)], x, tape=tape)
             y[...] = -1.0
             np.testing.assert_array_equal(x, np.arange(12.0).reshape(1, 3, 4))
+
+
+def assert_tape_matches_reference(params, spec, x, tape):
+    """Every entry of forward()'s tape holds reference_forward's bytes: a
+    conv's patch columns and padded shape, a ReLU's output, a max-pool's
+    input and output, each with its layer's input and output shapes."""
+    _, ref_tape = reference_forward(params, spec, x)
+    acts = [np.asarray(x)] + [reference_forward(params, spec[:i + 1], x)[0]
+                              for i in range(len(spec))]
+    assert len(tape) == len(spec)
+    for i, (entry, ref) in enumerate(zip(tape, ref_tape)):
+        kind, in_shape, out_shape, *kept = entry
+        assert (kind, in_shape, out_shape) == \
+            (ref[0], acts[i].shape, acts[i + 1].shape)
+        if kind == "conv":
+            assert_bits_equal(kept[0], ref[1])
+            assert kept[1] == ref[3]
+        elif kind == "relu":
+            assert_bits_equal(kept[0], acts[i + 1])
+        else:
+            assert_bits_equal(kept[0], acts[i])
+            assert_bits_equal(kept[1], acts[i + 1])
+
+
+class TestConvWindowView:
+    """A conv unfolds a C-contiguous input (every padded one) through an
+    np.ndarray view of its buffer and any other pad-0 input through
+    as_strided; both match reference_forward byte for byte and leave the
+    input as it was."""
+
+    FIRST_CONVS = {
+        "pad0": [conv(2, 3, 3, stride=2), relu(), maxpool(2, 2),
+                 conv(3, 2, 2, pad=1), relu()],
+        "padded": [conv(2, 3, 3, stride=2, pad=1), relu(), maxpool(2, 2)],
+    }
+    INPUTS = {
+        "contiguous": lambda x: x,
+        "sliced": lambda x: x[:, 1:-2, 3:],
+        "negative_stride": lambda x: x[:, ::-1, ::-2],
+        "read_only": lambda x: x.copy(),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tape", [True, False])
+    @pytest.mark.parametrize("view", sorted(INPUTS))
+    @pytest.mark.parametrize("first", sorted(FIRST_CONVS))
+    def test_matches_reference(self, first, view, tape, dtype):
+        spec = self.FIRST_CONVS[first]
+        s = SeededStream(20161024).derive(first, view, np.dtype(dtype).name)
+        params = init_params(spec, s.derive("params")).astype(dtype)
+        params.biases = [s.derive("bias", i).normal(size=b.shape).astype(dtype)
+                         for i, b in enumerate(params.biases)]
+        x = self.INPUTS[view](
+            s.derive("x").normal(size=(2, 17, 19)).astype(dtype))
+        if view == "read_only":
+            x.setflags(write=False)
+        assert x.flags.c_contiguous == (view in ("contiguous", "read_only"))
+        before = (x.tobytes(), x.strides, x.flags.c_contiguous,
+                  x.flags.writeable, x.flags.owndata)
+        out, kept = forward(params, spec, x, tape=tape)
+        assert_bits_equal(out, reference_forward(params, spec, x)[0])
+        if tape:
+            assert_tape_matches_reference(params, spec, x, kept)
+        else:
+            assert kept is None
+        assert (x.tobytes(), x.strides, x.flags.c_contiguous,
+                x.flags.writeable, x.flags.owndata) == before
+
+
+# One tape-free tiny_spec forward at 96 px holds, at its peak, conv0's
+# padded input (3 x 100 x 100 float32), its patch columns (75 x 2304)
+# and one conv0 output (8 x 48 x 48); the ReLU and pool outputs after
+# it are smaller. SLACK covers the walk's small arrays and objects
+# (29.7 kB measured) and is under one more conv0 output (73.7 kB), which
+# a bias added into a second array would allocate.
+CONV0_BYTES = 4 * (3 * 100 * 100 + 75 * 48 * 48 + 8 * 48 * 48)
+SLACK = 48 * 1024
+
+
+def untaped_forward_peak():
+    """Traced peak of one tape-free tiny_spec forward at 96 px."""
+    spec = tiny_spec()
+    params = init_params(spec, SeededStream(5).derive("init"))
+    x = SeededStream(6).random((3, 96, 96)).astype(np.float32)
+    forward(params, spec, x, tape=False)  # first-call set-up untraced
+    return traced_peak(lambda: forward(params, spec, x, tape=False))
+
+
+class TestConvAllocations:
+
+    def test_untaped_peak_is_one_conv0(self):
+        # traced in a new interpreter, as TestOneTapeAlive is
+        peak = in_new_interpreter("test_backbone", "untaped_forward_peak")
+        assert CONV0_BYTES < peak < CONV0_BYTES + SLACK
 
 
 class TestBackward:

@@ -1,23 +1,21 @@
 """Tests for losses, SGD, validation ranking, and the training loop."""
 
-import ast
 import multiprocessing
 import os
-import subprocess
-import sys
-import tracemalloc
 
 import numpy as np
 import pytest
-from testkit import central_difference, child_env, rel_err
+from testkit import (central_difference, in_new_interpreter, rel_err,
+                     traced_peak)
 
-from macforge import training
+from macforge import pipeline, training
 from macforge.backbone import (NetParams, conv, forward, init_params, maxpool,
                                relu, tiny_spec)
 from macforge.descriptor import l2n, mac, mac_backward
 from macforge.mining import MiningConfig, TrainingTuple
 from macforge.numeric import DimensionError, SeededStream
-from macforge.pipeline import prepare_training, render_images
+from macforge.pipeline import (prepare_training, render_images, stage_synth,
+                               stage_train)
 from macforge.synthscene import SceneConfig, generate
 from macforge.training import (
     EpochMetrics,
@@ -616,33 +614,50 @@ class TestTrainLoop:
         assert source.tuples == alternates
 
 
+ONCE_SCENE = SceneConfig(clusters=4, images_per_cluster=(4, 5),
+                         points_per_cluster=(30, 40), image_size=24, seed=5)
+ONCE_MINING = MiningConfig(pool_size=10, negatives=2,
+                           candidate_negatives_per_cluster=8)
+
+
+def counted_sgd_steps(monkeypatch):
+    """A one-item list that counts training's sgd_step_net calls: the
+    parameter version."""
+    version = [0]
+
+    def counting_sgd(*args):
+        version[0] += 1
+        return sgd_step_net(*args)
+
+    monkeypatch.setattr(training, "sgd_step_net", counting_sgd)
+    return version
+
+
 class TestEmbeddingOncePerVersion:
     """train() embeds each image at most once per parameter version;
     re-mining and validation never embed before the first SGD step, and
     a batch loss right after a re-mine embeds nothing."""
 
-    def test_miner_from_prepare_training(self, monkeypatch):
-        graphs = generate(SceneConfig(clusters=4, images_per_cluster=(4, 5),
-                                      points_per_cluster=(30, 40),
-                                      image_size=24, seed=5))
-        images = render_images(graphs, 24)
+    @staticmethod
+    def mined():
+        """(images, spec, stream, entry params, their descriptors, miner,
+        held-out tuples) as prepare_training leaves them."""
+        graphs = generate(ONCE_SCENE)
+        images = render_images(graphs, ONCE_SCENE.image_size)
         spec = tiny_spec()
         stream = SeededStream(5)
         params0 = init_params(spec, stream.derive("init"))
         initial = {i: embed_image(params0, spec, images[i]) for i in images}
-        miner, val_tuples = prepare_training(
-            graphs, initial,
-            MiningConfig(pool_size=10, negatives=2,
-                         candidate_negatives_per_cluster=8),
-            "m3", "N2", 0.25, stream)
+        miner, val_tuples = prepare_training(graphs, initial, ONCE_MINING,
+                                             "m3", "N2", 0.25, stream)
+        return images, spec, stream, params0, initial, miner, val_tuples
+
+    def test_miner_from_prepare_training(self, monkeypatch):
+        images, spec, stream, params0, _, miner, val_tuples = self.mined()
         id_of = {id(image): i for i, image in images.items()}
-        version = [0]  # sgd_step_net calls so far
+        version = counted_sgd_steps(monkeypatch)
         caller = [None]  # "remine", "validate" or "batch" while one runs
         calls = []  # (caller, version, image id) per embed_image call
-
-        def counting_sgd(*args):
-            version[0] += 1
-            return sgd_step_net(*args)
 
         def recording_embed(params, spec, image):
             calls.append((caller[0], version[0], id_of[id(image)]))
@@ -675,7 +690,6 @@ class TestEmbeddingOncePerVersion:
             batch_embeds.append((version[0], len(calls) - before))
             return result
 
-        monkeypatch.setattr(training, "sgd_step_net", counting_sgd)
         monkeypatch.setattr(training, "embed_image", recording_embed)
         monkeypatch.setattr(miner, "remine", tagged("remine",
                                                     recording_remine))
@@ -706,6 +720,74 @@ class TestEmbeddingOncePerVersion:
         assert batch_embeds[0][0] == 0 and batch_embeds[0][1] > 0
         after_remine = [n for v, n in batch_embeds if v in remines]
         assert after_remine and not any(after_remine)
+
+    def test_entry_cache_is_read_from_a_copy(self, monkeypatch):
+        images, spec, stream, params0, initial, miner, val_tuples = \
+            self.mined()
+        # every other image's entry descriptor
+        entry = {i: initial[i] for i in sorted(initial)[::2]}
+        snapshot = dict(entry)
+        id_of = {id(image): i for i, image in images.items()}
+        version = counted_sgd_steps(monkeypatch)
+        calls = []  # (version, image id) per embed_image call
+
+        def recording_embed(params, spec, image):
+            calls.append((version[0], id_of[id(image)]))
+            return embed_image(params, spec, image)
+
+        monkeypatch.setattr(training, "embed_image", recording_embed)
+        train(miner, images.__getitem__, val_tuples, spec, params0,
+              TrainConfig(batch_tuples=2, max_epochs=1), LossConfig(),
+              stream.derive("train"), entry_cache=entry)
+        # the first loss pass embeds only what the entry cache lacks, into
+        # train's own copy
+        first = {i for v, i in calls if v == 0}
+        assert first and not first & set(entry)
+        assert entry.keys() == snapshot.keys()
+        assert all(entry[i] is snapshot[i] for i in entry)
+
+    def test_stage_train_embeds_each_version_once(self, tmp_path,
+                                                  monkeypatch):
+        # stage_train's initial embedding is version 0, and train() starts
+        # from it: no (version, id) pair repeats across the two
+        out = tmp_path / "synth"
+        stage_synth(ONCE_SCENE, str(out), threads=1)
+        version = counted_sgd_steps(monkeypatch)
+        in_train = [False]
+        calls = []  # (inside train, version, image id) per embed
+
+        original_work = training._image_work
+
+        def recording_work(spec, image_of, payload, image_id):
+            if payload[1] is None:
+                calls.append((in_train[0], version[0], image_id))
+            return original_work(spec, image_of, payload, image_id)
+
+        def tagged_train(*args, **kwargs):
+            in_train[0] = True
+            try:
+                return train(*args, **kwargs)
+            finally:
+                in_train[0] = False
+
+        monkeypatch.setattr(training, "_image_work", recording_work)
+        monkeypatch.setattr(pipeline, "train", tagged_train)
+        stage_train(str(out / "scenes"), str(out / "images"),
+                    str(tmp_path / "run"),
+                    TrainConfig(batch_tuples=2, max_epochs=2,
+                                remine_per_epoch=2, max_image_side=24),
+                    LossConfig(), ONCE_MINING, "m3", "N2", "contrastive",
+                    0.25, seed=5, threads=1)
+
+        initial = [(v, i) for inside, v, i in calls if not inside]
+        trained = [(v, i) for inside, v, i in calls if inside]
+        ids = [i for g in pipeline.load_scenes_dir(str(out / "scenes"))
+               for i in g.images]
+        assert {v for v, _ in initial} == {0}
+        assert sorted(i for _, i in initial) == sorted(ids)
+        assert trained and min(v for v, _ in trained) > 0
+        every = initial + trained
+        assert len(set(every)) == len(every)
 
 
 @pytest.fixture(scope="module")
@@ -944,17 +1026,6 @@ def tape_bytes(tape):
     return sum(a.nbytes for a in arrays.values())
 
 
-def traced_peak(fn, *args):
-    """Bytes traced at fn's peak above what was allocated before it."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def tape_peaks():
     """(bytes of one tape, traced peak of batch_gradients, traced peak of
     reference_batch_gradients) on a 14-image contrastive batch."""
@@ -1002,17 +1073,10 @@ class TestOneTapeAlive:
             assert taped == walked
 
     def test_peak_under_three_tapes(self):
-        # Traced in a new interpreter. In this one, the table of interned
-        # strings (1.9 MB at 2**17 slots) is rebuilt whenever its free
-        # slots run out, at a point set by every test that ran before; a
-        # rebuild inside the traced window counts as 1.75 tapes.
-        child = subprocess.run(
-            [sys.executable, "-c",
-             "import test_training; print(test_training.tape_peaks())"],
-            cwd=os.path.dirname(os.path.abspath(__file__)), env=child_env(),
-            capture_output=True, text=True, timeout=300)
-        assert child.returncode == 0, child.stderr
-        one_tape, peak, ref_peak = ast.literal_eval(child.stdout)
+        # traced in a new interpreter: a rebuild of the interned-string
+        # table inside the traced window would count as 1.75 tapes
+        one_tape, peak, ref_peak = in_new_interpreter("test_training",
+                                                      "tape_peaks")
         assert one_tape > 1_000_000
         assert peak < 3 * one_tape
         # the bound has teeth: the one-pass routine keeps all 14 tapes

@@ -1,8 +1,12 @@
 """Helpers shared by several test files: finite-difference gradients,
-random visibility graphs, random Lw and PCAw projections and the
-environment of a child interpreter."""
+random visibility graphs, random Lw and PCAw projections, traced
+allocation peaks and calls in a child interpreter."""
 
+import ast
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 
@@ -102,3 +106,31 @@ def child_env():
         os.path.abspath(__file__))), "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def in_new_interpreter(module, function):
+    """module.function() called in a new interpreter started in the test
+    directory, its printed result read back as a Python literal.
+
+    A peak traced in the test process moves with every test that ran
+    before: the table of interned strings (1.9 MB at 2**17 slots) is
+    rebuilt whenever its free slots run out, maybe inside the traced
+    window."""
+    child = subprocess.run(
+        [sys.executable, "-c",
+         f"import {module}; print({module}.{function}())"],
+        cwd=os.path.dirname(os.path.abspath(__file__)), env=child_env(),
+        capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    return ast.literal_eval(child.stdout)
+
+
+def traced_peak(fn, *args):
+    """Bytes traced at fn's peak above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
