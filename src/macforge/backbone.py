@@ -231,27 +231,19 @@ def _im2col(x: np.ndarray, kernel: int, stride: int):
     maps, h, w = x.shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
+    # x is C-contiguous (_conv_forward sees to it), so the ndarray
+    # constructor can view its buffer at a fraction of as_strided's cost
     sm, sh, sw = x.strides
-    shape = (maps, kernel, kernel, out_h, out_w)
-    strides = (sm, sh, sw, sh * stride, sw * stride)
-    if x.flags.c_contiguous:
-        # every padded input; the ndarray constructor over x's buffer
-        # costs a fraction of as_strided's per-call overhead
-        win = np.ndarray(shape, x.dtype, x, 0, strides)
-    else:
-        # a pad-0 first conv reads the caller's array, maybe sliced or
-        # flipped: no contiguous buffer to view, but as_strided keeps its
-        # offset and strides, so it needs no copy first
-        win = np.lib.stride_tricks.as_strided(x, shape, strides,
-                                              writeable=False)
+    win = np.ndarray((maps, kernel, kernel, out_h, out_w), x.dtype, x, 0,
+                     (sm, sh, sw, sh * stride, sw * stride))
     cols = win.reshape(maps * kernel * kernel, out_h * out_w)
     return np.ascontiguousarray(cols), (out_h, out_w)
 
 
 def _conv_forward(x, weight, bias, layer):
     """(y, (cols, padded input shape)) of one conv. It allocates the
-    padded input (pad > 0 only), the patch columns and the output, to
-    which the bias is added in place."""
+    padded input (pad > 0, or a non-contiguous pad-0 input's copy), the
+    patch columns and the output, to which the bias is added in place."""
     p = layer.pad
     if p:
         # the bytes np.pad writes, without its per-call overhead
@@ -259,7 +251,9 @@ def _conv_forward(x, weight, bias, layer):
         x_pad = np.zeros((maps, h + 2 * p, w + 2 * p), dtype=x.dtype)
         x_pad[:, p:p + h, p:p + w] = x
     else:
-        x_pad = x
+        # a pad-0 first conv reads the caller's array, maybe sliced or
+        # flipped; a contiguous one is used as it is
+        x_pad = np.ascontiguousarray(x)
     cols, (out_h, out_w) = _im2col(x_pad, layer.kernel, layer.stride)
     w_mat = weight.reshape(layer.out_maps, -1)
     y = w_mat @ cols

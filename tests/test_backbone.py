@@ -481,10 +481,10 @@ def assert_tape_matches_reference(params, spec, x, tape):
 
 
 class TestConvWindowView:
-    """A conv unfolds a C-contiguous input (every padded one) through an
-    np.ndarray view of its buffer and any other pad-0 input through
-    as_strided; both match reference_forward byte for byte and leave the
-    input as it was."""
+    """A conv unfolds every input through an np.ndarray view of a
+    C-contiguous buffer: the padded one, a contiguous pad-0 input as it
+    is, and a contiguous copy of any other; each matches reference_forward
+    byte for byte and leaves the input as it was."""
 
     FIRST_CONVS = {
         "pad0": [conv(2, 3, 3, stride=2), relu(), maxpool(2, 2),
