@@ -62,8 +62,13 @@ class ShortListError(MiningError):
 @dataclass(frozen=True)
 class Camera:
     """Pinhole camera: rows of `rotation` are the camera axes in world
-    coordinates (third row = optical axis), so camera coordinates of a
-    world point P are rotation @ (P - center)."""
+    coordinates (third row = optical axis).
+
+    Camera coordinate k of a world point P is r0*d0 + r1*d1 + r2*d2 with
+    r = rotation[k] and d = P - center, each operation rounded on its
+    own and added left to right (no BLAS call, no fused multiply-add).
+    coordinates() computes it over arrays and coordinates_of() over
+    Python floats; IEEE 754 rounds both alike, so their bits agree."""
 
     center: np.ndarray
     rotation: np.ndarray
@@ -86,9 +91,24 @@ class Camera:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "focal", float(self.focal))
+        object.__setattr__(self, "_center", tuple(center.tolist()))
+        object.__setattr__(self, "_rows", tuple(map(tuple, rotation.tolist())))
+
+    def coordinates(self, points) -> np.ndarray:
+        """The (n, 3) camera coordinates of the rows of (n, 3) `points`."""
+        d = np.asarray(points, dtype=np.float64) - self.center
+        p = d[:, None, :] * self.rotation
+        return p[..., 0] + p[..., 1] + p[..., 2]
+
+    def coordinates_of(self, point) -> list:
+        """coordinates() of one point, as three Python floats."""
+        p0, p1, p2 = np.asarray(point, dtype=np.float64).tolist()
+        c0, c1, c2 = self._center
+        d0, d1, d2 = p0 - c0, p1 - c1, p2 - c2
+        return [r0 * d0 + r1 * d1 + r2 * d2 for r0, r1, r2 in self._rows]
 
     def depth_of(self, point: np.ndarray) -> float:
-        return float(self.rotation[2] @ (np.asarray(point) - self.center))
+        return self.coordinates_of(point)[2]
 
 
 # derived tables are computed from these; reassigning one drops them
@@ -165,11 +185,8 @@ def _depths(g: VisibilityGraph) -> np.ndarray:
     xyz = np.array([g.points[p] for p in t.point_ids], np.float64).reshape(-1, 3)
     depths = np.full(t.incidence.shape, np.nan)
     for r, img in enumerate(t.ids):
-        cam, cols = g.images[img], np.flatnonzero(t.incidence[r])
-        # one dot per edge, as Camera.depth_of takes it: a matrix-vector
-        # product over the camera's points rounds some depths differently
-        axis = cam.rotation[2]
-        depths[r, cols] = [axis.dot(d) for d in xyz[cols] - cam.center]
+        cols = np.flatnonzero(t.incidence[r])
+        depths[r, cols] = g.images[img].coordinates(xyz[cols])[:, 2]
     return depths
 
 

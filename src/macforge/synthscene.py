@@ -5,10 +5,11 @@ Each cluster is an independent Gaussian point cloud observed by cameras
 on randomized orbits that look at the cloud centroid. A visibility edge
 (image, point) exists iff the point projects inside the frame with
 positive depth and survives an occlusion coin flip. Visibility is
-decided per camera over all of the cluster's points at once; a point
-whose vector projection lies within float error of a frame bound or of
-zero depth is re-decided by project(), so the edges are exactly those
-of a per-point project() loop. Appearance (point colors, background
+decided per camera over all of the cluster's points at once, and
+render() projects all of an image's points at once, both through
+Camera.coordinates: its formula is the one project() spells for a
+single point, so the edges and splat centres are exactly those of a
+per-point project() loop. Appearance (point colors, background
 texture) is derived by hashing ids against a fixed constant, which
 makes render() a pure function of (graph, image id, size). The id-only
 parts (each point's color, the cluster-fixed backdrop waves per size)
@@ -31,9 +32,6 @@ DEFAULT_IMAGE_SIZE = 96
 
 # base seed of the appearance hash; not a tunable
 _APPEARANCE_SEED = 0x4D414346
-
-# unit roundoff of float64
-_EPS = 2.0 ** -53
 
 
 class GenerationError(RuntimeError):
@@ -88,15 +86,16 @@ def look_at(center, target, up=(0.0, 0.0, 1.0)):
 
 def project(camera, point, size):
     """Pinhole projection to (u, v, depth); principal point = center."""
-    cam = camera.rotation @ (np.asarray(point, dtype=np.float64)
-                             - camera.center)
-    depth = cam[2]
+    x, y, depth = camera.coordinates_of(point)
     if depth <= 0.0:
         return None, None, depth
+    return (*_pixels(camera, x, y, depth, size), depth)
+
+
+def _pixels(camera, x, y, depth, size):
+    """(u, v) of camera coordinates ahead, as floats or as arrays."""
     half = size / 2.0
-    u = camera.focal * cam[0] / depth + half
-    v = camera.focal * cam[1] / depth + half
-    return u, v, depth
+    return camera.focal * x / depth + half, camera.focal * y / depth + half
 
 
 def _cluster_tag(index):
@@ -105,56 +104,12 @@ def _cluster_tag(index):
 
 def _in_frame(camera, positions, size):
     """project()'s visibility test (positive depth, 0 <= u < size and
-    0 <= v < size) for every row of `positions` at once.
-
-    The camera coordinates here are elementwise dot products, while
-    project() multiplies by the rotation with matmul, so the two can
-    differ in their last bits. A point is decided from the vector values
-    only where that difference cannot flip the decision; every other
-    point is re-decided with project() itself, so the result is
-    project()'s by construction.
-
-    The tolerance, with eps = 2^-53 and d = point - center (the same
-    subtraction in both): a camera coordinate is a 3-term dot product of
-    d with a rotation row, whose entries are at most 1 + 1e-9 in
-    magnitude (Camera checks orthonormality). Rounded in any order,
-    fused or not, it is within gamma_3 sum|d| < 3.01 eps sum|d| of the
-    exact value, so the two formulations differ by at most
-    err = 7 eps sum|d| per coordinate.
-    - Depth: within 2 err of 0, the point falls back. Otherwise
-      z > 2 err, and project()'s depth z' > z - err > z / 2 is positive
-      too.
-    - u for a point ahead: f x / z - f x' / z' equals
-      f (x (z' - z) + z (x - x')) / (z z'), at most
-      2 f err (|x| + z) / z^2 in magnitude. Each side then rounds the
-      same three operations (times f, over z, plus size / 2), which adds
-      at most 3.01 eps (|f x / z| + size / 2) < 3.5 eps (|u| + size)
-      per side. So a u further than
-      tol = 3 f err (|x| + z) / z^2 + 7 eps (|u| + size)
-      from 0 and from size lies on the same side of both bounds in both
-      formulations; a nearer one falls back. v is the same with y.
-    """
-    d = positions - camera.center
-    x, y, z = (d[:, None, :] * camera.rotation).sum(axis=2).T
-    err = 7.0 * _EPS * np.abs(d).sum(axis=1)
-    undecided = np.abs(z) <= 2.0 * err
-    ahead = np.flatnonzero(z > 2.0 * err)
-    x, y, z, err = x[ahead], y[ahead], z[ahead], err[ahead]
-    half = size / 2.0
-    u = camera.focal * x / z + half
-    v = camera.focal * y / z + half
-    spread = 3.0 * camera.focal * err / (z * z)
-
-    def near_bound(w, lateral):
-        tol = spread * (np.abs(lateral) + z) + 7.0 * _EPS * (np.abs(w) + size)
-        return (np.abs(w) <= tol) | (np.abs(w - size) <= tol)
-
-    undecided[ahead[near_bound(u, x) | near_bound(v, y)]] = True
-    inside = np.zeros(len(d), dtype=bool)
+    0 <= v < size) for every row of `positions` at once."""
+    x, y, depth = camera.coordinates(positions).T
+    ahead = depth > 0.0
+    u, v = _pixels(camera, x[ahead], y[ahead], depth[ahead], size)
+    inside = np.zeros(len(depth), dtype=bool)
     inside[ahead] = (0.0 <= u) & (u < size) & (0.0 <= v) & (v < size)
-    for j in np.flatnonzero(undecided):
-        pu, pv, depth = project(camera, positions[j], size)
-        inside[j] = depth > 0.0 and 0.0 <= pu < size and 0.0 <= pv < size
     return inside
 
 
@@ -290,22 +245,23 @@ def render(graph, image_id, size=DEFAULT_IMAGE_SIZE):
     img = _background(graph, image_id, size)
     colors = graph.derived("point_colors", _point_colors)
 
-    splats = []
-    for point_id in sorted(observed_points(graph, image_id)):
-        u, v, depth = project(camera, graph.points[point_id], size)
-        if depth <= 0.0:
-            continue
-        splats.append((depth, point_id, u, v))
-    if not splats:
+    point_ids = sorted(observed_points(graph, image_id))
+    positions = np.array([graph.points[p] for p in point_ids],
+                         dtype=np.float64).reshape(-1, 3)
+    x, y, depth = camera.coordinates(positions).T
+    # far to near, equal depths in point-id order; none behind
+    order = np.argsort(-depth, kind="stable")
+    order = order[depth[order] > 0.0]
+    if not len(order):
         return img.astype(np.float32)
-    splats.sort(key=lambda s: (-s[0], s[1]))
-    depth, point_ids, u, v = zip(*splats)
-    u, v = np.array(u), np.array(v)
+    point_ids = [point_ids[k] for k in order.tolist()]
+    depth = depth[order]
+    u, v = _pixels(camera, x[order], y[order], depth, size)
 
     # perspective splat width: world radius scaled by focal over depth,
     # clamped so distant points stay visible and near ones stay local
     radius = 0.1
-    sigma = np.minimum(np.maximum(radius * camera.focal / np.array(depth),
+    sigma = np.minimum(np.maximum(radius * camera.focal / depth,
                                   size / 96.0), size / 12.0)
     support = np.ceil(3.0 * sigma)
     # each splat's window, clipped to the frame before the integer cast;

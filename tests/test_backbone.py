@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
-from testkit import (central_difference, in_new_interpreter, rel_err,
-                     traced_peak)
+from testkit import (central_difference, in_new_interpreter, margins_ok,
+                     rel_err, traced_peak)
 
 from macforge.backbone import (
     INIT_GAIN,
@@ -755,29 +755,6 @@ class TestBackwardStop:
             backward(params, spec, tape, np.ones_like(out), lowest_conv=lowest)
 
 
-def _margins_ok(spec, params, x, margin=1e-3):
-    """Reject instances where a relu kink or pooling tie sits near the
-    finite-difference step, which would invalidate the oracle."""
-    for i, layer in enumerate(spec):
-        if i == 0:
-            pre = x
-        else:
-            n_conv = sum(1 for l in spec[:i] if l.kind == "conv")
-            prefix = NetParams(params.weights[:n_conv], params.biases[:n_conv])
-            pre, _ = forward(prefix, spec[:i], x)
-        if layer.kind == "relu":
-            if np.min(np.abs(pre)) < margin:
-                return False
-        elif layer.kind == "maxpool":
-            w, s = layer.window, layer.stride
-            win = np.lib.stride_tricks.sliding_window_view(
-                pre, (w, w), axis=(1, 2))[:, ::s, ::s]
-            flat = np.sort(win.reshape(win.shape[0], win.shape[1], win.shape[2], -1))
-            if flat.shape[-1] > 1 and np.min(flat[..., -1] - flat[..., -2]) < margin:
-                return False
-    return True
-
-
 def _random_instance(stream):
     """A small random net plus input with safe gradient-check margins."""
     for attempt in range(100):
@@ -798,7 +775,7 @@ def _random_instance(stream):
         except ShapeError:
             continue
         params = init_params(spec, s.derive("params")).astype(np.float64)
-        if _margins_ok(spec, params, x):
+        if margins_ok(spec, params, x):
             return spec, params, x
     raise AssertionError("could not build a margin-safe instance")
 

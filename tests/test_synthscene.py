@@ -14,6 +14,7 @@ from macforge.synthscene import (
     _background,
     _cluster_geometry,
     _in_frame,
+    _pixels,
     SceneConfig,
     generate,
     look_at,
@@ -208,18 +209,6 @@ def cluster_inputs(cfg, index):
     return images, points, coins
 
 
-def count_project_calls(monkeypatch):
-    """The positions synthscene.project() is called with, as tuples."""
-    calls = []
-
-    def counting(camera, point, size):
-        calls.append(tuple(point))
-        return project(camera, point, size)
-
-    monkeypatch.setattr(synthscene, "project", counting)
-    return calls
-
-
 def bound_cameras(size=96):
     """Axis-aligned cameras on -z (i000) and +z (i001) looking at the
     origin, whose rotations and projections are exact: at 96 px a point
@@ -232,6 +221,24 @@ def bound_cameras(size=96):
                             rotation=look_at(center, np.zeros(3)),
                             focal=float(size))
     return cams
+
+
+def orbit_camera(s):
+    """A camera 2.5 to 4 from the origin, looking at it."""
+    direction = s.normal(size=3)
+    center = s.uniform(2.5, 4.0) * direction / np.linalg.norm(direction)
+    return Camera(center=center, rotation=look_at(center, np.zeros(3)),
+                  focal=96.0 * s.uniform(0.7, 1.5))
+
+
+def on_side_bounds(camera, s, n, size=96):
+    """n points at depths 1 to 6 placed on u = 0 or u = size, which they
+    miss by a few ulps after rounding."""
+    z = s.uniform(1.0, 6.0, size=n)
+    u = s.integers(0, 2, size=n) * float(size)
+    cam = np.stack([(u - size / 2.0) * z / camera.focal,
+                    s.uniform(-0.3, 0.3, size=n) * z, z], axis=1)
+    return cam @ camera.rotation + camera.center
 
 
 class TestVisibility:
@@ -258,7 +265,7 @@ class TestVisibility:
     def test_bench_scale_edges_equal_loop(self, seed):
         self.assert_matches_loop(SceneConfig(seed=seed, **BENCH_SCALE))
 
-    def test_points_on_bounds_fall_back(self, monkeypatch):
+    def test_points_on_bounds_fall_back(self):
         # u = 0 and v = 0 are inside, u = size and v = size outside, and
         # depth 0 (in the camera's plane, or at its centre) is not ahead
         cams = bound_cameras()
@@ -272,7 +279,6 @@ class TestVisibility:
             (0.3, -0.2, 0.1),    # well inside both
             (0.0, 0.0, -9.0),    # behind i000
         ])
-        on_bound = {"b/i000": range(6), "b/i001": range(4)}
         inside = {"b/i000": [True, False, True, False, False, False, True,
                              False],
                   "b/i001": [False, True, True, False, True, True, True,
@@ -284,48 +290,101 @@ class TestVisibility:
                 loop.append(bool(depth > 0.0 and 0.0 <= u < 96
                                  and 0.0 <= v < 96))
             assert loop == inside[image_id]
-            calls = count_project_calls(monkeypatch)
             assert _in_frame(camera, positions, 96).tolist() == loop
-            assert sorted(calls) == sorted(tuple(positions[j])
-                                           for j in on_bound[image_id])
 
-    def test_near_bound_points_decided_as_project(self, monkeypatch):
+    def test_near_bound_points_decided_as_project(self):
         # points placed on u = 0 or u = size through rotated cameras land
-        # within a few ulps of the bound, where the vector projection
-        # can round to the other side: each must fall back and agree
+        # within a few ulps of the bound, where a coordinate rounded in
+        # another order could fall on the other side
         stream = SeededStream(61)
         for trial in range(20):
             s = stream.derive("camera", trial)
-            direction = s.normal(size=3)
-            center = s.uniform(2.5, 4.0) * direction / np.linalg.norm(
-                direction)
-            camera = Camera(center=center,
-                            rotation=look_at(center, np.zeros(3)),
-                            focal=96.0 * s.uniform(0.7, 1.5))
-            z = s.uniform(1.0, 6.0, size=50)
-            u = s.integers(0, 2, size=50) * 96.0
-            cam = np.stack([(u - 48.0) * z / camera.focal,
-                            s.uniform(-0.3, 0.3, size=50) * z, z], axis=1)
-            positions = cam @ camera.rotation + center
+            camera = orbit_camera(s)
+            positions = on_side_bounds(camera, s, 50)
             expected = []
             for p in positions:
                 pu, pv, depth = project(camera, p, 96)
                 expected.append(depth > 0.0 and 0.0 <= pu < 96
                                 and 0.0 <= pv < 96)
-            calls = count_project_calls(monkeypatch)
             assert _in_frame(camera, positions, 96).tolist() == expected
-            assert len(calls) == len(positions)
 
-    def test_generated_scene_rarely_falls_back(self, monkeypatch):
-        # the fallback serves points on a bound, not every point
-        cfg = SceneConfig(clusters=2, seed=3)
-        pairs = 0
-        for k in range(cfg.clusters):
-            images, points, _ = cluster_inputs(cfg, k)
-            pairs += len(images) * len(points)
-        calls = count_project_calls(monkeypatch)
-        generate(cfg)
-        assert len(calls) < pairs // 100
+
+class TestCameraCoordinates:
+    """Camera.coordinates, row by row, against the one-point references
+    Camera.depth_of and project(), bit for bit."""
+
+    @staticmethod
+    def assert_rows_match(camera, points, size=96):
+        coords = camera.coordinates(points)
+        assert coords.shape == (len(points), 3)
+        ahead = np.flatnonzero(coords[:, 2] > 0.0)
+        u, v = _pixels(camera, *coords[ahead].T, size)
+        pixels = dict(zip(ahead.tolist(), zip(u, v)))
+        for k in range(len(points)):
+            row, point = coords[k], points[k]
+            assert row.tobytes() == \
+                np.array(camera.coordinates_of(point)).tobytes()
+            assert row[2].tobytes() == \
+                np.float64(camera.depth_of(point)).tobytes()
+            pu, pv, depth = project(camera, point, size)
+            assert np.float64(depth).tobytes() == row[2].tobytes()
+            if k in pixels:
+                assert np.array([pu, pv]).tobytes() == \
+                    np.array(pixels[k]).tobytes()
+            else:
+                assert pu is None and pv is None
+
+    @staticmethod
+    def layouts(points):
+        """points as a list, a C-contiguous, a strided and a read-only
+        array."""
+        wide = np.zeros((len(points), 6))
+        wide[:, ::2] = points
+        strided = wide[:, ::2]
+        assert not strided.flags.c_contiguous
+        frozen = points.copy()
+        frozen.flags.writeable = False
+        return [points.tolist(), points, strided, frozen]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 1000])
+    def test_random_cameras_and_batch_sizes(self, n):
+        stream = SeededStream(62, n)
+        for trial in range(3):
+            s = stream.derive("trial", trial)
+            camera = orbit_camera(s)
+            points = 1.5 * s.normal(size=(n, 3))
+            for layout in self.layouts(points):
+                self.assert_rows_match(camera, layout)
+
+    def test_points_on_side_bounds(self):
+        stream = SeededStream(63)
+        for trial in range(5):
+            s = stream.derive("trial", trial)
+            camera = orbit_camera(s)
+            self.assert_rows_match(camera, on_side_bounds(camera, s, 200))
+
+    def test_zero_depth_and_camera_centre(self):
+        camera = bound_cameras()["b/i000"]
+        points = np.array([(0.5, 0.5, -4.0), (-3.0, 2.0, -4.0),
+                           (0.0, 0.0, -4.0)])
+        assert (camera.coordinates(points)[:, 2] == 0.0).all()
+        self.assert_rows_match(camera, points)
+        stream = SeededStream(64)
+        for trial in range(5):
+            camera = orbit_camera(stream.derive("trial", trial))
+            centre = camera.center[None, :]
+            assert (camera.coordinates(centre) == 0.0).all()
+            self.assert_rows_match(camera, centre)
+
+    def test_generate_and_render_make_no_one_point_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("one-point projection called")
+
+        monkeypatch.setattr(synthscene, "project", refuse)
+        monkeypatch.setattr(Camera, "coordinates_of", refuse)
+        for graph in generate(SMALL):
+            for image_id in sorted(graph.images):
+                render(graph, image_id, SMALL.image_size)
 
 
 def behind_camera_graph():

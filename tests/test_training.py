@@ -5,8 +5,8 @@ import os
 
 import numpy as np
 import pytest
-from testkit import (central_difference, in_new_interpreter, rel_err,
-                     traced_peak)
+from testkit import (central_difference, in_new_interpreter, margins_ok,
+                     rel_err, traced_peak)
 
 from macforge import pipeline, training
 from macforge.backbone import (NetParams, conv, forward, init_params, maxpool,
@@ -320,32 +320,6 @@ class TestValidate:
             validate(params, spec, tuples, images.__getitem__)
 
 
-def _prefix_margins_ok(spec, params, x, margin=1e-3):
-    for i, layer in enumerate(spec):
-        if i == 0:
-            pre = x
-        else:
-            n_conv = sum(1 for l in spec[:i] if l.kind == "conv")
-            prefix = NetParams(params.weights[:n_conv], params.biases[:n_conv])
-            pre, _ = forward(prefix, spec[:i], x)
-        if layer.kind == "relu" and np.min(np.abs(pre)) < margin:
-            return False
-        if layer.kind == "maxpool":
-            w, s = layer.window, layer.stride
-            win = np.lib.stride_tricks.sliding_window_view(
-                pre, (w, w), axis=(1, 2))[:, ::s, ::s]
-            flat = np.sort(win.reshape(win.shape[0], win.shape[1],
-                                       win.shape[2], -1))
-            if flat.shape[-1] > 1:
-                # windows of clamped zeros are locally constant, so ties
-                # there are harmless; only active tops need a gap
-                gap = flat[..., -1] - flat[..., -2]
-                active = flat[..., -1] > margin
-                if np.any(active & (gap < margin)):
-                    return False
-    return True
-
-
 def _mac_margins_ok(out, margin=1e-3):
     flat = np.sort(out.reshape(out.shape[0], -1), axis=1)
     if np.min(np.abs(flat[:, -1])) < margin:
@@ -369,8 +343,8 @@ class TestChainRuleThroughDescriptor:
             params = init_params(spec, s.derive("p")).astype(np.float64)
             xa = s.normal(size=(2, 6, 6))
             xb = s.derive("b").normal(size=(2, 6, 6))
-            if not (_prefix_margins_ok(spec, params, xa)
-                    and _prefix_margins_ok(spec, params, xb)):
+            if not (margins_ok(spec, params, xa)
+                    and margins_ok(spec, params, xb)):
                 continue
             outs = {}
             for name, img in (("a", xa), ("b", xb)):

@@ -1,6 +1,6 @@
-"""Helpers shared by several test files: finite-difference gradients,
-random visibility graphs, random Lw and PCAw projections, traced
-allocation peaks and calls in a child interpreter."""
+"""Helpers shared by several test files: finite-difference gradients
+and their margin filter, random visibility graphs, random Lw and PCAw
+projections, traced allocation peaks and calls in a child interpreter."""
 
 import ast
 import os
@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 
+from macforge.backbone import NetParams, forward
 from macforge.mining import Camera, VisibilityGraph
 from macforge.whitening import fit_lw, fit_pcaw
 
@@ -39,6 +40,33 @@ def rel_err(analytic, fd, floor=1e-6):
     """Largest elementwise |analytic - fd| / max(|analytic| + |fd|, floor)."""
     denom = np.maximum(np.abs(analytic) + np.abs(fd), floor)
     return float(np.max(np.abs(analytic - fd) / denom))
+
+
+def margins_ok(spec, params, x, margin=1e-3):
+    """Reject instances where a relu kink or a max-pool tie sits near the
+    finite-difference step, which would invalidate the oracle. A window
+    whose top two are clamped zeros is locally constant, so that tie is
+    harmless; any other top two must be `margin` apart."""
+    for i, layer in enumerate(spec):
+        if i == 0:
+            pre = x
+        else:
+            n_conv = sum(1 for l in spec[:i] if l.kind == "conv")
+            prefix = NetParams(params.weights[:n_conv], params.biases[:n_conv])
+            pre, _ = forward(prefix, spec[:i], x)
+        if layer.kind == "relu" and np.min(np.abs(pre)) < margin:
+            return False
+        if layer.kind == "maxpool":
+            w, s = layer.window, layer.stride
+            win = np.lib.stride_tricks.sliding_window_view(
+                pre, (w, w), axis=(1, 2))[:, ::s, ::s]
+            flat = np.sort(win.reshape(*win.shape[:3], -1))
+            if flat.shape[-1] > 1:
+                top, second = flat[..., -1], flat[..., -2]
+                zeros = (top == 0.0) & (second == 0.0)
+                if np.any((top - second < margin) & ~zeros):
+                    return False
+    return True
 
 
 def look_at(center, target=(0.0, 0.0, 0.0), up=(0.0, 0.0, 1.0)):
