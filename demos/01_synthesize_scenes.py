@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from macforge.images import write_ppm
-from macforge.mining import observed_points, scale_change
+from macforge.mining import scale_change
 from macforge.synthscene import SceneConfig, generate, render
 
 
@@ -31,25 +31,28 @@ def main():
     print(f"{'cluster':<12}{'images':>8}{'points':>8}{'edges':>8}"
           f"{'obs/image':>11}")
     for g in graphs:
-        per_image = len(g.edges) / len(g.images)
-        print(f"{g.cluster_id:<12}{len(g.images):>8}{len(g.points):>8}"
-              f"{len(g.edges):>8}{per_image:>11.1f}")
+        # the graph is an image x point incidence matrix, rows in
+        # g.ids order and columns in g.point_ids order
+        edges = int(g.incidence.sum())
+        print(f"{g.cluster_id:<12}{len(g.ids):>8}{len(g.point_ids):>8}"
+              f"{edges:>8}{edges / len(g.ids):>11.1f}")
 
     g = graphs[0]
-    ids = sorted(g.images)
+    ids = g.ids
     a, b = ids[0], ids[1]
-    shared = observed_points(g, a) & observed_points(g, b)
-    print(f"\nimages {a!r} and {b!r} co-observe {len(shared)} of "
-          f"{len(observed_points(g, a))} points seen by the first")
+    seen_a = g.incidence[g.row(a)]
+    shared = seen_a & g.incidence[g.row(b)]
+    print(f"\nimages {a!r} and {b!r} co-observe {shared.sum()} of "
+          f"{seen_a.sum()} points seen by the first")
     print(f"their relative scale change is {scale_change(g, a, b):.3f} "
           f"(1.0 would mean identical viewing scale)")
 
     # occlusion makes the graph realistic: not every orbit position sees
     # every point, so overlap decays with camera separation
     far = ids[len(ids) // 2]
-    far_shared = observed_points(g, a) & observed_points(g, far)
+    far_shared = seen_a & g.incidence[g.row(far)]
     print(f"a camera half an orbit away co-observes only "
-          f"{len(far_shared)} points")
+          f"{far_shared.sum()} points")
 
     out = tempfile.mkdtemp(prefix="macforge_demo_")
     for image_id in ids[:3]:

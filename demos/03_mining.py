@@ -19,7 +19,6 @@ from macforge.mining import (
     candidate_pool,
     choose_queries,
     mine_negatives,
-    observed_points,
     positive_m1,
     positive_m2,
     positive_m3,
@@ -55,11 +54,13 @@ def main():
 
     pool = candidate_pool(g, q, cfg.pool_size)
     print(f"candidate pool = the {cfg.pool_size} nearest cameras:")
-    pq = observed_points(g, q)
+    # rows of the image x point incidence matrix: co-observed points
+    # are the columns both rows mark
+    pq = g.incidence[g.row(q)]
     for i in pool:
-        shared = pq & observed_points(g, i)
-        print(f"  {i}: co-observes {len(shared):>3} points "
-              f"({len(shared) / len(pq):.0%} of the query's), "
+        shared = int((pq & g.incidence[g.row(i)]).sum())
+        print(f"  {i}: co-observes {shared:>3} points "
+              f"({shared / pq.sum():.0%} of the query's), "
               f"scale change {scale_change(g, i, q):.2f}")
 
     m1 = positive_m1(q, pool, descriptors)

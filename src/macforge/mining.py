@@ -14,11 +14,12 @@ is reproducible and oracle-comparable.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass
-from types import SimpleNamespace
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -75,8 +76,8 @@ class Camera:
     focal: float
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=np.float64)
-        rotation = np.asarray(self.rotation, dtype=np.float64)
+        center = np.array(self.center, dtype=np.float64)  # copies
+        rotation = np.array(self.rotation, dtype=np.float64)
         if center.shape != (3,) or rotation.shape != (3, 3):
             raise GraphError("camera needs a 3-vector center and 3x3 rotation")
         if not (np.isfinite(center).all() and np.isfinite(rotation).all()
@@ -88,11 +89,11 @@ class Camera:
             raise GraphError("camera rotation must have determinant +1")
         if not self.focal > 0:
             raise GraphError("camera focal must be positive")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "focal", float(self.focal))
-        object.__setattr__(self, "_center", tuple(center.tolist()))
-        object.__setattr__(self, "_rows", tuple(map(tuple, rotation.tolist())))
+        center.flags.writeable = rotation.flags.writeable = False
+        self.__dict__.update(
+            center=center, rotation=rotation, focal=float(self.focal),
+            _center=tuple(center.tolist()),
+            _rows=tuple(map(tuple, rotation.tolist())))
 
     def coordinates(self, points) -> np.ndarray:
         """The (n, 3) camera coordinates of the rows of (n, 3) `points`."""
@@ -111,89 +112,113 @@ class Camera:
         return self.coordinates_of(point)[2]
 
 
-# derived tables are computed from these; reassigning one drops them
-_GRAPH_FIELDS = frozenset({"cluster_id", "images", "points", "edges"})
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class VisibilityGraph:
-    """One reconstructed cluster: images with cameras, points, and the
-    image-observes-point edge set.
-
-    Tables derived from the fields (tables(), depths, appearance) are
-    computed once and kept on the graph until a field is reassigned;
-    mutating `images`, `points` or `edges` in place is not tracked, so
-    assign a new container instead.
-    """
+    """One reconstructed cluster as arrays: incidence[r, c] holds when
+    image ids[r] (row r of centers and focals) observes point
+    point_ids[c] (row c of xyz), ids ascending. Construction checks the
+    graph (point ids unique, finite positions, two observers per point)
+    and makes every field read-only, so every graph has passed the check
+    and a derived() table never goes stale. from_edges reads edges."""
 
     cluster_id: str
-    images: dict  # image-id -> Camera
-    points: dict  # point-id -> (3,) world position
-    edges: set   # of (image-id, point-id)
+    images: Mapping  # image id -> Camera, ids ascending
+    point_ids: tuple
+    xyz: np.ndarray  # (points, 3) world positions
+    incidence: np.ndarray  # (images, points) bool
+    ids: tuple = field(init=False, repr=False)
+    centers: np.ndarray = field(init=False, repr=False)
+    focals: np.ndarray = field(init=False, repr=False)
+    _derived: dict = field(init=False, repr=False, default_factory=dict)
 
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if name in _GRAPH_FIELDS:
-            self.__dict__.pop("_derived", None)
+    def __post_init__(self):
+        ids, point_ids = tuple(sorted(self.images)), tuple(self.point_ids)
+        # copies, so no caller holds a writable view of the graph
+        xyz = np.array(self.xyz, dtype=np.float64)
+        incidence = np.array(self.incidence, dtype=bool)
+        if (xyz.shape != (len(point_ids), 3)
+                or incidence.shape != (len(ids), len(point_ids))
+                or any(a >= b for a, b in zip(point_ids, point_ids[1:]))):
+            raise GraphError("point ids must ascend, each once, and xyz "
+                             "and incidence must fit the ids")
+        for bad, fault in ((~np.isfinite(xyz).all(axis=1),
+                            "need 3 finite coordinates"),
+                           (incidence.sum(axis=0) < 2,
+                            "have fewer than 2 observers")):
+            if bad.any():
+                named = [point_ids[c] for c in np.flatnonzero(bad)[:5]]
+                raise GraphError(f"points {named} {fault}")
+        cams = [self.images[i] for i in ids]
+        centers = np.array([c.center for c in cams]).reshape(-1, 3)
+        focals = np.array([c.focal for c in cams], dtype=np.float64)
+        for a in (xyz, incidence, centers, focals):
+            a.flags.writeable = False
+        self.__dict__.update(
+            images=MappingProxyType(dict(zip(ids, cams))), ids=ids,
+            point_ids=point_ids, xyz=xyz, incidence=incidence,
+            centers=centers, focals=focals)
+
+    @classmethod
+    def from_edges(cls, cluster_id, images, points, edges):
+        """The graph of (image id, point id) edges over images and points,
+        mappings or (id, value) pairs; repeated or unlisted ids raise."""
+        images, points = _unique(images, "image"), _unique(points, "point")
+        point_ids = sorted(points)
+        row = {img: r for r, img in enumerate(sorted(images))}
+        col = {pid: c for c, pid in enumerate(point_ids)}
+        for pid in point_ids:
+            if np.shape(points[pid]) != (3,):
+                raise GraphError(f"point {pid!r} needs 3 finite coordinates")
+        try:  # flat indices into the row-major incidence
+            at = [row[img] * len(col) + col[pid] for img, pid in edges]
+        except KeyError as exc:
+            raise GraphError(f"edge to unknown id {exc.args[0]!r}") from None
+        incidence = np.zeros((len(row), len(col)), dtype=bool)
+        incidence.flat[at] = True
+        xyz = np.array([points[p] for p in point_ids], float).reshape(-1, 3)
+        return cls(cluster_id, images, point_ids, xyz, incidence)
+
+    def row(self, image_id) -> int:
+        """The row of image_id in incidence, centers and focals."""
+        if image_id not in self.images:
+            raise GraphError(f"unknown image {image_id!r}")
+        return bisect.bisect_left(self.ids, image_id)
+
+    @property
+    def edges(self) -> frozenset:
+        """The (image id, point id) pairs incidence marks."""
+        return self.derived("edges", lambda g: frozenset(_edge_list(g)))
 
     def derived(self, key, build):
         """The table `build(self)`, computed on first request per key."""
-        tables = self.__dict__.setdefault("_derived", {})
-        if key not in tables:
-            tables[key] = build(self)
-        return tables[key]
-
-    def validate(self) -> None:
-        for img, pid in self.edges:
-            if img not in self.images:
-                raise GraphError(f"edge references unknown image {img!r}")
-            if pid not in self.points:
-                raise GraphError(f"edge references unknown point {pid!r}")
-        for pid, xyz in self.points.items():
-            if np.shape(xyz) != (3,) or not np.isfinite(xyz).all():
-                raise GraphError(f"point {pid!r} needs 3 finite coordinates")
-        observers = Counter(pid for _, pid in self.edges)
-        thin = sorted(pid for pid in self.points if observers[pid] < 2)
-        if thin:
-            raise GraphError(
-                f"points observed by fewer than 2 images: {thin[:5]}"
-                + ("..." if len(thin) > 5 else ""))
-
-    def tables(self) -> SimpleNamespace:
-        """The graph as arrays (cached): image ids[r] (ascending) has row r
-        of centers, focals and incidence, whose [r, c] holds when it sees
-        point point_ids[c]; row maps an image id to its row."""
-        return self.derived("tables", _tables)
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
 
-def _tables(g: VisibilityGraph) -> SimpleNamespace:
-    ids = sorted(g.images)
-    row = {img: r for r, img in enumerate(ids)}
-    col = {pid: c for c, pid in enumerate(dict.fromkeys(p for _, p in g.edges))}
-    incidence = np.zeros((len(ids), len(col)), dtype=bool)
-    incidence[[row[i] for i, _ in g.edges], [col[p] for _, p in g.edges]] = True
-    cams = [g.images[i] for i in ids]
-    return SimpleNamespace(
-        ids=ids, row=row, point_ids=list(col), incidence=incidence,
-        centers=np.array([c.center for c in cams]).reshape(-1, 3),
-        focals=np.array([c.focal for c in cams], dtype=np.float64))
+def _unique(items, what: str) -> dict:
+    """A mapping or (id, value) pairs as a dict; a repeated id raises."""
+    out = {}
+    for key, value in (items.items() if isinstance(items, Mapping)
+                       else items):
+        if key in out:
+            raise GraphError(f"duplicate {what} id {key!r}")
+        out[key] = value
+    return out
+
+
+def _edge_list(g: VisibilityGraph) -> list:
+    """g's (image id, point id) pairs, by image id, then point id."""
+    return [(g.ids[r], g.point_ids[c])
+            for r, c in np.argwhere(g.incidence).tolist()]
 
 
 def _depths(g: VisibilityGraph) -> np.ndarray:
-    """Depths of the points in the cameras that see them, NaN elsewhere."""
-    t = g.tables()
-    xyz = np.array([g.points[p] for p in t.point_ids], np.float64).reshape(-1, 3)
-    depths = np.full(t.incidence.shape, np.nan)
-    for r, img in enumerate(t.ids):
-        cols = np.flatnonzero(t.incidence[r])
-        depths[r, cols] = g.images[img].coordinates(xyz[cols])[:, 2]
-    return depths
-
-
-def _row(t: SimpleNamespace, image_id) -> int:
-    if image_id not in t.row:
-        raise GraphError(f"unknown image {image_id!r}")
-    return t.row[image_id]
+    """Depths of the points in the cameras that see them, NaN elsewhere;
+    coordinates() works row by row, so a depth has a one-point call's bits."""
+    depths = [g.images[img].coordinates(g.xyz)[:, 2] for img in g.ids]
+    return np.where(g.incidence, np.reshape(depths, g.incidence.shape),
+                    np.nan)
 
 
 @dataclass(frozen=True)
@@ -230,21 +255,19 @@ class TrainingTuple:
 
 def observed_points(g: VisibilityGraph, image_id: str) -> frozenset:
     """Point-ids with an edge to the image."""
-    t = g.tables()
-    seen = np.flatnonzero(t.incidence[_row(t, image_id)])
-    return frozenset(t.point_ids[c] for c in seen)
+    seen = np.flatnonzero(g.incidence[g.row(image_id)])
+    return frozenset(g.point_ids[c] for c in seen.tolist())
 
 
 def candidate_pool(g: VisibilityGraph, query: str, k: int) -> list:
     """The k cluster images with camera centers closest to the query's,
     nearest first; equal distances rank the lower image id first."""
-    t = g.tables()
-    q = _row(t, query)
+    q = g.row(query)
     # np.linalg.norm's value, the root of one dot per row: a norm along
     # an axis rounds some distances differently
-    dist = np.array([math.sqrt(d.dot(d)) for d in t.centers - t.centers[q]])
+    dist = np.array([math.sqrt(d.dot(d)) for d in g.centers - g.centers[q]])
     order = np.argsort(dist, kind="stable")
-    return [t.ids[r] for r in order[order != q][:k]]
+    return [g.ids[r] for r in order[order != q][:k]]
 
 
 def positive_m1(query: str, pool: list, descriptors: dict) -> str:
@@ -260,9 +283,8 @@ def positive_m2(query: str, pool: list, g: VisibilityGraph) -> str:
     """Pool member co-observing the most 3D points with the query."""
     if not pool:
         raise NoPositiveError(f"empty candidate pool for {query!r}")
-    t = g.tables()
-    seen = t.incidence[_row(t, query)]
-    counts = (t.incidence[[_row(t, i) for i in pool]] & seen).sum(axis=1)
+    seen = g.incidence[g.row(query)]
+    counts = (g.incidence[[g.row(i) for i in pool]] & seen).sum(axis=1)
     most = counts.max()
     return min(i for i, n in zip(pool, counts) if n == most)
 
@@ -274,9 +296,8 @@ def scale_change(g: VisibilityGraph, i: str, q: str) -> float:
     view; the result is the larger of the ratio and its inverse, so it is
     symmetric and >= 1.
     """
-    t = g.tables()
-    ri, rq = np.array([_row(t, i)]), _row(t, q)
-    shared = t.incidence[ri] & t.incidence[rq]
+    ri, rq = np.array([g.row(i)]), g.row(q)
+    shared = g.incidence[ri] & g.incidence[rq]
     if not shared.any():
         raise NoSharedPointsError(f"{i!r} and {q!r} share no points")
     return float(_scale_changes(g, ri, rq, shared)[0])
@@ -288,7 +309,7 @@ def _scale_changes(g: VisibilityGraph, rows, q: int, shared) -> np.ndarray:
     camera raises GeometryError for the first such row, naming its image
     before q's. A median is np.median's: the middle depth or the mean of
     the middle two."""
-    t, depths = g.tables(), g.derived("depths", _depths)
+    depths = g.derived("depths", _depths)
     pair = np.stack([rows, np.full_like(rows, q)])  # the rows, then q
     ordered = np.sort(np.where(shared, depths[pair], np.inf), axis=2)
     counts = shared.sum(axis=1)
@@ -299,9 +320,9 @@ def _scale_changes(g: VisibilityGraph, rows, q: int, shared) -> np.ndarray:
     behind = ordered[:, :, 0] <= 0
     if behind.any():
         j = int(np.argmax(behind.any(axis=0)))
-        img = t.ids[rows[j]] if behind[0, j] else t.ids[q]
+        img = g.ids[rows[j]] if behind[0, j] else g.ids[q]
         raise GeometryError(f"shared point behind camera {img!r}")
-    scale = t.focals[pair] / median
+    scale = g.focals[pair] / median
     r = scale[0] / scale[1]
     return np.maximum(r, 1.0 / r)
 
@@ -313,12 +334,12 @@ def positive_m3(query: str, pool: list, g: VisibilityGraph, cfg: MiningConfig,
     image-id order."""
     if not pool:
         raise NoPositiveError(f"empty candidate pool for {query!r}")
-    t, members = g.tables(), sorted(pool)
-    q = _row(t, query)
-    rows = np.array([_row(t, i) for i in members])
-    shared = t.incidence[rows] & t.incidence[q]
+    members = sorted(pool)
+    q = g.row(query)
+    rows = np.array([g.row(i) for i in members])
+    shared = g.incidence[rows] & g.incidence[q]
     # a query that sees nothing overlaps nothing: inlier_overlap is > 0
-    overlap = shared.sum(axis=1) / max(int(t.incidence[q].sum()), 1)
+    overlap = shared.sum(axis=1) / max(int(g.incidence[q].sum()), 1)
     near = np.flatnonzero(overlap >= cfg.inlier_overlap)
     changes = _scale_changes(g, rows[near], q, shared[near]) if near.size else []
     feasible = [members[j] for j, change in zip(near, changes)
@@ -358,11 +379,10 @@ def mine_negatives(query: str, dq, db: DescriptorDB, cluster_of, n: int,
 def choose_queries(g: VisibilityGraph, stream: SeededStream) -> list:
     """Per-cluster query sample: 10% of the cluster (rounded up) for
     clusters of at most 300 images, else 30."""
-    ids = sorted(g.images)
-    size = len(ids)
+    size = len(g.ids)
     count = math.ceil(0.10 * size) if size <= 300 else 30
     order = stream.permutation(size)
-    return sorted(ids[int(j)] for j in order[:count])
+    return sorted(g.ids[int(j)] for j in order[:count])
 
 
 def build_tuples(graphs: list, descriptors: dict, cfg: MiningConfig,
@@ -429,7 +449,7 @@ class TupleMiner:
         for cid, g in sorted(by_cluster.items()):
             if query_clusters is not None and cid not in query_clusters:
                 continue
-            for q in (sorted(g.images) if all_images_as_queries
+            for q in (g.ids if all_images_as_queries
                       else choose_queries(g, stream.derive("queries", cid))):
                 queries.append(q)
                 pool = candidate_pool(g, q, cfg.pool_size)
@@ -447,10 +467,9 @@ class TupleMiner:
         # a selection reads descriptors of the universe only
         universe = set(queries) | set(self.positives.values())
         for cid, g in by_cluster.items():
-            ids = sorted(g.images)
-            take = min(cfg.candidate_negatives_per_cluster, len(ids))
-            order = stream.derive("negpool", cid).permutation(len(ids))
-            universe.update(ids[int(j)] for j in order[:take])
+            take = min(cfg.candidate_negatives_per_cluster, len(g.ids))
+            order = stream.derive("negpool", cid).permutation(len(g.ids))
+            universe.update(g.ids[int(j)] for j in order[:take])
         self.universe = sorted(universe)
         self._select(descriptors)
 
@@ -489,46 +508,42 @@ class TupleMiner:
 
 
 def save_scene(path, g: VisibilityGraph) -> None:
-    """Write g as a scene file; a graph that fails g.validate() is a
-    GraphError, so every file written here loads."""
-    g.validate()
+    """Write g as a scene file, ids ascending; every graph passed its
+    checks when it was built, so every file written here loads."""
     doc = {
         "cluster_id": g.cluster_id,
         "images": [{"id": img, "camera": {
                         "center": cam.center.tolist(),
                         "rotation": cam.rotation.reshape(-1).tolist(),
                         "focal": cam.focal}}
-                   for img, cam in sorted(g.images.items())],
-        "points": [{"id": pid, "xyz": np.asarray(xyz, np.float64).tolist()}
-                   for pid, xyz in sorted(g.points.items())],
-        "edges": sorted([img, pid] for img, pid in g.edges),
+                   for img, cam in g.images.items()],
+        "points": [{"id": pid, "xyz": xyz}
+                   for pid, xyz in zip(g.point_ids, g.xyz.tolist())],
+        "edges": _edge_list(g),
     }
     write_json(path, doc, indent=1)
 
 
 def load_scene(path) -> VisibilityGraph:
+    """The graph of a scene file; a file that gives no valid graph, e.g.
+    one that repeats an image or point id, is a FormatError."""
     doc = load_json(path, "scene file")
     try:
-        images = {}
+        images = []
         for rec in doc["images"]:
             cam, img = rec["camera"], rec["id"]
             if not is_number(cam["focal"]):
                 raise ValueError(f"focal of image {img!r} must be a number")
-            images[img] = Camera(
+            images.append((img, Camera(
                 numbers(cam["center"], f"center of image {img!r}"),
                 numbers(cam["rotation"], f"rotation of image {img!r}").reshape(3, 3),
-                float(cam["focal"]))
-        points = {rec["id"]: numbers(rec["xyz"], f"xyz of point {rec['id']!r}")
-                  for rec in doc["points"]}
-        edges = {(img, pid) for img, pid in doc["edges"]}
-        g = VisibilityGraph(str(doc["cluster_id"]), images, points, edges)
-    except (KeyError, TypeError, ValueError, OverflowError, GraphError) as exc:
+                float(cam["focal"]))))
+        points = [(r["id"], numbers(r["xyz"], f"xyz of point {r['id']!r}"))
+                  for r in doc["points"]]
+        return VisibilityGraph.from_edges(str(doc["cluster_id"]), images,
+                                          points, doc["edges"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed scene file: {exc}") from exc
-    try:
-        g.validate()
-    except GraphError as exc:
-        raise FormatError(f"invalid scene graph: {exc}") from exc
-    return g
 
 
 def save_tuples(path, tuples: list) -> None:

@@ -170,8 +170,7 @@ def split_clusters(graphs, val_fraction):
 
 def _graph_of(graphs):
     """image id -> graph, in graph order and sorted ids within a graph."""
-    return {image_id: graph for graph in graphs
-            for image_id in sorted(graph.images)}
+    return {image_id: graph for graph in graphs for image_id in graph.ids}
 
 
 def render_images(graphs, size):
@@ -186,19 +185,10 @@ def render_images(graphs, size):
 def benchmark_ground_truth(graphs, image_size=None):
     """Every image queries for the rest of its cluster; the query
     itself is ignored. Full-image bboxes let crop modes run too."""
-    gt = {}
-    bbox = None
-    if image_size is not None:
-        bbox = BBox(0, 0, image_size, image_size)
-    for graph in graphs:
-        ids = sorted(graph.images)
-        if len(ids) < 2:
-            continue
-        for query_id in ids:
-            gt[query_id] = QueryGroundTruth(
-                frozenset(i for i in ids if i != query_id),
-                frozenset({query_id}), bbox)
-    return gt
+    bbox = None if image_size is None else BBox(0, 0, image_size, image_size)
+    return {q: QueryGroundTruth(frozenset(g.images) - {q}, frozenset({q}),
+                                bbox)
+            for g in graphs if len(g.images) > 1 for q in sorted(g.images)}
 
 
 def load_scenes_dir(scenes_dir):
@@ -259,7 +249,7 @@ def stage_synth(scene_cfg, out_dir, threads=0):
     save_ground_truth(os.path.join(out_dir, "ground_truth.json"),
                       benchmark_ground_truth(graphs, scene_cfg.image_size))
     return (len(graphs), len(graph_of),
-            sum(len(graph.points) for graph in graphs))
+            sum(len(graph.point_ids) for graph in graphs))
 
 
 def stage_embed(checkpoint_path, images_dir, out_path, rmac_scales=0,
@@ -295,19 +285,29 @@ def prepare_training(graphs, initial, mining_cfg, positive_method,
     TupleMiner on stream "mine", the held-out tuples on stream "valmine"
     with queries from held-out clusters and negatives from all. initial
     maps every image id of graphs to its descriptor. Returns (miner,
-    val_tuples); a split without tuples is a ValueError."""
+    val_tuples); a split without tuples is a ValueError that says why."""
     train_graphs, val_graphs = split_clusters(graphs, val_fraction)
     miner = TupleMiner(train_graphs, initial, mining_cfg, positive_method,
                        negative_variant, stream.derive("mine"))
-    if not miner.current_tuples():
-        raise ValueError("training split produced no tuples")
-    val_tuples, _ = build_tuples(
-        graphs, initial, mining_cfg, positive_method, negative_variant,
-        stream.derive("valmine"),
-        query_clusters={g.cluster_id for g in val_graphs})
-    if not val_tuples:
-        raise ValueError("validation split produced no tuples")
-    return miner, val_tuples
+    _check_mined(miner, "training split", len(train_graphs), mining_cfg)
+    val = TupleMiner(graphs, initial, mining_cfg, positive_method,
+                     negative_variant, stream.derive("valmine"),
+                     query_clusters={g.cluster_id for g in val_graphs})
+    _check_mined(val, "validation split", len(graphs), mining_cfg)
+    return miner, val.tuples
+
+
+def _check_mined(miner, split, clusters, cfg):
+    """A ValueError unless miner has a tuple, saying why it has none."""
+    if miner.tuples:
+        return
+    why = (f"{split} produced no tuples: of {len(miner.skipped)} queries, "
+           f"{len(miner.no_positive)} found no positive and "
+           f"{len(miner.skipped) - len(miner.no_positive)} too few negatives")
+    if miner.negative_variant == "N2" and clusters <= cfg.negatives:
+        why += (f"; N2 needs negatives + 1 = {cfg.negatives + 1} clusters, "
+                f"the {split} mines from {clusters}")
+    raise ValueError(why)
 
 
 def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
@@ -323,7 +323,7 @@ def stage_train(scenes_dir, images_dir, out_dir, train_cfg, loss_cfg,
     graphs = load_scenes_dir(scenes_dir)
     images = {image_id: resize_max_side(image, train_cfg.max_image_side)
               for image_id, image in load_images_dir(images_dir).items()}
-    missing = [i for g in graphs for i in sorted(g.images) if i not in images]
+    missing = [i for g in graphs for i in g.ids if i not in images]
     if missing:
         raise FileNotFoundError(f"scene image {missing[0]!r} has no PPM: "
                                 f"{image_path(images_dir, missing[0])}")

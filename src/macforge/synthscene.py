@@ -13,11 +13,11 @@ per-point project() loop. Appearance (point colors, background
 texture) is derived by hashing ids against a fixed constant, which
 makes render() a pure function of (graph, image id, size). The id-only
 parts (each point's color, the cluster-fixed backdrop waves per size)
-are computed once per graph and cached on it, next to its observation
-and depth tables. render() builds one table per image of the squared
-distances from every pixel centre to every splat centre, plus each
-splat's width and window, so its per-splat loop only takes the
-exponential and blends.
+are computed once per graph and cached on it (VisibilityGraph.derived).
+render() reads an image's points from its incidence row and their
+positions from xyz, builds one table of the squared distances from
+every pixel centre to every splat centre, plus each splat's width and
+window, so its per-splat loop only takes the exponential and blends.
 """
 
 import math
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mining import Camera, GraphError, VisibilityGraph, observed_points
+from .mining import Camera, VisibilityGraph
 from .numeric import SeededStream
 
 DEFAULT_IMAGE_SIZE = 96
@@ -98,10 +98,6 @@ def _pixels(camera, x, y, depth, size):
     return camera.focal * x / depth + half, camera.focal * y / depth + half
 
 
-def _cluster_tag(index):
-    return f"c{index:02d}"
-
-
 def _in_frame(camera, positions, size):
     """project()'s visibility test (positive depth, 0 <= u < size and
     0 <= v < size) for every row of `positions` at once."""
@@ -138,29 +134,23 @@ def _cluster_geometry(cfg, tag, stream):
 
 
 def _generate_cluster(cfg, index, stream):
-    tag = _cluster_tag(index)
+    tag = f"c{index:02d}"
     points, images = _cluster_geometry(cfg, tag, stream)
     # seen[r, c]: image r keeps an edge to point c (ids ascending); the
     # coins are drawn per image in point-id order
     point_ids = sorted(points)
     positions = np.array([points[p] for p in point_ids])
-    image_ids = sorted(images)
     seen = np.array([
         _in_frame(images[i], positions, cfg.image_size)
         & (stream.derive("occlusion", i).random(len(point_ids))
            >= cfg.occlusion_rate)
-        for i in image_ids])
+        for i in sorted(images)])
     kept = np.flatnonzero(seen.sum(axis=0) >= 2)
     if not len(kept):
         raise GenerationError(
             f"cluster {tag} retained no points; loosen the configuration")
-    kept_ids = [point_ids[c] for c in kept.tolist()]
-    edges = {(image_id, kept_ids[c])
-             for image_id, row in zip(image_ids, seen[:, kept])
-             for c in np.flatnonzero(row).tolist()}
-    points = {p: points[p] for p in kept_ids}
-    return VisibilityGraph(cluster_id=tag, images=images, points=points,
-                           edges=edges)
+    return VisibilityGraph(tag, images, [point_ids[c] for c in kept.tolist()],
+                           positions[kept], seen[:, kept])
 
 
 def generate(cfg):
@@ -180,14 +170,14 @@ def _point_colors(graph):
     # one anchor, so cluster identity is carried by stable colors that
     # persist across viewpoints
     anchors = 0.2 + 0.8 * _appearance("palette", graph.cluster_id).random((3, 3))
-    colors = {}
-    for point_id in graph.points:
+    colors = []
+    for point_id in graph.point_ids:
         s = _appearance("color", graph.cluster_id, point_id)
         anchor = anchors[int(s.integers(0, 3))]
-        # shaped (3, 1, 1) to broadcast over a splat's patch
-        colors[point_id] = np.clip(anchor + s.uniform(-0.08, 0.08, size=3),
-                                   0.0, 1.0)[:, None, None]
-    return colors
+        colors.append(np.clip(anchor + s.uniform(-0.08, 0.08, size=3),
+                              0.0, 1.0))
+    # row c: point c's color, shaped (3, 1, 1) to broadcast over a patch
+    return np.array(colors).reshape(-1, 3, 1, 1)
 
 
 def _waves(coords, freqs, phases):
@@ -239,22 +229,16 @@ def render(graph, image_id, size=DEFAULT_IMAGE_SIZE):
     VisibilityGraph.derived); a cached table gives the same bits as a
     fresh one. Splats are painted far to near so closer points occlude.
     """
-    if image_id not in graph.images:
-        raise GraphError(f"unknown image id {image_id!r}")
+    cols = np.flatnonzero(graph.incidence[graph.row(image_id)])
     camera = graph.images[image_id]
     img = _background(graph, image_id, size)
     colors = graph.derived("point_colors", _point_colors)
 
-    point_ids = sorted(observed_points(graph, image_id))
-    positions = np.array([graph.points[p] for p in point_ids],
-                         dtype=np.float64).reshape(-1, 3)
-    x, y, depth = camera.coordinates(positions).T
+    x, y, depth = camera.coordinates(graph.xyz[cols]).T
     # far to near, equal depths in point-id order; none behind
     order = np.argsort(-depth, kind="stable")
     order = order[depth[order] > 0.0]
-    if not len(order):
-        return img.astype(np.float32)
-    point_ids = [point_ids[k] for k in order.tolist()]
+    cols = cols[order].tolist()
     depth = depth[order]
     u, v = _pixels(camera, x[order], y[order], depth, size)
 
@@ -278,7 +262,7 @@ def render(graph, image_id, size=DEFAULT_IMAGE_SIZE):
     # dividing by the negated width is exact: the same exponent as
     # -(dx2 + dy2) / (2 sigma^2), one array pass fewer
     width = -(2.0 * sigma * sigma)
-    for k, point_id in enumerate(point_ids):
+    for k, c in enumerate(cols):
         if x0[k] >= x1[k] or y0[k] >= y1[k]:
             continue
         xs, ys = slice(x0[k], x1[k]), slice(y0[k], y1[k])
@@ -287,5 +271,5 @@ def render(graph, image_id, size=DEFAULT_IMAGE_SIZE):
         # patch * (1 - alpha) + color * alpha
         patch = img[:, ys, xs]
         patch *= 1.0 - alpha
-        patch += colors[point_id] * alpha
+        patch += colors[c] * alpha
     return img.astype(np.float32)

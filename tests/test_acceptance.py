@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from testkit import central_difference, random_graph
+from testkit import central_difference, positions, random_graph
 
 from macforge.backbone import (
     NetParams,
@@ -179,10 +179,10 @@ def _oracle_m2(q, pool, g):
 
 
 def _oracle_scale(g, a, b, shared):
-    scales = {}
+    scales, xyz = {}, positions(g)
     for img in (a, b):
         cam = g.images[img]
-        depths = [float((cam.rotation @ (g.points[p] - cam.center))[2])
+        depths = [float((cam.rotation @ (xyz[p] - cam.center))[2])
                   for p in sorted(shared)]
         scales[img] = cam.focal / float(np.median(depths))
     r = scales[a] / scales[b]

@@ -786,6 +786,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["images", "points"])
+    def test_repeated_scene_id_is_data_error(self, workspace, tmp_path,
+                                             field, capsys):
+        # a repeated record would otherwise replace the first one
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        with open(workspace / "data" / "scenes" / "c00.json") as f:
+            doc = json.load(f)
+        doc[field].append(dict(doc[field][1], id=doc[field][0]["id"]))
+        (scenes / "c00.json").write_text(json.dumps(doc))
+        code = run_cli("mine", "--scenes", str(scenes),
+                       "--descriptors", str(tmp_path / "d.macd"),
+                       "--out", str(tmp_path / "t.mftp"))
+        assert code == EXIT_DATA == 4
+        err = capsys.readouterr().err
+        assert f"duplicate {field[:-1]} id" in err and "Traceback" not in err
+
+    def test_train_names_why_nothing_was_mined(self, tmp_path, capsys):
+        # 6 clusters leave 5 for training at val_fraction 0.2, and N2
+        # takes one negative per other cluster: 4 of the 5 it needs
+        data, run = str(tmp_path / "data"), str(tmp_path / "run")
+        assert run_cli("synth", "--out", data, "--seed", "5",
+                       "--set", "clusters=6", "--set", "image_size=48",
+                       "--threads", "1") == EXIT_OK
+        capsys.readouterr()
+        code = run_cli("train", "--scenes", f"{data}/scenes",
+                       "--images", f"{data}/images", "--out", run,
+                       "--seed", "5", "--set", "max_epochs=5",
+                       "--set", "max_image_side=48", "--threads", "1")
+        assert code == EXIT_CONFIG == 2
+        err = capsys.readouterr().err
+        assert re.search(r"training split produced no tuples: of (\d+) "
+                         r"queries, 0 found no positive and \1 too few "
+                         r"negatives; N2 needs negatives \+ 1 = 6 clusters, "
+                         r"the training split mines from 5$", err, re.M), err
+
     def test_corrupt_checkpoint_sidecar_is_data_error(self, workspace,
                                                       tmp_path, capsys):
         data, run = str(workspace / "data"), str(workspace / "run")

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from testkit import random_graph
+from testkit import positions, random_graph
 
 from macforge.ioutil import FormatError
 from macforge.mining import (
@@ -68,10 +68,10 @@ def scale_change_oracle(g, i, q):
                     & {p for img, p in g.edges if img == q})
     if not shared:
         raise NoSharedPointsError(f"{i!r} and {q!r} share no points")
-    scales = {}
+    scales, xyz = {}, positions(g)
     for img in (i, q):
         cam = g.images[img]
-        depths = np.array([cam.depth_of(g.points[pid]) for pid in shared])
+        depths = np.array([cam.depth_of(xyz[pid]) for pid in shared])
         if np.min(depths) <= 0:
             raise GeometryError(f"shared point behind camera {img!r}")
         scales[img] = cam.focal / float(np.median(depths))
@@ -81,16 +81,17 @@ def scale_change_oracle(g, i, q):
 
 class LoopMining:
     """candidate_pool, positive_m2, scale_change and positive_m3 as they
-    were written before the array tables: per-image observation sets,
-    depths from Camera.depth_of, sorted tuples and sorted-depth medians.
-    One instance per graph, built from its fields as they are now."""
+    were written before the graph became arrays: per-image observation
+    sets, depths from Camera.depth_of, sorted tuples and sorted-depth
+    medians. One instance per graph, read from its edges and positions."""
 
     def __init__(self, g):
         self.g = g
         self.seen = {img: set() for img in g.images}
         for img, pid in g.edges:
             self.seen[img].add(pid)
-        self.depth = {img: {pid: g.images[img].depth_of(g.points[pid])
+        xyz = positions(g)
+        self.depth = {img: {pid: g.images[img].depth_of(xyz[pid])
                             for pid in pids}
                       for img, pids in self.seen.items()}
 
@@ -165,7 +166,7 @@ def behind_camera_graph():
     }
     points = {0: np.zeros(3), 1: np.array([0.1, 0.1, 0.0])}
     edges = {(img, p) for img in images for p in points}
-    return VisibilityGraph("c", images, points, edges)
+    return VisibilityGraph.from_edges("c", images, points, edges)
 
 
 class TestCameraAndGraph:
@@ -181,18 +182,34 @@ class TestCameraAndGraph:
         with pytest.raises(GraphError, match="finite"):
             Camera(**args)
 
-    def test_reassigning_a_field_drops_derived_tables(self):
+    def test_arrays_are_read_only(self):
         g = random_graph(SeededStream(54), n_images=3, n_points=6,
                          all_edges=True)
-        first = g.tables()
-        assert g.tables() is first
-        g.edges = set(g.edges)
-        assert g.tables() is not first
+        for name in ("xyz", "incidence", "centers", "focals"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(g, name)[0] = 0
+        with pytest.raises(AttributeError):
+            g.incidence = np.zeros_like(g.incidence)
+        with pytest.raises(TypeError):
+            g.images["c0/i999"] = identity_camera([0, 0, 0])
+        # a camera's arrays too: centers and the depth table read them
+        with pytest.raises(ValueError, match="read-only"):
+            g.images[g.ids[0]].center[0] = 0
+        # the graph holds copies: the caller's arrays stay writable, and
+        # writing them leaves the graph as it was
+        xyz, seen = g.xyz.copy(), g.incidence.copy()
+        h = VisibilityGraph(g.cluster_id, g.images, g.point_ids, xyz, seen)
+        xyz[0], seen[0] = 9.0, False
+        assert h.edges == g.edges
+        assert np.array_equal(h.xyz, g.xyz)
         a, b = sorted(g.images)[:2]
         assert scale_change(g, a, b) == scale_change_oracle(g, a, b)
         # moved points move the depths behind scale_change
-        g.points = {p: xyz * 1.5 for p, xyz in g.points.items()}
-        assert scale_change(g, a, b) == scale_change_oracle(g, a, b)
+        moved = VisibilityGraph.from_edges(
+            g.cluster_id, g.images,
+            {p: xyz * 1.5 for p, xyz in positions(g).items()}, g.edges)
+        assert scale_change(moved, a, b) == scale_change_oracle(moved, a, b)
+        assert scale_change(moved, a, b) != scale_change(g, a, b)
 
     def test_camera_rejects_non_rotation(self):
         with pytest.raises(GraphError):
@@ -203,35 +220,35 @@ class TestCameraAndGraph:
             Camera(np.zeros(3), np.eye(3), -5.0)
 
     def test_validate_rejects_thin_points(self):
-        g = VisibilityGraph(
-            "c", {"a": identity_camera([0, 0, 0]),
-                  "b": identity_camera([1, 0, 0])},
-            {1: np.zeros(3)}, {("a", 1)})
         with pytest.raises(GraphError):
-            g.validate()
+            VisibilityGraph.from_edges(
+                "c", {"a": identity_camera([0, 0, 0]),
+                      "b": identity_camera([1, 0, 0])},
+                {1: np.zeros(3)}, {("a", 1)})
 
     def test_validate_rejects_dangling_edges(self):
-        g = VisibilityGraph(
-            "c", {"a": identity_camera([0, 0, 0])},
-            {1: np.zeros(3)}, {("ghost", 1)})
         with pytest.raises(GraphError):
-            g.validate()
+            VisibilityGraph.from_edges(
+                "c", {"a": identity_camera([0, 0, 0])},
+                {1: np.zeros(3)}, {("ghost", 1)})
 
 
 class TestObservedPoints:
     def test_no_edges(self):
-        g = VisibilityGraph(
+        g = VisibilityGraph.from_edges(
             "c", {"a": identity_camera([0, 0, 0]),
                   "b": identity_camera([1, 0, 0])},
             {}, set())
         assert observed_points(g, "a") == frozenset()
 
     def test_two_image_example(self):
-        g = VisibilityGraph(
+        # "w" is the second observer every point needs
+        g = VisibilityGraph.from_edges(
             "c", {"a": identity_camera([0, 0, 0]),
-                  "b": identity_camera([1, 0, 0])},
+                  "b": identity_camera([1, 0, 0]),
+                  "w": identity_camera([2, 0, 0])},
             {1: np.zeros(3), 2: np.ones(3)},
-            {("a", 1), ("a", 2), ("b", 2)})
+            {("a", 1), ("a", 2), ("b", 2), ("w", 1)})
         assert observed_points(g, "a") == {1, 2}
         assert observed_points(g, "b") == {2}
 
@@ -249,14 +266,14 @@ class TestObservedPoints:
 
 class TestCandidatePool:
     def test_cluster_of_two(self):
-        g = VisibilityGraph(
+        g = VisibilityGraph.from_edges(
             "c", {"a": identity_camera([0, 0, 0]),
                   "b": identity_camera([9, 0, 0])},
             {}, set())
         assert candidate_pool(g, "a", 5) == ["b"]
 
     def test_distance_order(self):
-        g = VisibilityGraph(
+        g = VisibilityGraph.from_edges(
             "c", {"q": identity_camera([0, 0, 0]),
                   "far": identity_camera([3, 0, 0]),
                   "mid": identity_camera([2, 0, 0]),
@@ -265,7 +282,7 @@ class TestCandidatePool:
         assert candidate_pool(g, "q", 2) == ["near", "mid"]
 
     def test_tie_breaks_to_lower_id(self):
-        g = VisibilityGraph(
+        g = VisibilityGraph.from_edges(
             "c", {"q": identity_camera([0, 0, 0]),
                   "z": identity_camera([1, 0, 0]),
                   "a": identity_camera([0, 1, 0])},
@@ -318,19 +335,20 @@ class TestPositives:
             positive_m1("q", [], {"q": np.ones(2)})
 
     def test_m2_example(self):
-        g = VisibilityGraph(
+        g = VisibilityGraph.from_edges(
             "c",
-            {n: identity_camera([i, 0, 0]) for i, n in enumerate("qAB")},
+            {n: identity_camera([i, 0, 0]) for i, n in enumerate("qABw")},
             {1: np.zeros(3), 2: np.zeros(3), 3: np.zeros(3)},
             {("q", 1), ("q", 2), ("q", 3),
-             ("A", 1), ("A", 2), ("B", 1)})
+             ("A", 1), ("A", 2), ("B", 1), ("w", 3)})
         assert positive_m2("q", ["A", "B"], g) == "A"
 
     def test_m2_zero_shared_tie(self):
-        g = VisibilityGraph(
+        g = VisibilityGraph.from_edges(
             "c",
-            {n: identity_camera([i, 0, 0]) for i, n in enumerate(["q", "z", "a"])},
-            {1: np.zeros(3)}, {("q", 1)})
+            {n: identity_camera([i, 0, 0])
+             for i, n in enumerate(["q", "z", "a", "w"])},
+            {1: np.zeros(3)}, {("q", 1), ("w", 1)})
         assert positive_m2("q", ["z", "a"], g) == "a"
 
     def test_m2_matches_oracle(self):
@@ -345,16 +363,21 @@ class TestPositives:
 
 
 class TestScaleChange:
-    def _two_view_graph(self, d_i=4.0, d_q=2.0, focal_i=100.0, focal_q=100.0):
-        # both cameras on the -z side looking along +z at points near origin
+    def _two_view_graph(self, d_i=4.0, d_q=2.0, focal_i=100.0, focal_q=100.0,
+                        keep=lambda img, p: True):
+        # both cameras on the -z side looking along +z at points near
+        # origin, with the edges keep() keeps; a witness "w" sees every
+        # point, so each has a second observer whatever keep drops
         rot = np.eye(3)
         images = {
             "i": Camera(np.array([0.0, 0.0, -d_i]), rot, focal_i),
             "q": Camera(np.array([0.0, 0.0, -d_q]), rot, focal_q),
+            "w": identity_camera([0.0, 0.0, -6.0]),
         }
         points = {k: np.array([0.1 * k, -0.05 * k, 0.0]) for k in range(5)}
-        edges = {(img, p) for img in images for p in points}
-        return VisibilityGraph("c", images, points, edges)
+        edges = {(img, p) for img in images for p in points
+                 if img == "w" or keep(img, p)}
+        return VisibilityGraph.from_edges("c", images, points, edges)
 
     def test_identical_cameras(self):
         g = self._two_view_graph(d_i=3.0, d_q=3.0)
@@ -379,12 +402,12 @@ class TestScaleChange:
             ids = sorted(g.images)
             a, b = ids[0], ids[1]
             shared = sorted(observed_points(g, a) & observed_points(g, b))
-            spreads = {}
+            spreads, xyz = {}, positions(g)
             for img in (a, b):
                 cam = g.images[img]
                 uv = []
                 for pid in shared:
-                    v = cam.rotation @ (g.points[pid] - cam.center)
+                    v = cam.rotation @ (xyz[pid] - cam.center)
                     uv.append([cam.focal * v[0] / v[2],
                                cam.focal * v[1] / v[2]])
                 uv = np.asarray(uv)
@@ -396,8 +419,7 @@ class TestScaleChange:
             assert abs(got - oracle) <= 0.25 * oracle
 
     def test_no_shared_points(self):
-        g = self._two_view_graph()
-        g.edges = {(img, p) for img, p in g.edges if (img == "i") == (p < 2)}
+        g = self._two_view_graph(keep=lambda img, p: (img == "i") == (p < 2))
         with pytest.raises(NoSharedPointsError):
             scale_change(g, "i", "q")
 
@@ -409,9 +431,11 @@ class TestScaleChange:
         g = self._two_view_graph(d_i=4.0, d_q=2.0)
         assert scale_change(g, "i", "q") == pytest.approx(2.0)
         # a farther camera for "i": median depth 8 against 2
-        g.images = {**g.images, "i": identity_camera([0.0, 0.0, -8.0])}
+        g = VisibilityGraph.from_edges(
+            "c", {**g.images, "i": identity_camera([0.0, 0.0, -8.0])},
+            positions(g), g.edges)
         assert scale_change(g, "i", "q") == pytest.approx(4.0)
-        g.edges = {(img, p) for img, p in g.edges if img == "q"}
+        g = self._two_view_graph(keep=lambda img, p: img == "q")
         with pytest.raises(NoSharedPointsError):
             scale_change(g, "i", "q")
 
@@ -450,7 +474,7 @@ class TestPositiveM3:
         }
         points = {k: np.array([0.05 * k, 0.02 * k, 0.0]) for k in range(10)}
         edges = {(img, p) for img in images for p in points}
-        return VisibilityGraph("c", images, points, edges)
+        return VisibilityGraph.from_edges("c", images, points, edges)
 
     def test_overlap_threshold_excludes(self):
         # q observes 10 points, candidate shares exactly 1: 0.1 < 0.2
@@ -459,9 +483,12 @@ class TestPositiveM3:
             "q": Camera(np.array([0.0, 0.0, -3.0]), rot, 100.0),
             "c": Camera(np.array([0.1, 0.0, -3.0]), rot, 100.0),
         }
+        images["w"] = Camera(np.array([0.0, 0.1, -3.0]), rot, 100.0)
         points = {k: np.array([0.05 * k, 0.0, 0.0]) for k in range(10)}
-        edges = {("q", k) for k in range(10)} | {("c", 0)}
-        g = VisibilityGraph("c", images, points, edges)
+        # "w", outside the pool, is every point's second observer
+        edges = {(img, k) for img in ("q", "w") for k in range(10)} | \
+            {("c", 0)}
+        g = VisibilityGraph.from_edges("c", images, points, edges)
         cfg = MiningConfig(inlier_overlap=0.2, scale_threshold=1.5)
         with pytest.raises(NoPositiveError):
             positive_m3("q", ["c"], g, cfg, SeededStream(1))
@@ -515,7 +542,7 @@ def default_scene():
 
 
 class TestAgainstLoops:
-    """The array tables against LoopMining, to the bit and the message."""
+    """The graph's arrays against LoopMining, to the bit and the message."""
 
     def test_every_query_of_the_default_scene(self, default_scene):
         cfg = MiningConfig()
@@ -563,7 +590,7 @@ class TestAgainstLoops:
                   "a": identity_camera([0, 0, 2]),
                   "d": identity_camera([3, 0, 0]),
                   "c": identity_camera([0, 3, 0])}
-        g = VisibilityGraph("c", images, {}, set())
+        g = VisibilityGraph.from_edges("c", images, {}, set())
         assert candidate_pool(g, "q", 4) == ["a", "b", "c", "d"]
         assert candidate_pool(g, "q", 1) == ["a"]
         assert candidate_pool(g, "q", 3) == ["a", "b", "c"]
@@ -576,7 +603,10 @@ class TestAgainstLoops:
     def test_query_that_observes_no_points(self):
         g = random_graph(SeededStream(81), n_images=6, n_points=20)
         lonely = "c0/i999"
-        g.images = {**g.images, lonely: identity_camera([0.5, 0.5, 9.0])}
+        g = VisibilityGraph.from_edges(
+            g.cluster_id,
+            {**g.images, lonely: identity_camera([0.5, 0.5, 9.0])},
+            positions(g), g.edges)
         loop = LoopMining(g)
         pool = candidate_pool(g, lonely, 4)
         assert observed_points(g, lonely) == frozenset()
@@ -601,7 +631,7 @@ class TestAgainstLoops:
             images[name] = identity_camera([0.0, 0.0, 5.0])
         points = {k: np.array([0.05 * k, 0.02 * k, 0.0]) for k in range(8)}
         edges = {(img, p) for img in images for p in points}
-        return VisibilityGraph("c", images, points, edges)
+        return VisibilityGraph.from_edges("c", images, points, edges)
 
     @pytest.mark.parametrize("behind, first, named", [
         (("b",), "b", "b"), (("q",), "a", "q"), (("a", "q"), "a", "a")])
@@ -618,20 +648,21 @@ class TestAgainstLoops:
                                f"shared point behind camera {named!r}")
         assert failure(scale_change, g, first, "q") == got
 
-    def test_reassigned_edges_drop_the_tables(self):
+    def test_rebuilt_edges_move_the_positive(self):
         g = random_graph(SeededStream(82), n_images=7, n_points=30)
         q = sorted(g.images)[0]
         pool = candidate_pool(g, q, 6)
         before = positive_m2(q, pool, g)
         assert before == LoopMining(g).positive_m2(q, pool)
-        # q now shares every point with the last pool member only
+        # a graph where q shares every point with the last pool member only
         last = pool[-1]
-        g.edges = {(img, p) for img, p in g.edges
-                   if img not in (q, last)} | \
-            {(img, p) for img in (q, last) for p in g.points}
+        g = VisibilityGraph.from_edges(
+            g.cluster_id, g.images, positions(g),
+            {(img, p) for img, p in g.edges if img not in (q, last)}
+            | {(img, p) for img in (q, last) for p in g.point_ids})
         loop = LoopMining(g)
         assert positive_m2(q, pool, g) == loop.positive_m2(q, pool) == last
-        assert observed_points(g, q) == frozenset(g.points)
+        assert observed_points(g, q) == frozenset(g.point_ids)
         for i in pool:
             assert failure(scale_change, g, i, q) == \
                 failure(loop.scale_change, i, q)
@@ -698,7 +729,7 @@ class TestMineNegatives:
 class TestChooseQueries:
     def _flat_graph(self, n):
         images = {f"i{k:04d}": identity_camera([k, 0, 0]) for k in range(n)}
-        return VisibilityGraph("c", images, {}, set())
+        return VisibilityGraph.from_edges("c", images, {}, set())
 
     def test_ten_percent(self):
         qs = choose_queries(self._flat_graph(100), SeededStream(61))
@@ -837,7 +868,8 @@ class TestTupleMiner:
     def _renamed(g, cluster_id, rename):
         images = {rename.get(i, i): cam for i, cam in g.images.items()}
         edges = {(rename.get(i, i), p) for i, p in g.edges}
-        return VisibilityGraph(cluster_id, images, g.points, edges)
+        return VisibilityGraph.from_edges(cluster_id, images, positions(g),
+                                          edges)
 
     def test_image_in_two_clusters_is_rejected(self):
         graphs, cfg = random_case()
@@ -986,8 +1018,9 @@ class TestSceneIO:
                                        g.images[img].rotation)
             assert g2.images[img].focal == g.images[img].focal
         assert g2.edges == g.edges
-        for pid in g.points:
-            np.testing.assert_allclose(g2.points[pid], g.points[pid])
+        xyz, xyz2 = positions(g), positions(g2)
+        for pid in g.point_ids:
+            np.testing.assert_allclose(xyz2[pid], xyz[pid])
 
     def test_rewrite_byte_identical(self, tmp_path):
         g = random_graph(SeededStream(70), n_images=4, n_points=10)
@@ -1059,19 +1092,38 @@ class TestSceneIO:
     @pytest.mark.parametrize("fault", ["thin_point", "non_finite_point",
                                        "unknown_image"])
     def test_save_refuses_an_invalid_graph(self, tmp_path, fault):
+        # the graph is refused when it is built, so save_scene never
+        # sees one that would not load
         g = random_graph(SeededStream(71), n_images=4, n_points=6)
-        victim = sorted(g.points)[0]
+        victim = sorted(g.point_ids)[0]
+        points, edges = positions(g), g.edges
         if fault == "thin_point":
             keep = [e for e in sorted(g.edges) if e[1] == victim][:1]
-            g.edges = {e for e in g.edges if e[1] != victim} | set(keep)
+            edges = {e for e in g.edges if e[1] != victim} | set(keep)
         elif fault == "non_finite_point":
-            g.points[victim] = np.array([0.0, math.nan, 1.0])
+            points[victim] = np.array([0.0, math.nan, 1.0])
         else:
-            g.edges = g.edges | {("ghost", victim)}
+            edges = g.edges | {("ghost", victim)}
         path = tmp_path / "bad.json"
         with pytest.raises(GraphError):
-            save_scene(path, g)
+            save_scene(path, VisibilityGraph.from_edges(
+                g.cluster_id, g.images, points, edges))
         assert not path.exists()
+
+    @pytest.mark.parametrize("field", ["images", "points"])
+    def test_duplicate_ids_rejected(self, tmp_path, field):
+        # a repeated record would otherwise replace the first one
+        path = tmp_path / "scene.json"
+        save_scene(path, random_graph(SeededStream(79), n_images=3,
+                                      n_points=5))
+        doc = json.loads(path.read_text())
+        twin = dict(doc[field][1], id=doc[field][0]["id"])
+        doc[field].append(twin)
+        path.write_text(json.dumps(doc))
+        kind = field[:-1]
+        with pytest.raises(FormatError,
+                           match=f"duplicate {kind} id {twin['id']!r}"):
+            load_scene(path)
 
 
 class TestTupleIO:

@@ -39,7 +39,7 @@ import warnings
 import numpy as np
 
 from macforge.cli import EXIT_OK, main
-from macforge.mining import load_scene, save_scene
+from macforge.mining import VisibilityGraph, load_scene, save_scene
 from macforge.pipeline import image_path
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -255,10 +255,11 @@ def write_twin_scene(data, out, pixels=TIE_SOURCE):
     shutil.copytree(os.path.join(data, "images"), os.path.join(out, "images"))
     scene = os.path.join(out, "scenes", f"{cluster}.json")
     g = load_scene(scene)
-    g.images = {**g.images, TIE_TWIN: g.images[TIE_SOURCE]}
-    g.edges = g.edges | {(TIE_TWIN, pid) for img, pid in g.edges
-                         if img == TIE_SOURCE}
-    save_scene(scene, g)
+    save_scene(scene, VisibilityGraph.from_edges(
+        g.cluster_id, {**g.images, TIE_TWIN: g.images[TIE_SOURCE]},
+        zip(g.point_ids, g.xyz),
+        g.edges | {(TIE_TWIN, pid) for img, pid in g.edges
+                   if img == TIE_SOURCE}))
     shutil.copyfile(image_path(os.path.join(out, "images"), pixels),
                     image_path(os.path.join(out, "images"), TIE_TWIN))
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from testkit import positions
 
 from macforge.mining import Camera, GraphError, VisibilityGraph, save_scene
 from macforge.numeric import SeededStream
@@ -102,9 +103,8 @@ class TestGenerate:
         graphs = generate(SMALL)
         assert len(graphs) == 3
         for g in graphs:
-            g.validate()
             assert 4 <= len(g.images) <= 6
-            assert len(g.points) >= 1
+            assert len(g.point_ids) >= 1
             for _, obs in self.observers(g).items():
                 assert len(obs) >= 2
 
@@ -119,15 +119,16 @@ class TestGenerate:
         graphs = generate(SMALL)
         seen = set()
         for g in graphs:
-            ids = set(g.points)
+            ids = set(g.point_ids)
             assert not ids & seen
             seen |= ids
 
     def test_edges_geometrically_consistent(self):
         for g in generate(SMALL):
+            xyz = positions(g)
             for image_id, point_id in g.edges:
                 u, v, depth = project(g.images[image_id],
-                                      g.points[point_id], SMALL.image_size)
+                                      xyz[point_id], SMALL.image_size)
                 assert depth > 0
                 assert 0 <= u < SMALL.image_size
                 assert 0 <= v < SMALL.image_size
@@ -137,10 +138,11 @@ class TestGenerate:
                           points_per_cluster=(40, 40), image_size=64,
                           occlusion_rate=0.0, seed=7)
         graph = generate(cfg)[0]
+        xyz = positions(graph)
         for image_id in graph.images:
-            for point_id in graph.points:
+            for point_id in graph.point_ids:
                 u, v, depth = project(graph.images[image_id],
-                                      graph.points[point_id], 64)
+                                      xyz[point_id], 64)
                 in_frame = depth > 0 and 0 <= u < 64 and 0 <= v < 64
                 assert ((image_id, point_id) in graph.edges) == in_frame
 
@@ -165,9 +167,10 @@ class TestGenerate:
         b = generate(SceneConfig(clusters=3, images_per_cluster=(4, 6),
                                  points_per_cluster=(30, 50), image_size=48,
                                  seed=124))
+        xyz_a, xyz_b = positions(a[0]), positions(b[0])
         assert set(a[0].edges) != set(b[0].edges) or \
-            any(not np.array_equal(a[0].points[p], b[0].points[p])
-                for p in a[0].points if p in b[0].points)
+            any(not np.array_equal(xyz_a[p], xyz_b[p])
+                for p in xyz_a if p in xyz_b)
 
 
 BENCH_SCALE = dict(clusters=8, images_per_cluster=(24, 24),
@@ -252,9 +255,10 @@ class TestVisibility:
                                           cfg.image_size,
                                           cfg.occlusion_rate)
             assert graph.edges == edges
-            assert sorted(graph.points) == sorted(kept)
+            assert sorted(graph.point_ids) == sorted(kept)
+            xyz = positions(graph)
             for point_id in kept:
-                assert graph.points[point_id].tobytes() == \
+                assert xyz[point_id].tobytes() == \
                     points[point_id].tobytes()
 
     @pytest.mark.parametrize("seed", range(5))
@@ -393,9 +397,9 @@ def behind_camera_graph():
     return two_camera_graph([(0.0, 0.0, -8.0)])
 
 
-def two_camera_graph(points, extra_edges=(), size=96):
-    """Cameras on +z and -z axis looking at the origin; every point is
-    observed by both unless listed in extra_edges overrides."""
+def two_camera_graph(points, size=96):
+    """Cameras on +z and -z axis looking at the origin; both observe
+    every point."""
     cams = {}
     for name, z in (("i000", -4.0), ("i001", 4.0)):
         center = np.array([0.0, 0.0, z])
@@ -404,11 +408,9 @@ def two_camera_graph(points, extra_edges=(), size=96):
                                    focal=float(size))
     pts = {f"t/p{j:03d}": np.asarray(p, dtype=np.float64)
            for j, p in enumerate(points)}
-    edges = set(extra_edges)
-    if not edges:
-        edges = {(i, p) for i in cams for p in pts}
-    return VisibilityGraph(cluster_id="t", images=cams, points=pts,
-                           edges=edges)
+    edges = {(i, p) for i in cams for p in pts}
+    return VisibilityGraph.from_edges(cluster_id="t", images=cams,
+                                      points=pts, edges=edges)
 
 
 def reference_background(cluster_id, image_id, size):
@@ -448,10 +450,10 @@ def reference_render(graph, image_id, size):
         return np.clip(anchor + s.uniform(-0.08, 0.08, size=3), 0.0, 1.0)
 
     img = reference_background(graph.cluster_id, image_id, size)
-    camera = graph.images[image_id]
+    camera, xyz = graph.images[image_id], positions(graph)
     splats = []
     for point_id in sorted(p for i, p in graph.edges if i == image_id):
-        u, v, depth = project(camera, graph.points[point_id], size)
+        u, v, depth = project(camera, xyz[point_id], size)
         if depth > 0.0:
             splats.append((depth, point_id, u, v))
     splats.sort(key=lambda t: (-t[0], t[1]))
@@ -514,8 +516,11 @@ class TestRender:
                 reference_render(graph, image_id, 96))
 
     def test_image_that_sees_no_point_is_its_background(self):
-        graph = two_camera_graph(
-            [(0.0, 0.0, 0.0)], extra_edges={("t/i001", "t/p000")})
+        # i001 and its twin i002 see the point, i000 sees nothing
+        base = two_camera_graph([(0.0, 0.0, 0.0)])
+        graph = VisibilityGraph.from_edges(
+            "t", {**base.images, "t/i002": base.images["t/i001"]},
+            positions(base), {("t/i001", "t/p000"), ("t/i002", "t/p000")})
         img = render(graph, "t/i000")
         np.testing.assert_array_equal(img,
                                       reference_render(graph, "t/i000", 96))
@@ -579,7 +584,7 @@ class TestRender:
         diff = np.abs(img.astype(np.float64)
                       - background.astype(np.float64)).sum(axis=0)
         camera = graph.images["t/i000"]
-        for point_id, position in graph.points.items():
+        for point_id, position in positions(graph).items():
             u, v, _ = project(camera, position, 96)
             x0, y0 = int(u) - 8, int(v) - 8
             window = diff[y0:y0 + 17, x0:x0 + 17] ** 2
@@ -595,8 +600,9 @@ class TestRender:
         # p sits behind the first camera; a hand-added edge must not
         # paint it there, while the opposite camera does see it
         graph = behind_camera_graph()
-        empty = VisibilityGraph(cluster_id="t", images=graph.images,
-                                points={}, edges=set())
+        empty = VisibilityGraph.from_edges(cluster_id="t",
+                                           images=graph.images,
+                                           points={}, edges=set())
         np.testing.assert_array_equal(render(graph, "t/i000"),
                                       render(empty, "t/i000"))
         assert not np.array_equal(render(graph, "t/i001"),

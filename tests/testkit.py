@@ -109,9 +109,12 @@ def random_graph(stream, cluster_id="c0", n_images=8, n_points=30,
             observers = [ids[int(j)] for j in order[:count]]
         for img in observers:
             edges.add((img, p))
-    g = VisibilityGraph(cluster_id, images, points, edges)
-    g.validate()
-    return g
+    return VisibilityGraph.from_edges(cluster_id, images, points, edges)
+
+
+def positions(g):
+    """point id -> world position: the rows of g.xyz by point_ids."""
+    return dict(zip(g.point_ids, g.xyz))
 
 
 def random_pcaw(stream, dim=32):
