@@ -103,9 +103,12 @@ def write_text(path, text: str) -> None:
         f.write(text)
 
 
-def write_json(path, doc, indent: int) -> None:
-    """doc with sorted keys, indented by indent, and a final newline."""
-    write_text(path, json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+def write_json(path, doc, indent=None) -> None:
+    """doc with sorted keys and a final newline: indented by indent, or
+    without any whitespace, which json's C encoder writes."""
+    separators = None if indent else (",", ":")
+    write_text(path, json.dumps(doc, indent=indent, separators=separators,
+                                sort_keys=True) + "\n")
 
 
 def read_text(path, what: str) -> str:
@@ -128,19 +131,6 @@ def load_json(path, what: str) -> dict:
     if not isinstance(doc, dict):
         raise FormatError(f"{what} must be a JSON object")
     return doc
-
-
-def is_number(v) -> bool:
-    # JSON true/false load as bool, which is an int subclass
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def numbers(value, field: str) -> np.ndarray:
-    """A JSON list of numbers as float64; float() and np.array would also
-    take bools and numeric strings."""
-    if not (isinstance(value, list) and all(is_number(v) for v in value)):
-        raise ValueError(f"{field} must be a list of numbers")
-    return np.array(value, dtype=np.float64)
 
 
 def expect_eof(f, what: str) -> None:

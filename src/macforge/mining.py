@@ -19,19 +19,12 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
 
-from .ioutil import (
-    FormatError,
-    is_number,
-    load_json,
-    numbers,
-    read_text,
-    write_json,
-    write_text,
-)
+from .ioutil import FormatError, load_json, read_text, write_json, write_text
 from .numeric import SeededStream
 from .retrieval import DescriptorDB, search
 
@@ -80,20 +73,28 @@ class Camera:
         rotation = np.array(self.rotation, dtype=np.float64)
         if center.shape != (3,) or rotation.shape != (3, 3):
             raise GraphError("camera needs a 3-vector center and 3x3 rotation")
-        if not (np.isfinite(center).all() and np.isfinite(rotation).all()
-                and math.isfinite(self.focal)):
+        # the checks run on Python floats: a dozen numpy calls on 3x3
+        # arrays would cost more than the arithmetic
+        c, rows = tuple(center.tolist()), tuple(map(tuple, rotation.tolist()))
+        if not all(map(math.isfinite, (*c, *chain(*rows), self.focal))):
             raise GraphError("camera center, rotation and focal must be finite")
-        if np.max(np.abs(rotation @ rotation.T - np.eye(3))) > 1e-9:
+        x, y, z = rows
+        if max(abs(a[0] * b[0] + a[1] * b[1] + a[2] * b[2] - dot)
+               for a, b, dot in ((x, x, 1.0), (y, y, 1.0), (z, z, 1.0),
+                                 (x, y, 0.0), (x, z, 0.0), (y, z, 0.0))
+               ) > 1e-9:
             raise GraphError("camera rotation is not orthonormal")
-        if abs(np.linalg.det(rotation) - 1.0) > 1e-9:
+        # det = z . (x cross y)
+        det = (z[0] * (x[1] * y[2] - x[2] * y[1])
+               + z[1] * (x[2] * y[0] - x[0] * y[2])
+               + z[2] * (x[0] * y[1] - x[1] * y[0]))
+        if abs(det - 1.0) > 1e-9:
             raise GraphError("camera rotation must have determinant +1")
         if not self.focal > 0:
             raise GraphError("camera focal must be positive")
         center.flags.writeable = rotation.flags.writeable = False
-        self.__dict__.update(
-            center=center, rotation=rotation, focal=float(self.focal),
-            _center=tuple(center.tolist()),
-            _rows=tuple(map(tuple, rotation.tolist())))
+        self.__dict__.update(center=center, rotation=rotation,
+                             focal=float(self.focal), _center=c, _rows=rows)
 
     def coordinates(self, points) -> np.ndarray:
         """The (n, 3) camera coordinates of the rows of (n, 3) `points`."""
@@ -187,7 +188,9 @@ class VisibilityGraph:
     @property
     def edges(self) -> frozenset:
         """The (image id, point id) pairs incidence marks."""
-        return self.derived("edges", lambda g: frozenset(_edge_list(g)))
+        return self.derived("edges", lambda g: frozenset(
+            (g.ids[r], g.point_ids[c])
+            for r, c in np.argwhere(g.incidence).tolist()))
 
     def derived(self, key, build):
         """The table `build(self)`, computed on first request per key."""
@@ -205,12 +208,6 @@ def _unique(items, what: str) -> dict:
             raise GraphError(f"duplicate {what} id {key!r}")
         out[key] = value
     return out
-
-
-def _edge_list(g: VisibilityGraph) -> list:
-    """g's (image id, point id) pairs, by image id, then point id."""
-    return [(g.ids[r], g.point_ids[c])
-            for r, c in np.argwhere(g.incidence).tolist()]
 
 
 def _depths(g: VisibilityGraph) -> np.ndarray:
@@ -508,42 +505,147 @@ class TupleMiner:
 
 
 def save_scene(path, g: VisibilityGraph) -> None:
-    """Write g as a scene file, ids ascending; every graph passed its
-    checks when it was built, so every file written here loads."""
+    """Write g's arrays as a compact scene file: ids ascending, and per
+    image the ascending indices into points.ids of the points it
+    observes. Every graph passed its checks when it was built, so every
+    file written here loads, and loading it and saving again gives the
+    same bytes. A graph with an id that is not a string is refused
+    before the file is opened, as load_scene would refuse the file."""
+    if not set(map(type, (g.cluster_id, *g.ids, *g.point_ids))) <= {str}:
+        raise GraphError("a scene file needs string cluster, image and "
+                         "point ids")
     doc = {
         "cluster_id": g.cluster_id,
-        "images": [{"id": img, "camera": {
-                        "center": cam.center.tolist(),
-                        "rotation": cam.rotation.reshape(-1).tolist(),
-                        "focal": cam.focal}}
-                   for img, cam in g.images.items()],
-        "points": [{"id": pid, "xyz": xyz}
-                   for pid, xyz in zip(g.point_ids, g.xyz.tolist())],
-        "edges": _edge_list(g),
+        "images": {
+            "ids": list(g.ids),
+            "centers": g.centers.tolist(),
+            "rotations": np.reshape([c.rotation for c in g.images.values()],
+                                    (-1, 9)).tolist(),
+            "focals": g.focals.tolist(),
+            "points": [np.flatnonzero(row).tolist() for row in g.incidence],
+        },
+        "points": {"ids": list(g.point_ids), "xyz": g.xyz.tolist()},
     }
-    write_json(path, doc, indent=1)
+    write_json(path, doc)
 
 
 def load_scene(path) -> VisibilityGraph:
-    """The graph of a scene file; a file that gives no valid graph, e.g.
-    one that repeats an image or point id, is a FormatError."""
+    """The graph of a scene file that save_scene wrote. Each list is
+    checked as a whole; only a list that fails is walked to name the
+    field and id at fault. A file that gives no valid graph, one in the
+    older edge-list layout included, is a FormatError."""
     doc = load_json(path, "scene file")
+    if "edges" in doc:
+        raise FormatError("scene file has the older edge-list layout; "
+                          "synthesise the corpus again with macforge synth")
     try:
-        images = []
-        for rec in doc["images"]:
-            cam, img = rec["camera"], rec["id"]
-            if not is_number(cam["focal"]):
-                raise ValueError(f"focal of image {img!r} must be a number")
-            images.append((img, Camera(
-                numbers(cam["center"], f"center of image {img!r}"),
-                numbers(cam["rotation"], f"rotation of image {img!r}").reshape(3, 3),
-                float(cam["focal"]))))
-        points = [(r["id"], numbers(r["xyz"], f"xyz of point {r['id']!r}"))
-                  for r in doc["points"]]
-        return VisibilityGraph.from_edges(str(doc["cluster_id"]), images,
-                                          points, doc["edges"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        cluster_id, images, points = (doc["cluster_id"], doc["images"],
+                                      doc["points"])
+        if type(cluster_id) is not str:
+            raise ValueError(f"cluster_id {cluster_id!r} must be a string")
+        image_ids = _ids(images["ids"], "image")
+        point_ids = _ids(points["ids"], "point")
+        centers = _floats(images["centers"], image_ids, "center of image",
+                          "3 finite coordinates", 3)
+        rotations = _floats(images["rotations"], image_ids,
+                            "rotation of image", "9 finite numbers", 9)
+        focals = _floats(images["focals"], image_ids, "focal of image",
+                         "a finite number")
+        xyz = _floats(points["xyz"], point_ids, "xyz of point",
+                      "3 finite coordinates", 3)
+        incidence = _incidence(images["points"], image_ids, len(point_ids))
+        cameras = {}
+        for img, center, rotation, focal in zip(
+                image_ids, centers, rotations.reshape(-1, 3, 3),
+                focals.tolist()):
+            try:
+                cameras[img] = Camera(center, rotation, focal)
+            except GraphError as exc:
+                raise GraphError(f"image {img!r}: {exc}") from None
+        return VisibilityGraph(cluster_id, cameras, point_ids, xyz, incidence)
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed scene file: {exc}") from exc
+
+
+def _ids(ids, kind: str) -> list:
+    """ids, a JSON list of strings in strictly ascending order; else a
+    ValueError naming the first id at fault."""
+    if (isinstance(ids, list) and set(map(type, ids)) <= {str}
+            and sorted(set(ids)) == ids):
+        return ids
+    if not isinstance(ids, list):
+        raise ValueError(f"{kind} ids must be a list")
+    seen = set()
+    for k, i in enumerate(ids):
+        if type(i) is not str:
+            raise ValueError(f"{kind} id {i!r} must be a string")
+        if i in seen:
+            raise ValueError(f"duplicate {kind} id {i!r}")
+        if k and i < ids[k - 1]:
+            raise ValueError(f"{kind} ids must ascend: {i!r} follows "
+                             f"{ids[k - 1]!r}")
+        seen.add(i)
+    raise AssertionError("unreachable")
+
+
+def _floats(values, ids, label: str, want: str, width=0) -> np.ndarray:
+    """values, one per id, as float64: a number each, or with width a
+    list of width numbers each, shaped (ids, width); else a ValueError
+    naming the first id at fault. float() and np.array would also take
+    bools and numeric strings, so the types are checked first."""
+    if not (isinstance(values, list) and len(values) == len(ids)):
+        raise ValueError(f"{label}: need a list of one entry per id")
+    rows_ok = not width or (set(map(type, values)) <= {list}
+                            and set(map(len, values)) <= {width})
+    flat = list(chain.from_iterable(values)) if width and rows_ok else values
+    if rows_ok and set(map(type, flat)) <= {int, float}:
+        try:
+            out = np.array(flat, dtype=np.float64)
+        except OverflowError as exc:  # an int beyond float64
+            raise ValueError(f"{label}: {exc}") from None
+        return out.reshape(-1, width) if width else out
+    for i, v in zip(ids, values):
+        row = v if width else [v]
+        if not (isinstance(row, list) and len(row) == (width or 1)
+                and set(map(type, row)) <= {int, float}):
+            raise ValueError(f"{label} {i!r} must be {want}")
+    raise AssertionError("unreachable")
+
+
+def _incidence(rows, image_ids, n_points: int) -> np.ndarray:
+    """The (images, points) bool matrix whose row k marks rows[k], the
+    strictly ascending indices into points.ids that image k observes;
+    else a ValueError naming the first image at fault. The flat index
+    row * n_points + column ascends over all rows exactly when every
+    row ascends, so one comparison checks them all."""
+    if not (isinstance(rows, list) and len(rows) == len(image_ids)):
+        raise ValueError("points of images: need a list of one entry per "
+                         "image id")
+    if set(map(type, rows)) <= {list}:
+        flat = list(chain.from_iterable(rows))
+        if set(map(type, flat)) <= {int}:
+            try:
+                cols = np.array(flat, dtype=np.int64)
+            except OverflowError:
+                cols = None  # an index beyond int64, named below
+            if cols is not None and ((0 <= cols) & (cols < n_points)).all():
+                at = (np.repeat(np.arange(len(rows)) * n_points,
+                                list(map(len, rows))) + cols)
+                if (np.diff(at) > 0).all():
+                    incidence = np.zeros((len(rows), n_points), dtype=bool)
+                    incidence.flat[at] = True
+                    return incidence
+    for img, row in zip(image_ids, rows):
+        if not isinstance(row, list):
+            raise ValueError(f"points of image {img!r} must be a list")
+        for k, c in enumerate(row):
+            if type(c) is not int or not 0 <= c < n_points:
+                raise ValueError(f"points of image {img!r}: {c!r} is not "
+                                 f"a point index in range({n_points})")
+            if k and c <= row[k - 1]:
+                raise ValueError(f"points of image {img!r} must ascend, "
+                                 f"each once: {c} follows {row[k - 1]}")
+    raise AssertionError("unreachable")
 
 
 def save_tuples(path, tuples: list) -> None:

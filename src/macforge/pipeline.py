@@ -240,9 +240,9 @@ def stage_synth(scene_cfg, out_dir, threads=0):
         save_scene(os.path.join(scenes_dir, f"{graph.cluster_id}.json"),
                    graph)
     graph_of = _graph_of(graphs)
-    for image_id in graph_of:
-        os.makedirs(os.path.dirname(image_path(images_dir, image_id)),
-                    exist_ok=True)
+    for directory in {os.path.dirname(image_path(images_dir, image_id))
+                      for image_id in graph_of}:
+        os.makedirs(directory, exist_ok=True)
     map_images(functools.partial(_render_ppm, graph_of,
                                  scene_cfg.image_size, images_dir),
                graph_of, threads)

@@ -185,7 +185,7 @@ def save_ground_truth(path, gt):
         if entry.bbox is not None:
             record["bbox"] = list(entry.bbox)
         payload[query_id] = record
-    write_json(path, payload, indent=1)
+    write_json(path, payload)
 
 
 def load_ground_truth(path):

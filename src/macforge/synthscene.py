@@ -78,10 +78,17 @@ def look_at(center, target, up=(0.0, 0.0, 1.0)):
     up = np.asarray(up, dtype=np.float64)
     if abs(forward @ up) > 0.999 * np.linalg.norm(up):
         up = np.array([0.0, 1.0, 0.0])
-    right = np.cross(up, forward)
+    # the cross products on Python floats: each component is the one
+    # multiply-then-subtract np.cross computes, so the bits agree
+    f0, f1, f2 = forward.tolist()
+    u0, u1, u2 = up.tolist()
+    right = np.array([u1 * f2 - u2 * f1, u2 * f0 - u0 * f2,
+                      u0 * f1 - u1 * f0])
     right = right / np.linalg.norm(right)
-    down = np.cross(forward, right)
-    return np.stack([right, down, forward])
+    r0, r1, r2 = right.tolist()
+    return np.array([[r0, r1, r2],
+                     [f1 * r2 - f2 * r1, f2 * r0 - f0 * r2, f0 * r1 - f1 * r0],
+                     [f0, f1, f2]])
 
 
 def project(camera, point, size):

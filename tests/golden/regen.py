@@ -5,7 +5,8 @@ Run from the repository root:
     PYTHONPATH=src python tests/golden/regen.py
 
 Only a change that moves artifact bytes on purpose should rerun it; the
-commit then names the moved artifacts.
+commit then names the moved artifacts, which it prints against the
+parity.json it replaces, with the count of those that stayed.
 """
 
 import json
@@ -20,13 +21,24 @@ from test_parity import GOLDEN, environment, parity_hashes  # noqa: E402
 
 
 def main():
+    with open(GOLDEN) as f:
+        before = json.load(f)["sha256"]
     with tempfile.TemporaryDirectory() as root:
         hashes = parity_hashes(root)
     with open(GOLDEN, "w") as f:
         json.dump({"environment": environment(), "sha256": hashes}, f,
                   indent=2, sort_keys=True)
         f.write("\n")
-    print(f"wrote {len(hashes)} hashes to {GOLDEN}")
+    for name in sorted(before.keys() | hashes.keys()):
+        if name not in hashes:
+            print(f"removed: {name}")
+        elif name not in before:
+            print(f"added: {name}")
+        elif before[name] != hashes[name]:
+            print(f"moved: {name}")
+    stayed = sum(before.get(name) == digest for name, digest in hashes.items())
+    print(f"{stayed} of {len(hashes)} hashes stayed; wrote "
+          f"{os.path.relpath(GOLDEN, os.path.dirname(os.path.dirname(HERE)))}")
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from macforge.pipeline import load_scenes_dir
 from macforge.synthscene import SceneConfig
 from macforge.training import LossConfig, TrainConfig
 from macforge.workers import worker_count
-from testkit import child_env
+from testkit import SCENE_FAULTS, child_env, repeat_first_id
 
 
 def run_cli(*argv):
@@ -503,11 +503,8 @@ def scenes_with(workspace, tmp_path, edit):
 
 def rename_first_image(doc):
     """c01/i000 becomes c00/i000, an id c00.json also holds."""
-    for rec in doc["images"]:
-        if rec["id"] == "c01/i000":
-            rec["id"] = "c00/i000"
-    doc["edges"] = [["c00/i000" if img == "c01/i000" else img, pid]
-                    for img, pid in doc["edges"]]
+    doc["images"]["ids"] = ["c00/i000" if img == "c01/i000" else img
+                            for img in doc["images"]["ids"]]
 
 
 def rename_cluster(doc):
@@ -745,7 +742,7 @@ class TestExitCodes:
         path = scenes / "c00.json"
         with open(workspace / "data" / "scenes" / "c00.json") as f:
             doc = json.load(f)
-        doc["images"][0]["camera"]["rotation"][4] = float("nan")
+        doc["images"]["rotations"][0][4] = float("nan")
         path.write_text(json.dumps(doc))
         code = run_cli("mine", "--scenes", str(scenes),
                        "--descriptors", str(tmp_path / "d.macd"),
@@ -775,9 +772,9 @@ class TestExitCodes:
         with open(workspace / "data" / "scenes" / "c00.json") as f:
             doc = json.load(f)
         if where == "xyz":
-            doc["points"][0]["xyz"] = value
+            doc["points"]["xyz"][0] = value
         else:
-            doc["images"][0]["camera"][where] = value
+            doc["images"][where + "s"][0] = value
         (scenes / "c00.json").write_text(json.dumps(doc))
         code = run_cli("mine", "--scenes", str(scenes),
                        "--descriptors", str(tmp_path / "d.macd"),
@@ -794,7 +791,7 @@ class TestExitCodes:
         scenes.mkdir()
         with open(workspace / "data" / "scenes" / "c00.json") as f:
             doc = json.load(f)
-        doc[field].append(dict(doc[field][1], id=doc[field][0]["id"]))
+        repeat_first_id(doc, field)
         (scenes / "c00.json").write_text(json.dumps(doc))
         code = run_cli("mine", "--scenes", str(scenes),
                        "--descriptors", str(tmp_path / "d.macd"),
@@ -802,6 +799,26 @@ class TestExitCodes:
         assert code == EXIT_DATA == 4
         err = capsys.readouterr().err
         assert f"duplicate {field[:-1]} id" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fault", sorted(SCENE_FAULTS))
+    def test_scene_fault_is_one_error_line(self, workspace, tmp_path, fault,
+                                           capsys):
+        edit, message = SCENE_FAULTS[fault]
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        with open(workspace / "data" / "scenes" / "c00.json") as f:
+            doc = json.load(f)
+        edit(doc)
+        (scenes / "c00.json").write_text(json.dumps(doc))
+        code = run_cli("mine", "--scenes", str(scenes),
+                       "--descriptors", str(tmp_path / "d.macd"),
+                       "--out", str(tmp_path / "t.mftp"))
+        assert code == EXIT_DATA == 4
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in err
 
     def test_train_names_why_nothing_was_mined(self, tmp_path, capsys):
         # 6 clusters leave 5 for training at val_fraction 0.2, and N2

@@ -5,7 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from testkit import positions, random_graph
+from testkit import (
+    SCENE_FAULTS,
+    named_points,
+    positions,
+    random_graph,
+    repeat_first_id,
+)
 
 from macforge.ioutil import FormatError
 from macforge.mining import (
@@ -1003,9 +1009,17 @@ class TestMiningState:
             assert list(t.negatives) == oracle(t, fresh)
 
 
+def saved_scene(path, seed, **kw):
+    """Save a random graph with string point ids at path; returns the
+    parsed document."""
+    save_scene(path, named_points(random_graph(SeededStream(seed), **kw)))
+    return json.loads(path.read_text())
+
+
 class TestSceneIO:
     def test_roundtrip(self, tmp_path):
-        g = random_graph(SeededStream(69), n_images=5, n_points=12)
+        g = named_points(random_graph(SeededStream(69), n_images=5,
+                                      n_points=12))
         path = tmp_path / "scene.json"
         save_scene(path, g)
         g2 = load_scene(path)
@@ -1023,11 +1037,44 @@ class TestSceneIO:
             np.testing.assert_allclose(xyz2[pid], xyz[pid])
 
     def test_rewrite_byte_identical(self, tmp_path):
-        g = random_graph(SeededStream(70), n_images=4, n_points=10)
+        g = named_points(random_graph(SeededStream(70), n_images=4,
+                                      n_points=10))
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_scene(p1, g)
         save_scene(p2, g)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_layout_is_the_graph_arrays(self, tmp_path):
+        # one compact line: per image the ascending indices into
+        # points.ids of the points it observes
+        g = named_points(random_graph(SeededStream(72), n_images=4,
+                                      n_points=9))
+        path = tmp_path / "scene.json"
+        save_scene(path, g)
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        assert " " not in text
+        doc = json.loads(text)
+        assert list(doc) == ["cluster_id", "images", "points"]
+        assert list(doc["images"]) == ["centers", "focals", "ids", "points",
+                                       "rotations"]
+        assert list(doc["points"]) == ["ids", "xyz"]
+        assert doc["images"]["ids"] == list(g.ids)
+        assert doc["points"]["ids"] == list(g.point_ids)
+        assert doc["images"]["points"] == [
+            [c for c, pid in enumerate(g.point_ids) if (img, pid) in g.edges]
+            for img in g.ids]
+        assert doc["images"]["rotations"][1] == \
+            g.images[g.ids[1]].rotation.reshape(-1).tolist()
+
+    def test_save_refuses_non_string_ids(self, tmp_path):
+        # load_scene refuses a file with such an id, so the writer
+        # refuses the graph before it opens a file
+        path = tmp_path / "scene.json"
+        with pytest.raises(GraphError, match="string"):
+            save_scene(path, random_graph(SeededStream(73), n_images=3,
+                                          n_points=5))
+        assert not path.exists()
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -1053,38 +1100,35 @@ class TestSceneIO:
         ("focal", math.inf)])
     def test_non_finite_geometry_rejected(self, tmp_path, field, value):
         path = tmp_path / "scene.json"
-        save_scene(path, random_graph(SeededStream(76), n_images=3,
-                                      n_points=5))
-        doc = json.loads(path.read_text())
+        doc = saved_scene(path, 76, n_images=3, n_points=5)
         if field == "xyz":
-            doc["points"][2]["xyz"][1] = value
+            doc["points"]["xyz"][2][1] = value
         elif field == "focal":
-            doc["images"][1]["camera"]["focal"] = value
+            doc["images"]["focals"][1] = value
         else:
-            doc["images"][1]["camera"][field][0] = value
+            doc["images"][field + "s"][1][0] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="finite"):
             load_scene(path)
 
     def test_point_needs_three_coordinates(self, tmp_path):
         path = tmp_path / "scene.json"
-        save_scene(path, random_graph(SeededStream(77), n_images=3,
-                                      n_points=5))
-        doc = json.loads(path.read_text())
-        del doc["points"][0]["xyz"][2]
+        doc = saved_scene(path, 77, n_images=3, n_points=5)
+        del doc["points"]["xyz"][0][2]
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="3 finite coordinates"):
             load_scene(path)
 
     def test_invalid_graph_rejected(self, tmp_path):
         path = tmp_path / "thin.json"
-        save_scene(path, random_graph(SeededStream(71), n_images=4,
-                                      n_points=6))
+        doc = saved_scene(path, 71, n_images=4, n_points=6)
         # orphan a point so only one image observes it
-        doc = json.loads(path.read_text())
-        victim = sorted(pid for _, pid in doc["edges"])[0]
-        keep = [e for e in doc["edges"] if e[1] == victim][:1]
-        doc["edges"] = [e for e in doc["edges"] if e[1] != victim] + keep
+        rows = doc["images"]["points"]
+        victim = min(c for row in rows for c in row)
+        first = next(k for k, row in enumerate(rows) if victim in row)
+        for k, row in enumerate(rows):
+            if k != first and victim in row:
+                row.remove(victim)
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError):
             load_scene(path)
@@ -1114,15 +1158,24 @@ class TestSceneIO:
     def test_duplicate_ids_rejected(self, tmp_path, field):
         # a repeated record would otherwise replace the first one
         path = tmp_path / "scene.json"
-        save_scene(path, random_graph(SeededStream(79), n_images=3,
-                                      n_points=5))
-        doc = json.loads(path.read_text())
-        twin = dict(doc[field][1], id=doc[field][0]["id"])
-        doc[field].append(twin)
+        doc = saved_scene(path, 79, n_images=3, n_points=5)
+        twin = repeat_first_id(doc, field)
         path.write_text(json.dumps(doc))
         kind = field[:-1]
         with pytest.raises(FormatError,
-                           match=f"duplicate {kind} id {twin['id']!r}"):
+                           match=f"duplicate {kind} id {twin!r}"):
+            load_scene(path)
+
+    @pytest.mark.parametrize("fault", sorted(SCENE_FAULTS))
+    def test_fault_is_named(self, tmp_path, fault):
+        edit, message = SCENE_FAULTS[fault]
+        path = tmp_path / "scene.json"
+        doc = saved_scene(path, 78, n_images=4, n_points=8)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        if "literal" in fault:
+            assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        with pytest.raises(FormatError, match=message):
             load_scene(path)
 
 

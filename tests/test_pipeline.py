@@ -375,6 +375,19 @@ class TestStageSynth:
             assert tree_digests(again) == expected
         assert multiprocessing.active_children() == []
 
+    def test_one_makedirs_per_directory(self, tmp_path, monkeypatch):
+        made = []
+        real = os.makedirs
+
+        def makedirs(path, *args, **kwargs):
+            made.append(path)
+            real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", makedirs)
+        clusters, _, _ = stage_synth(SMOKE_SCENE, str(tmp_path), threads=1)
+        # scenes/, images/ and one image directory per cluster
+        assert len(made) == len(set(made)) == 2 + clusters
+
     def test_counts_and_layout(self, synth_dir):
         out, (clusters, images, points) = synth_dir
         assert clusters == 4

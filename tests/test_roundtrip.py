@@ -5,7 +5,7 @@ a file, and write_ppm refuses a pixel it cannot quantize the same way."""
 
 import numpy as np
 import pytest
-from testkit import random_graph
+from testkit import named_points, random_graph
 
 from macforge.backbone import init_params, load_checkpoint, save_checkpoint, tiny_spec
 from macforge.descriptor import BBox, load_descriptors, save_descriptors
@@ -64,7 +64,8 @@ FORMATS = {
              load_checkpoint, checkpoint),
     "mfpw": (save_projection, load_projection, projection),
     "scene": (save_scene, load_scene,
-              lambda: random_graph(SeededStream(94), cluster_id="cé")),
+              lambda: named_points(random_graph(SeededStream(94),
+                                                cluster_id="cé"))),
     "tuples": (save_tuples, load_tuples, tuples),
     "ground truth": (save_ground_truth, load_ground_truth, ground_truth),
     "ppm": (write_ppm, read_ppm,

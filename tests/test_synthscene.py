@@ -74,6 +74,31 @@ class TestLookAt:
         with pytest.raises(ValueError):
             look_at(np.ones(3), np.ones(3))
 
+    def test_bits_equal_np_cross(self):
+        # look_at spells its cross products on Python floats; each
+        # component is np.cross's multiply-then-subtract, so the bits agree
+        def reference(center, target, up):
+            forward = target - center
+            forward = forward / np.linalg.norm(forward)
+            up = np.asarray(up, dtype=np.float64)
+            if abs(forward @ up) > 0.999 * np.linalg.norm(up):
+                up = np.array([0.0, 1.0, 0.0])
+            right = np.cross(up, forward)
+            right = right / np.linalg.norm(right)
+            return np.stack([right, np.cross(forward, right), forward])
+
+        stream = SeededStream(61)
+        cases = [(np.array([0.0, 0.0, 3.0]), np.zeros(3), (0.0, 0.0, 1.0)),
+                 (np.array([0.0, 0.0, -2.0]), np.zeros(3), (0.0, 0.0, 1.0))]
+        for trial in range(200):
+            s = stream.derive("t", trial)
+            up = (0.0, 0.0, 1.0) if trial % 2 else tuple(s.normal(size=3))
+            cases.append((s.normal(size=3) * float(s.uniform(0.1, 10.0)),
+                          s.normal(size=3), up))
+        for center, target, up in cases:
+            assert look_at(center, target, up).tobytes() == \
+                reference(center, target, up).tobytes()
+
 
 class TestProject:
     def camera(self, focal=96.0):

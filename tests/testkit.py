@@ -1,8 +1,10 @@
 """Helpers shared by several test files: finite-difference gradients
-and their margin filter, random visibility graphs, random Lw and PCAw
-projections, traced allocation peaks and calls in a child interpreter."""
+and their margin filter, random visibility graphs, faults in scene
+files, random Lw and PCAw projections, traced allocation peaks and
+calls in a child interpreter."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -115,6 +117,86 @@ def random_graph(stream, cluster_id="c0", n_images=8, n_points=30,
 def positions(g):
     """point id -> world position: the rows of g.xyz by point_ids."""
     return dict(zip(g.point_ids, g.xyz))
+
+
+def named_points(g):
+    """g with point p renamed "p0007" and so on, as a scene file needs
+    string ids; the zero padding keeps the points in the same order."""
+    name = "p{:04d}".format
+    return VisibilityGraph.from_edges(
+        g.cluster_id, g.images,
+        {name(p): xyz for p, xyz in positions(g).items()},
+        {(img, name(p)) for img, p in g.edges})
+
+
+def repeat_first_id(doc, field):
+    """Append to every list of the scene document's "images" or "points"
+    the second record's value, under the first record's id; returns
+    that id."""
+    for key, values in doc[field].items():
+        values.append(values[0] if key == "ids" else values[1])
+    return doc[field]["ids"][0]
+
+
+def _set(*path_and_value):
+    """An edit that sets doc[path...] to value."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return edit
+
+
+def _index_past_the_end(doc):
+    doc["images"]["points"][0].append(len(doc["points"]["ids"]))
+
+
+def _index_twice(doc):
+    row = doc["images"]["points"][0]
+    row.insert(0, row[0])
+
+
+def _point_ids_swapped(doc):
+    ids = doc["points"]["ids"]
+    ids[0], ids[1] = ids[1], ids[0]
+
+
+def _old_layout(doc):
+    """The edge-list layout scene files had before they held arrays."""
+    images, points = doc["images"], doc["points"]
+    old = {"cluster_id": doc["cluster_id"],
+           "images": [{"id": img, "camera": {"center": c, "rotation": r,
+                                             "focal": f}}
+                      for img, c, r, f in zip(images["ids"],
+                                              images["centers"],
+                                              images["rotations"],
+                                              images["focals"])],
+           "points": [{"id": p, "xyz": xyz}
+                      for p, xyz in zip(points["ids"], points["xyz"])],
+           "edges": [[img, points["ids"][c]]
+                     for img, row in zip(images["ids"], images["points"])
+                     for c in row]}
+    doc.clear()
+    doc.update(old)
+
+
+# fault -> (an edit of a parsed scene document, text the error names);
+# json.dumps writes a NaN or an infinity as the literal NaN or Infinity
+SCENE_FAULTS = {
+    "index-out-of-range": (_index_past_the_end, "is not a point index"),
+    "index-repeated": (_index_twice, "must ascend, each once"),
+    "point-ids-not-ascending": (_point_ids_swapped, "point ids must ascend"),
+    "nan-literal": (_set("points", "xyz", 0, 1, math.nan), "finite"),
+    "infinity-literal": (_set("images", "centers", 0, 2, math.inf),
+                         "finite"),
+    "old-layout": (_old_layout, "synthesise the corpus again"),
+    "cluster-id-number": (_set("cluster_id", 5), "cluster_id 5 must be"),
+    "cluster-id-bool": (_set("cluster_id", True), "cluster_id True must be"),
+    "image-id-number": (_set("images", "ids", 0, 5), "image id 5 must be"),
+    "point-id-number": (_set("points", "ids", 0, 7), "point id 7 must be"),
+}
 
 
 def random_pcaw(stream, dim=32):
