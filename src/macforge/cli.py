@@ -4,11 +4,12 @@ Configuration is a flat key=value map resolved as defaults < config
 file < command-line flags. The keys, defaults and value types of the
 library tunables come from the config dataclasses (SceneConfig,
 MiningConfig, TrainConfig, LossConfig), one key per field and two for
-a (lo, hi) range; only the stage arguments are declared here. The
-resolved map and its hash are echoed to stderr so every run is
-auditable. Exit codes: 0 success, 2 config or usage error (a diverged
-training loss included), 3 I/O error, 4 data-shape or file-format
-error.
+a (lo, hi) range; only the stage arguments are declared here. Each
+subcommand's flags, with their help and which are required, are one
+row of COMMANDS over one declaration per flag in FLAGS. The resolved
+map and its hash are echoed to stderr so every run is auditable. Exit
+codes: 0 success, 2 config or usage error (a diverged training loss
+included), 3 I/O error, 4 data-shape or file-format error.
 """
 
 import argparse
@@ -191,24 +192,17 @@ def echo_config(cfg):
     print(f"config_hash={digest[:16]}", file=sys.stderr)
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ConfigError(f"--{name.replace('_', '-')} is required")
-
-
-def _optional_dim(cfg):
-    return None if cfg["dim"] == 0 else cfg["dim"]
-
-
-def _load_projection_arg(args):
-    if getattr(args, "projection", None):
-        return load_projection(args.projection)
-    return None
+def _extractor_settings(args, cfg):
+    """The Extractor keywords embed and eval share; dim 0 keeps the full
+    dimensionality."""
+    return dict(rmac_scales=cfg["rmac_scales"],
+                projection=(load_projection(args.projection)
+                            if args.projection else None),
+                out_dim=cfg["dim"] or None,
+                max_side=cfg["max_image_side"])
 
 
 def cmd_synth(args, cfg):
-    _require(args, "out")
     clusters, images, points = stage_synth(build_config(SceneConfig, cfg),
                                            args.out, threads=cfg["threads"])
     print(f"clusters={clusters} images={images} points={points}")
@@ -216,20 +210,14 @@ def cmd_synth(args, cfg):
 
 
 def cmd_embed(args, cfg):
-    _require(args, "checkpoint", "images", "out")
-    count = stage_embed(
-        args.checkpoint, args.images, args.out,
-        rmac_scales=cfg["rmac_scales"],
-        projection=_load_projection_arg(args),
-        out_dim=_optional_dim(cfg),
-        max_side=cfg["max_image_side"],
-        threads=cfg["threads"])
+    count = stage_embed(args.checkpoint, args.images, args.out,
+                        threads=cfg["threads"],
+                        **_extractor_settings(args, cfg))
     print(f"descriptors={count}")
     return EXIT_OK
 
 
 def cmd_mine(args, cfg):
-    _require(args, "scenes", "descriptors", "out")
     tuples, skipped = stage_mine(
         args.scenes, args.descriptors, args.out,
         build_config(MiningConfig, cfg),
@@ -242,40 +230,32 @@ def cmd_mine(args, cfg):
 
 
 def cmd_train(args, cfg):
-    _require(args, "scenes", "images", "out")
     result = stage_train(
         args.scenes, args.images, args.out,
         build_config(TrainConfig, cfg), build_config(LossConfig, cfg),
         build_config(MiningConfig, cfg),
         cfg["positive_method"], cfg["negative_variant"],
         cfg["loss"], cfg["val_fraction"], cfg["seed"],
-        init_params_from=getattr(args, "checkpoint", None),
-        threads=cfg["threads"])
+        init_params_from=args.checkpoint, threads=cfg["threads"])
     print(f"best_epoch={result.best_epoch} "
           f"best_val_map={result.best_val_map:.6f}")
     return EXIT_OK
 
 
 def cmd_whiten(args, cfg):
-    _require(args, "descriptors", "out")
     kind = {"lw": KIND_LW, "pcaw": KIND_PCAW}[cfg["whiten_kind"]]
-    if kind == KIND_LW and getattr(args, "tuples", None) is None:
+    if kind == KIND_LW and args.tuples is None:
         raise ConfigError("--tuples is required for Lw fitting")
     model = stage_whiten(args.descriptors, args.out, kind,
-                         tuples_path=getattr(args, "tuples", None))
+                         tuples_path=args.tuples)
     print(f"kind={model.kind} dim={model.dim}")
     return EXIT_OK
 
 
 def cmd_eval(args, cfg):
-    _require(args, "db", "checkpoint", "images", "gt")
     db = DescriptorDB(load_descriptors(args.db))
     spec, params, _ = load_checkpoint(args.checkpoint)
-    extractor = Extractor(spec, params,
-                          rmac_scales=cfg["rmac_scales"],
-                          projection=_load_projection_arg(args),
-                          out_dim=_optional_dim(cfg),
-                          max_side=cfg["max_image_side"])
+    extractor = Extractor(spec, params, **_extractor_settings(args, cfg))
     gt = load_ground_truth(args.gt)
     queries = []
     for query_id in sorted(gt):
@@ -286,9 +266,61 @@ def cmd_eval(args, cfg):
     for query_id, ap in per_query:
         print(f"{query_id},{ap:.6f}")
     print(f"mAP,{mean_ap:.6f}")
-    if getattr(args, "out", None):
+    if args.out:
         write_eval_csv(args.out, per_query, mean_ap)
     return EXIT_OK
+
+
+# one declaration per stage flag: its add_argument keywords. A flag
+# whose dest is a config key sets that key when given; a method flag
+# offers that key's CHOICES. --out's help is per subcommand.
+FLAGS = {
+    "--out": {},
+    "--checkpoint": {"help": "MFCK network checkpoint (train: initial "
+                             "weights)"},
+    "--images": {"help": "directory of PPM images"},
+    "--scenes": {"help": "directory of scene JSON files"},
+    "--descriptors": {"help": "MACD database"},
+    "--tuples": {"help": "tuple file (required for Lw)"},
+    "--db": {"help": "MACD database to rank"},
+    "--gt": {"help": "ground-truth JSON"},
+    "--positive": {"dest": "positive_method", "help": "positive rule"},
+    "--negative": {"dest": "negative_variant", "help": "negative variant"},
+    "--loss": {"help": "training loss"},
+    "--kind": {"dest": "whiten_kind", "help": "whitening kind"},
+    "--mode": {"help": "query mode: whole image, crop pixels or crop "
+                       "activations"},
+    "--rmac": {"action": "store_true",
+               "help": "regional pooling (rmac_scales=3)"},
+    "--projection": {"help": "MFPW projection to apply"},
+    "--dim": {"type": int, "help": "reduced dimensionality"},
+    "--seed": {"type": int, "help": "top-level random seed"},
+    "--threads": {"type": int, "help": "worker processes (0 = one per CPU)"},
+}
+
+# one row per subcommand: its help, its handler, its --out help and its
+# flags in help order, a required one marked "!". --seed and --threads
+# are offered only by the subcommands whose stage reads the key.
+COMMANDS = {
+    "synth": ("generate scenes, images, ground truth", cmd_synth,
+              "output directory", ("--out!", "--seed", "--threads")),
+    "embed": ("extract a descriptor database", cmd_embed, "MACD output path",
+              ("--checkpoint!", "--images!", "--out!", "--rmac",
+               "--projection", "--dim", "--threads")),
+    "mine": ("mine training tuples from scenes", cmd_mine,
+             "tuple JSON-lines output path",
+             ("--scenes!", "--descriptors!", "--out!", "--positive",
+              "--negative", "--seed")),
+    "train": ("fine-tune the backbone on tuples", cmd_train,
+              "output directory",
+              ("--scenes!", "--images!", "--out!", "--checkpoint", "--loss",
+               "--positive", "--negative", "--seed", "--threads")),
+    "whiten": ("fit a whitening projection", cmd_whiten, "MFPW output path",
+               ("--descriptors!", "--tuples", "--kind", "--out!")),
+    "eval": ("evaluate retrieval mAP", cmd_eval, "also write the CSV here",
+             ("--db!", "--checkpoint!", "--images!", "--gt!", "--mode",
+              "--rmac", "--projection", "--dim", "--out", "--threads")),
+}
 
 
 def build_parser():
@@ -298,97 +330,39 @@ def build_parser():
                     "descriptor extraction, tuple mining, fine-tuning, "
                     "whitening, and mAP evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (help_text, _, out_help, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key")
-
-    p = sub.add_parser("synth", help="generate scenes, images, ground truth")
-    add_common(p)
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("embed", help="extract a descriptor database")
-    add_common(p)
-    p.add_argument("--checkpoint", help="MFCK network checkpoint")
-    p.add_argument("--images", help="directory of PPM images")
-    p.add_argument("--out", help="MACD output path")
-    p.add_argument("--rmac", action="store_true",
-                   help="regional pooling (rmac_scales=3)")
-    p.add_argument("--projection", help="MFPW projection to apply")
-    p.add_argument("--dim", type=int, help="reduced dimensionality")
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("mine", help="mine training tuples from scenes")
-    add_common(p)
-    p.add_argument("--scenes", help="directory of scene JSON files")
-    p.add_argument("--descriptors", help="MACD database")
-    p.add_argument("--out", help="tuple JSON-lines output path")
-    p.add_argument("--positive", dest="positive_method",
-                   choices=CHOICES["positive_method"])
-    p.add_argument("--negative", dest="negative_variant",
-                   choices=CHOICES["negative_variant"])
-    p.set_defaults(func=cmd_mine)
-
-    p = sub.add_parser("train", help="fine-tune the backbone on tuples")
-    add_common(p)
-    p.add_argument("--scenes", help="directory of scene JSON files")
-    p.add_argument("--images", help="directory of PPM images")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--checkpoint", help="initialize from this MFCK file")
-    p.add_argument("--loss", choices=CHOICES["loss"])
-    p.add_argument("--positive", dest="positive_method",
-                   choices=CHOICES["positive_method"])
-    p.add_argument("--negative", dest="negative_variant",
-                   choices=CHOICES["negative_variant"])
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("whiten", help="fit a whitening projection")
-    add_common(p)
-    p.add_argument("--descriptors", help="MACD database")
-    p.add_argument("--tuples", help="tuple file (required for Lw)")
-    p.add_argument("--kind", dest="whiten_kind", choices=CHOICES["whiten_kind"])
-    p.add_argument("--out", help="MFPW output path")
-    p.set_defaults(func=cmd_whiten)
-
-    p = sub.add_parser("eval", help="evaluate retrieval mAP")
-    add_common(p)
-    p.add_argument("--db", help="MACD database to rank")
-    p.add_argument("--checkpoint", help="MFCK network checkpoint")
-    p.add_argument("--images", help="directory of PPM images")
-    p.add_argument("--gt", help="ground-truth JSON")
-    p.add_argument("--mode", choices=CHOICES["mode"])
-    p.add_argument("--rmac", action="store_true")
-    p.add_argument("--projection", help="MFPW projection to apply")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--out", help="also write the CSV here")
-    p.set_defaults(func=cmd_eval)
-    # offered only by the subcommands whose stage reads the key
-    for name in ("synth", "mine", "train"):
-        sub.choices[name].add_argument("--seed", type=int,
-                                       help="top-level random seed")
-    for name in ("synth", "embed", "train", "eval"):
-        sub.choices[name].add_argument(
-            "--threads", type=int, help="worker processes (0 = one per CPU)")
+        for flag in flags:
+            option = flag.rstrip("!")
+            kwargs = dict(FLAGS[option])
+            if option == "--out":
+                kwargs["help"] = out_help
+            dest = kwargs.get("dest", option[2:])
+            if dest in CHOICES:
+                kwargs["choices"] = CHOICES[dest]
+            p.add_argument(option, **kwargs)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, handler, _, flags = COMMANDS[args.command]
     try:
         cfg = resolve_config(args)
         echo_config(cfg)
-        return args.func(args, cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        for flag in flags:
+            if flag.endswith("!") and getattr(args, flag[2:-1]) is None:
+                raise ConfigError(f"{flag[:-1]} is required")
+        return handler(args, cfg)
     except (FormatError, DimensionError, ShapeError, SpecError, GraphError,
             GridError, ProtocolError, MiningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (GenerationError, TrainingDivergedError, ValueError) as exc:
+    except (ConfigError, GenerationError, TrainingDivergedError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .descriptor import BBox
-from .ioutil import FormatError, load_json, write_json, write_text
+from .ioutil import FormatError, finite, load_json, write_json, write_text
 from .numeric import DimensionError
 from .workers import map_images
 
@@ -148,7 +148,8 @@ def evaluate(db, queries, gt, mode, extractor, threads=0):
     a ProtocolError even when an earlier query would fail to extract.
     Each query's extract, search and AP then run by one map_images over
     threads, whose workers inherit db, gt, the extractor and the images
-    through the fork and send back one AP each. The APs are summed in
+    through the fork and send back one AP each; a non-finite query
+    descriptor is a FormatError naming the query. The APs are summed in
     query order, so no result depends on threads. Returns (mAP, list of
     (query_id, ap) in query order).
     """
@@ -168,6 +169,7 @@ def evaluate(db, queries, gt, mode, extractor, threads=0):
             descriptor = extractor.extract(image[:, y0:y1, x0:x1])
         else:
             descriptor = extractor.extract_region(image, boxes[k])
+        finite(descriptor, f"descriptor of query {query_id!r}")
         ranking = [db.ids[row] for row in search(db, descriptor).tolist()]
         return average_precision(ranking, gt[query_id])
 

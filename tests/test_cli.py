@@ -19,6 +19,7 @@ import pytest
 from macforge.backbone import NetParams, load_checkpoint, save_checkpoint
 from macforge.cli import (
     CHOICES,
+    COMMANDS,
     DEFAULTS,
     EXIT_CONFIG,
     EXIT_DATA,
@@ -73,14 +74,124 @@ SMALL_ARGS = SCENE_ARGS + ["--set", "negatives=2", "--set", "pool_size=10",
                            "--set", "val_fraction=0.25"]
 
 
+def subparsers():
+    """subcommand -> its argparse parser, read from build_parser."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return sub.choices
+
+
 def config_flags():
     """(subcommand, option, key) for every flag whose dest is a config
     key, read from the parser itself."""
-    sub = next(action for action in build_parser()._actions
-               if isinstance(action, argparse._SubParsersAction))
     return [(command, action.option_strings[0], action.dest)
-            for command, parser in sorted(sub.choices.items())
+            for command, parser in sorted(subparsers().items())
             for action in parser._actions if action.dest in DEFAULTS]
+
+
+def required_flags():
+    """(subcommand, option) for every flag its COMMANDS row requires."""
+    return [(command, flag[:-1]) for command, row in COMMANDS.items()
+            for flag in row[-1] if flag.endswith("!")]
+
+
+# every subcommand's flags after -h, in help order: option, dest, type,
+# action and choices, as the parser declared them one by one
+PARSER = {
+    "synth": [
+        ("--config", "config", None, "store", None),
+        ("--set", "set", None, "append", None),
+        ("--out", "out", None, "store", None),
+        ("--seed", "seed", int, "store", None),
+        ("--threads", "threads", int, "store", None),
+    ],
+    "embed": [
+        ("--config", "config", None, "store", None),
+        ("--set", "set", None, "append", None),
+        ("--checkpoint", "checkpoint", None, "store", None),
+        ("--images", "images", None, "store", None),
+        ("--out", "out", None, "store", None),
+        ("--rmac", "rmac", None, "store_true", None),
+        ("--projection", "projection", None, "store", None),
+        ("--dim", "dim", int, "store", None),
+        ("--threads", "threads", int, "store", None),
+    ],
+    "mine": [
+        ("--config", "config", None, "store", None),
+        ("--set", "set", None, "append", None),
+        ("--scenes", "scenes", None, "store", None),
+        ("--descriptors", "descriptors", None, "store", None),
+        ("--out", "out", None, "store", None),
+        ("--positive", "positive_method", None, "store", ("m1", "m2", "m3")),
+        ("--negative", "negative_variant", None, "store", ("N1", "N2")),
+        ("--seed", "seed", int, "store", None),
+    ],
+    "train": [
+        ("--config", "config", None, "store", None),
+        ("--set", "set", None, "append", None),
+        ("--scenes", "scenes", None, "store", None),
+        ("--images", "images", None, "store", None),
+        ("--out", "out", None, "store", None),
+        ("--checkpoint", "checkpoint", None, "store", None),
+        ("--loss", "loss", None, "store", ("contrastive", "triplet")),
+        ("--positive", "positive_method", None, "store", ("m1", "m2", "m3")),
+        ("--negative", "negative_variant", None, "store", ("N1", "N2")),
+        ("--seed", "seed", int, "store", None),
+        ("--threads", "threads", int, "store", None),
+    ],
+    "whiten": [
+        ("--config", "config", None, "store", None),
+        ("--set", "set", None, "append", None),
+        ("--descriptors", "descriptors", None, "store", None),
+        ("--tuples", "tuples", None, "store", None),
+        ("--kind", "whiten_kind", None, "store", ("lw", "pcaw")),
+        ("--out", "out", None, "store", None),
+    ],
+    "eval": [
+        ("--config", "config", None, "store", None),
+        ("--set", "set", None, "append", None),
+        ("--db", "db", None, "store", None),
+        ("--checkpoint", "checkpoint", None, "store", None),
+        ("--images", "images", None, "store", None),
+        ("--gt", "gt", None, "store", None),
+        ("--mode", "mode", None, "store", ("Full", "Crop_I", "Crop_X")),
+        ("--rmac", "rmac", None, "store_true", None),
+        ("--projection", "projection", None, "store", None),
+        ("--dim", "dim", int, "store", None),
+        ("--out", "out", None, "store", None),
+        ("--threads", "threads", int, "store", None),
+    ],
+}
+ACTIONS = {argparse._StoreAction: "store", argparse._AppendAction: "append",
+           argparse._StoreTrueAction: "store_true"}
+
+
+class TestParser:
+
+    def test_flags_are_the_pinned_ones(self):
+        got = {command: [(action.option_strings[0], action.dest, action.type,
+                          ACTIONS[type(action)], action.choices)
+                         for action in parser._actions[1:]]
+               for command, parser in subparsers().items()}
+        assert got == PARSER
+        assert list(got) == list(PARSER)
+        assert required_flags() == [
+            ("synth", "--out"), ("embed", "--checkpoint"),
+            ("embed", "--images"), ("embed", "--out"), ("mine", "--scenes"),
+            ("mine", "--descriptors"), ("mine", "--out"),
+            ("train", "--scenes"), ("train", "--images"), ("train", "--out"),
+            ("whiten", "--descriptors"), ("whiten", "--out"),
+            ("eval", "--db"), ("eval", "--checkpoint"), ("eval", "--images"),
+            ("eval", "--gt")]
+
+    @pytest.mark.parametrize("command", sorted(PARSER))
+    def test_every_flag_has_help(self, command, capsys):
+        for action in subparsers()[command]._actions:
+            assert action.help, (command, action.option_strings)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--help")
+        assert exc.value.code == 0
+        assert f"usage: macforge {command}" in capsys.readouterr().out
 
 
 class TestConfigResolution:
@@ -527,9 +638,22 @@ class TestExitCodes:
         assert code == EXIT_IO
         assert "absent.mfck" in capsys.readouterr().err
 
-    def test_missing_required_flag_is_config_error(self, capsys):
-        assert run_cli("embed", "--images", "x", "--out", "y") == EXIT_CONFIG
-        assert "--checkpoint" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, flag", required_flags())
+    def test_missing_required_flag_is_config_error(self, command, flag,
+                                                   tmp_path, capsys):
+        # every other required flag names a path under tmp_path, and eval
+        # is given its optional --out too
+        argv = [command]
+        others = [f for c, f in required_flags() if c == command and f != flag]
+        if command == "eval":
+            others.append("--out")
+        for other in others:
+            argv += [other, str(tmp_path / other[2:])]
+        assert run_cli(*argv) == EXIT_CONFIG == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: {flag} is required"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_descriptor_file_is_data_error(self, tmp_path,
                                                      capsys):
@@ -583,6 +707,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "non-finite values in descriptor 'c00/i000'" in err
         assert not out.exists()
+
+    def test_non_finite_query_descriptor_fails_eval(self, workspace,
+                                                   tmp_path):
+        # weights scaled by 1e25 are finite, so the checkpoint saves, but
+        # every query descriptor is NaN; eval used to rank them by id
+        # order and exit 0. A child interpreter shows what a user sees.
+        data, run = workspace / "data", workspace / "run"
+        spec, params, meta = load_checkpoint(run / "init.mfck")
+        big = str(tmp_path / "big.mfck")
+        save_checkpoint(big, spec, NetParams(
+            [w * 1e25 for w in params.weights], params.biases), meta)
+        csv = tmp_path / "eval.csv"
+
+        def run_eval(checkpoint):
+            return subprocess.run(
+                [sys.executable, "-m", "macforge", "eval",
+                 "--db", str(run / "db.macd"), "--checkpoint", checkpoint,
+                 "--images", str(data / "images"),
+                 "--gt", str(data / "ground_truth.json"), "--out", str(csv),
+                 "--set", "max_image_side=32"],
+                env=child_env(), capture_output=True, text=True, timeout=120)
+
+        child = run_eval(str(run / "init.mfck"))
+        assert child.returncode == EXIT_OK, child.stderr
+        assert csv.read_text() == "query_id,ap\n" + child.stdout
+        csv.unlink()
+        child = run_eval(big)
+        assert child.returncode == EXIT_DATA == 4
+        errors = [line for line in child.stderr.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            "error: non-finite values in descriptor of query 'c")
+        assert "Traceback" not in child.stderr
+        assert child.stdout == ""
+        assert not csv.exists()
 
     def test_image_too_small_in_an_embed_worker_is_data_error(
             self, workspace, tmp_path, capsys):

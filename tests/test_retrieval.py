@@ -7,7 +7,7 @@ from multiprocessing.context import ForkProcess
 import numpy as np
 import pytest
 
-from macforge.backbone import ShapeError, init_params, tiny_spec
+from macforge.backbone import NetParams, ShapeError, init_params, tiny_spec
 from macforge.descriptor import BBox, l2n
 from macforge.ioutil import FormatError
 from macforge.numeric import DimensionError, SeededStream
@@ -372,6 +372,38 @@ class TestEvaluateWorkers:
         queries[-1] = (qid, np.ones((3, 4, 4), dtype=np.float32),
                        BBox(0, 0, 4, 4))
         with pytest.raises(ShapeError, match="maxpool window"):
+            evaluate(db, queries, gt, mode, extractor, threads=2)
+        assert len(starts) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_query_descriptor_is_format_error(self, threads):
+        # weights scaled by 1e25 are finite in float32, but the
+        # activations they give overflow, so every query descriptor is
+        # NaN; such a query used to rank the database in id order
+        db, queries, gt, _ = self.build()
+        spec = tiny_spec()
+        params = init_params(spec, SeededStream(0))
+        extractor = Extractor(spec, NetParams(
+            [w * 1e25 for w in params.weights], params.biases))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                FormatError,
+                match="non-finite values in descriptor of query 'q"):
+            evaluate(db, queries, gt, MODE_FULL, extractor, threads=threads)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_non_finite_descriptor_in_a_child_is_format_error(self, starts,
+                                                              mode):
+        # at two workers the last query is in the child's chunk; an
+        # infinite pixel makes its descriptor, and only its, non-finite
+        db, queries, gt, extractor = self.build()
+        qid, image, bbox = queries[-1]
+        image = image.copy()
+        image[:, bbox.y0, bbox.x0] = np.inf
+        queries[-1] = (qid, image, bbox)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                FormatError, match=f"descriptor of query '{qid}'"):
             evaluate(db, queries, gt, mode, extractor, threads=2)
         assert len(starts) == 1
         assert multiprocessing.active_children() == []
