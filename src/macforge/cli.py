@@ -17,11 +17,19 @@ import dataclasses
 import hashlib
 import sys
 
+import numpy as np
+
 from .backbone import ShapeError, SpecError, load_checkpoint
 from .descriptor import GridError, load_descriptors
 from .images import read_ppm
 from .ioutil import FormatError
-from .mining import GraphError, MiningConfig, MiningError
+from .mining import (
+    NEGATIVE_VARIANTS,
+    POSITIVE_METHODS,
+    GraphError,
+    MiningConfig,
+    MiningError,
+)
 from .numeric import DimensionError
 from .pipeline import (
     Extractor,
@@ -41,7 +49,7 @@ from .retrieval import (
     write_eval_csv,
 )
 from .synthscene import GenerationError, SceneConfig
-from .training import LossConfig, TrainConfig, TrainingDivergedError
+from .training import LOSSES, LossConfig, TrainConfig, TrainingDivergedError
 from .whitening import KIND_LW, KIND_PCAW, load_projection
 
 EXIT_OK = 0
@@ -92,12 +100,11 @@ DEFAULTS = {
     "mode": "Full",
 }
 
-# the allowed values of the stage arguments that name a method; the
-# flags offer them and resolve_config rejects any other value
+# the library's names for each method argument, which the flags offer
 CHOICES = {
-    "positive_method": ("m1", "m2", "m3"),
-    "negative_variant": ("N1", "N2"),
-    "loss": ("contrastive", "triplet"),
+    "positive_method": POSITIVE_METHODS,
+    "negative_variant": NEGATIVE_VARIANTS,
+    "loss": LOSSES,
     "whiten_kind": ("lw", "pcaw"),
     "mode": MODES,
 }
@@ -160,8 +167,6 @@ def resolve_config(args):
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
-    if getattr(args, "rmac", False) and cfg["rmac_scales"] == 0:
-        cfg["rmac_scales"] = 3
     # a flag whose dest is a config key sets that key when given
     for key, value in vars(args).items():
         if key in DEFAULTS and value is not None:
@@ -244,8 +249,6 @@ def cmd_train(args, cfg):
 
 def cmd_whiten(args, cfg):
     kind = {"lw": KIND_LW, "pcaw": KIND_PCAW}[cfg["whiten_kind"]]
-    if kind == KIND_LW and args.tuples is None:
-        raise ConfigError("--tuples is required for Lw fitting")
     model = stage_whiten(args.descriptors, args.out, kind,
                          tuples_path=args.tuples)
     print(f"kind={model.kind} dim={model.dim}")
@@ -281,7 +284,7 @@ FLAGS = {
     "--images": {"help": "directory of PPM images"},
     "--scenes": {"help": "directory of scene JSON files"},
     "--descriptors": {"help": "MACD database"},
-    "--tuples": {"help": "tuple file (required for Lw)"},
+    "--tuples": {"help": "tuple file (required for Lw, refused for PCAw)"},
     "--db": {"help": "MACD database to rank"},
     "--gt": {"help": "ground-truth JSON"},
     "--positive": {"dest": "positive_method", "help": "positive rule"},
@@ -290,7 +293,7 @@ FLAGS = {
     "--kind": {"dest": "whiten_kind", "help": "whitening kind"},
     "--mode": {"help": "query mode: whole image, crop pixels or crop "
                        "activations"},
-    "--rmac": {"action": "store_true",
+    "--rmac": {"dest": "rmac_scales", "action": "store_const", "const": 3,
                "help": "regional pooling (rmac_scales=3)"},
     "--projection": {"help": "MFPW projection to apply"},
     "--dim": {"type": int, "help": "reduced dimensionality"},
@@ -356,13 +359,14 @@ def main(argv=None):
         for flag in flags:
             if flag.endswith("!") and getattr(args, flag[2:-1]) is None:
                 raise ConfigError(f"{flag[:-1]} is required")
-        return handler(args, cfg)
+        # overflow is reported by the finiteness checks; workers inherit this
+        with np.errstate(over="ignore", invalid="ignore"):
+            return handler(args, cfg)
     except (FormatError, DimensionError, ShapeError, SpecError, GraphError,
             GridError, ProtocolError, MiningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ConfigError, GenerationError, TrainingDivergedError,
-            ValueError) as exc:
+    except (GenerationError, TrainingDivergedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

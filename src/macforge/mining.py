@@ -28,6 +28,9 @@ from .ioutil import FormatError, load_json, read_text, write_json, write_text
 from .numeric import SeededStream
 from .retrieval import DescriptorDB, search
 
+POSITIVE_METHODS = ("m1", "m2", "m3")
+NEGATIVE_VARIANTS = ("N1", "N2")
+
 
 class GraphError(ValueError):
     """Visibility graph violates a structural invariant."""
@@ -120,7 +123,7 @@ class VisibilityGraph:
     point_ids[c] (row c of xyz), ids ascending. Construction checks the
     graph (point ids unique, finite positions, two observers per point)
     and makes every field read-only, so every graph has passed the check
-    and a derived() table never goes stale. from_edges reads edges."""
+    and a derived() table never goes stale."""
 
     cluster_id: str
     images: Mapping  # image id -> Camera, ids ascending
@@ -159,26 +162,6 @@ class VisibilityGraph:
             point_ids=point_ids, xyz=xyz, incidence=incidence,
             centers=centers, focals=focals)
 
-    @classmethod
-    def from_edges(cls, cluster_id, images, points, edges):
-        """The graph of (image id, point id) edges over images and points,
-        mappings or (id, value) pairs; repeated or unlisted ids raise."""
-        images, points = _unique(images, "image"), _unique(points, "point")
-        point_ids = sorted(points)
-        row = {img: r for r, img in enumerate(sorted(images))}
-        col = {pid: c for c, pid in enumerate(point_ids)}
-        for pid in point_ids:
-            if np.shape(points[pid]) != (3,):
-                raise GraphError(f"point {pid!r} needs 3 finite coordinates")
-        try:  # flat indices into the row-major incidence
-            at = [row[img] * len(col) + col[pid] for img, pid in edges]
-        except KeyError as exc:
-            raise GraphError(f"edge to unknown id {exc.args[0]!r}") from None
-        incidence = np.zeros((len(row), len(col)), dtype=bool)
-        incidence.flat[at] = True
-        xyz = np.array([points[p] for p in point_ids], float).reshape(-1, 3)
-        return cls(cluster_id, images, point_ids, xyz, incidence)
-
     def row(self, image_id) -> int:
         """The row of image_id in incidence, centers and focals."""
         if image_id not in self.images:
@@ -197,17 +180,6 @@ class VisibilityGraph:
         if key not in self._derived:
             self._derived[key] = build(self)
         return self._derived[key]
-
-
-def _unique(items, what: str) -> dict:
-    """A mapping or (id, value) pairs as a dict; a repeated id raises."""
-    out = {}
-    for key, value in (items.items() if isinstance(items, Mapping)
-                       else items):
-        if key in out:
-            raise GraphError(f"duplicate {what} id {key!r}")
-        out[key] = value
-    return out
 
 
 def _depths(g: VisibilityGraph) -> np.ndarray:
@@ -354,7 +326,7 @@ def mine_negatives(query: str, dq, db: DescriptorDB, cluster_of, n: int,
     N1 takes the top n outright; N2 greedily keeps at most one image per
     cluster. Ties in similarity break toward the lower image-id.
     """
-    if variant not in ("N1", "N2"):
+    if variant not in NEGATIVE_VARIANTS:
         raise ValueError(f"unknown negative variant {variant!r}")
     chosen = []
     excluded = {cluster_of(query)}
@@ -420,8 +392,10 @@ class TupleMiner:
     def __init__(self, graphs, descriptors: dict, cfg: MiningConfig,
                  positive_method="m3", negative_variant="N2", stream=None,
                  query_clusters=None, all_images_as_queries=False):
-        if positive_method not in ("m1", "m2", "m3"):
+        if positive_method not in POSITIVE_METHODS:
             raise ValueError(f"unknown positive method {positive_method!r}")
+        if negative_variant not in NEGATIVE_VARIANTS:
+            raise ValueError(f"unknown negative variant {negative_variant!r}")
         if stream is None:
             stream = SeededStream(0)
         self.negatives = cfg.negatives

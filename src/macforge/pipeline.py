@@ -378,14 +378,14 @@ def fit_lw_tuples(descriptors, tuples):
 
 
 def stage_whiten(descriptors_path, out_path, kind, tuples_path=None):
-    """Fit Lw from mined tuples (fit_lw_tuples) or PCAw from the
-    descriptor set."""
+    """Fit Lw from mined tuples (fit_lw_tuples), which needs tuples_path,
+    or PCAw from the descriptor set, which refuses one."""
+    if (kind == KIND_LW) != (tuples_path is not None):
+        raise ValueError("Lw fitting needs a tuples file, PCAw reads none")
     descriptors = load_descriptors(descriptors_path)
     if kind == KIND_PCAW:
         model = fit_pcaw([descriptors[i] for i in sorted(descriptors)])
     elif kind == KIND_LW:
-        if tuples_path is None:
-            raise ValueError("Lw fitting needs a tuples file")
         model = fit_lw_tuples(descriptors, load_tuples(tuples_path))
     else:
         raise ValueError(f"unknown whitening kind {kind!r}")

@@ -40,6 +40,8 @@ from .numeric import DimensionError, SeededStream
 from .retrieval import DescriptorDB, search
 from .workers import Workers
 
+LOSSES = ("contrastive", "triplet")
+
 
 class TrainingDivergedError(RuntimeError):
     """Loss or a validation descriptor became non-finite; in training the
@@ -388,7 +390,7 @@ def train(source, image_of, val_tuples: list, spec: list[LayerSpec],
     batch's first taped forward, and a non-finite validation descriptor
     raises it before its params can become the best.
     """
-    if loss_kind not in ("contrastive", "triplet"):
+    if loss_kind not in LOSSES:
         raise ValueError(f"unknown loss {loss_kind!r}")
     check_trainable(spec, cfg)
     if not source.current_tuples():

@@ -111,7 +111,7 @@ PARSER = {
         ("--checkpoint", "checkpoint", None, "store", None),
         ("--images", "images", None, "store", None),
         ("--out", "out", None, "store", None),
-        ("--rmac", "rmac", None, "store_true", None),
+        ("--rmac", "rmac_scales", None, "store_const", None),
         ("--projection", "projection", None, "store", None),
         ("--dim", "dim", int, "store", None),
         ("--threads", "threads", int, "store", None),
@@ -155,7 +155,7 @@ PARSER = {
         ("--images", "images", None, "store", None),
         ("--gt", "gt", None, "store", None),
         ("--mode", "mode", None, "store", ("Full", "Crop_I", "Crop_X")),
-        ("--rmac", "rmac", None, "store_true", None),
+        ("--rmac", "rmac_scales", None, "store_const", None),
         ("--projection", "projection", None, "store", None),
         ("--dim", "dim", int, "store", None),
         ("--out", "out", None, "store", None),
@@ -163,7 +163,7 @@ PARSER = {
     ],
 }
 ACTIONS = {argparse._StoreAction: "store", argparse._AppendAction: "append",
-           argparse._StoreTrueAction: "store_true"}
+           argparse._StoreConstAction: "store_const"}
 
 
 class TestParser:
@@ -303,11 +303,14 @@ class TestConfigResolution:
     def test_config_flags_are_the_dedicated_keys(self):
         assert {key for _, _, key in config_flags()} == {
             "seed", "threads", "loss", "mode", "positive_method",
-            "negative_variant", "whiten_kind", "dim"}
+            "negative_variant", "whiten_kind", "dim", "rmac_scales"}
 
     @pytest.mark.parametrize("command,option,key", config_flags(),
                              ids=str)
     def test_config_flag_lands_in_cfg(self, command, option, key):
+        if key == "rmac_scales":  # --rmac takes no value; it sets 3
+            assert self._resolve(command, option)[key] == 3
+            return
         if key in CHOICES:
             value = next(c for c in reversed(CHOICES[key])
                          if c != DEFAULTS[key])
@@ -329,7 +332,7 @@ class TestConfigResolution:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
-    def test_rmac_flag_sets_three_scales(self):
+    def test_rmac_flag_sets_three_scales(self, tmp_path, capsys):
         parser = build_parser()
         args = parser.parse_args(["embed", "--rmac", "--checkpoint", "c",
                                   "--images", "i", "--out", "o"])
@@ -338,6 +341,15 @@ class TestConfigResolution:
                                   "rmac_scales=2", "--checkpoint", "c",
                                   "--images", "i", "--out", "o"])
         assert resolve_config(args)["rmac_scales"] == 2
+        # the flag overrides the config file, as every flag does
+        config = tmp_path / "c.cfg"
+        config.write_text("rmac_scales=2\n")
+        assert run_cli("embed", "--config", str(config), "--rmac",
+                       "--checkpoint", str(tmp_path / "a"),
+                       "--images", str(tmp_path / "b"),
+                       "--out", str(tmp_path / "o")) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert "rmac_scales=3" in err and "rmac_scales=2" not in err
 
     def test_config_echoed_with_hash(self, tmp_path, capsys):
         # the config is echoed before the stage runs; an output path
@@ -718,31 +730,39 @@ class TestExitCodes:
         big = str(tmp_path / "big.mfck")
         save_checkpoint(big, spec, NetParams(
             [w * 1e25 for w in params.weights], params.biases), meta)
-        csv = tmp_path / "eval.csv"
+        csv, macd = tmp_path / "eval.csv", tmp_path / "big.macd"
+        eval_args = ["--db", str(run / "db.macd"),
+                     "--gt", str(data / "ground_truth.json")]
 
-        def run_eval(checkpoint):
+        def run_child(command, checkpoint, out, threads, args=()):
             return subprocess.run(
-                [sys.executable, "-m", "macforge", "eval",
-                 "--db", str(run / "db.macd"), "--checkpoint", checkpoint,
-                 "--images", str(data / "images"),
-                 "--gt", str(data / "ground_truth.json"), "--out", str(csv),
-                 "--set", "max_image_side=32"],
+                [sys.executable, "-m", "macforge", command,
+                 "--checkpoint", checkpoint, "--images", str(data / "images"),
+                 "--out", str(out), "--threads", threads,
+                 "--set", "max_image_side=32", *args],
                 env=child_env(), capture_output=True, text=True, timeout=120)
 
-        child = run_eval(str(run / "init.mfck"))
+        child = run_child("eval", str(run / "init.mfck"), csv, "2", eval_args)
         assert child.returncode == EXIT_OK, child.stderr
         assert csv.read_text() == "query_id,ap\n" + child.stdout
         csv.unlink()
-        child = run_eval(big)
-        assert child.returncode == EXIT_DATA == 4
-        errors = [line for line in child.stderr.splitlines()
-                  if line.startswith("error:")]
-        assert len(errors) == 1
-        assert errors[0].startswith(
-            "error: non-finite values in descriptor of query 'c")
-        assert "Traceback" not in child.stderr
-        assert child.stdout == ""
-        assert not csv.exists()
+        # at every worker count the finiteness check is the one report:
+        # no numpy overflow warning comes before it
+        for threads in ("1", "2"):
+            for command, out, args, fault in (
+                    ("embed", macd, (), "descriptor 'c"),
+                    ("eval", csv, eval_args, "descriptor of query 'c")):
+                child = run_child(command, big, out, threads, args)
+                assert child.returncode == EXIT_DATA == 4, child.stderr
+                errors = [line for line in child.stderr.splitlines()
+                          if line.startswith("error:")]
+                assert len(errors) == 1
+                assert errors[0].startswith(
+                    f"error: non-finite values in {fault}")
+                assert "RuntimeWarning" not in child.stderr
+                assert "Traceback" not in child.stderr
+                assert child.stdout == ""
+                assert not out.exists()
 
     def test_image_too_small_in_an_embed_worker_is_data_error(
             self, workspace, tmp_path, capsys):
@@ -1053,12 +1073,33 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_lw_without_tuples_is_config_error(self, workspace, capsys):
+    def test_lw_without_tuples_is_config_error(self, workspace, tmp_path,
+                                               capsys):
         run = str(workspace / "run")
+        out = tmp_path / "p.mfpw"
         code = run_cli("whiten", "--descriptors", f"{run}/db.macd",
-                       "--kind", "lw", "--out", "/tmp/never.mfpw")
+                       "--kind", "lw", "--out", str(out))
         assert code == EXIT_CONFIG
-        assert "--tuples" in capsys.readouterr().err
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [
+            "error: Lw fitting needs a tuples file, PCAw reads none"]
+        assert not out.exists()
+
+    def test_pcaw_with_tuples_is_config_error(self, workspace, tmp_path,
+                                              capsys):
+        # PCAw reads no tuples; a tuples file used to be dropped silently
+        run = str(workspace / "run")
+        out = tmp_path / "p.mfpw"
+        code = run_cli("whiten", "--descriptors", f"{run}/db.macd",
+                       "--kind", "pcaw", "--tuples", str(tmp_path / "none"),
+                       "--out", str(out))
+        assert code == EXIT_CONFIG == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [
+            "error: Lw fitting needs a tuples file, PCAw reads none"]
+        assert not out.exists()
 
     def test_bad_gt_json_is_data_error(self, workspace, tmp_path, capsys):
         data, run = str(workspace / "data"), str(workspace / "run")

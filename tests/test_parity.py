@@ -37,9 +37,10 @@ import shutil
 import warnings
 
 import numpy as np
+from testkit import graph_of_edges, positions
 
 from macforge.cli import EXIT_OK, main
-from macforge.mining import VisibilityGraph, load_scene, save_scene
+from macforge.mining import load_scene, save_scene
 from macforge.pipeline import image_path
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -255,9 +256,9 @@ def write_twin_scene(data, out, pixels=TIE_SOURCE):
     shutil.copytree(os.path.join(data, "images"), os.path.join(out, "images"))
     scene = os.path.join(out, "scenes", f"{cluster}.json")
     g = load_scene(scene)
-    save_scene(scene, VisibilityGraph.from_edges(
+    save_scene(scene, graph_of_edges(
         g.cluster_id, {**g.images, TIE_TWIN: g.images[TIE_SOURCE]},
-        zip(g.point_ids, g.xyz),
+        positions(g),
         g.edges | {(TIE_TWIN, pid) for img, pid in g.edges
                    if img == TIE_SOURCE}))
     shutil.copyfile(image_path(os.path.join(out, "images"), pixels),

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from testkit import positions
+from testkit import graph_of_edges, positions
 
-from macforge.mining import Camera, GraphError, VisibilityGraph, save_scene
+from macforge.mining import Camera, GraphError, save_scene
 from macforge.numeric import SeededStream
 from macforge import synthscene
 from macforge.synthscene import (
@@ -434,8 +434,7 @@ def two_camera_graph(points, size=96):
     pts = {f"t/p{j:03d}": np.asarray(p, dtype=np.float64)
            for j, p in enumerate(points)}
     edges = {(i, p) for i in cams for p in pts}
-    return VisibilityGraph.from_edges(cluster_id="t", images=cams,
-                                      points=pts, edges=edges)
+    return graph_of_edges("t", cams, pts, edges)
 
 
 def reference_background(cluster_id, image_id, size):
@@ -543,7 +542,7 @@ class TestRender:
     def test_image_that_sees_no_point_is_its_background(self):
         # i001 and its twin i002 see the point, i000 sees nothing
         base = two_camera_graph([(0.0, 0.0, 0.0)])
-        graph = VisibilityGraph.from_edges(
+        graph = graph_of_edges(
             "t", {**base.images, "t/i002": base.images["t/i001"]},
             positions(base), {("t/i001", "t/p000"), ("t/i002", "t/p000")})
         img = render(graph, "t/i000")
@@ -625,9 +624,7 @@ class TestRender:
         # p sits behind the first camera; a hand-added edge must not
         # paint it there, while the opposite camera does see it
         graph = behind_camera_graph()
-        empty = VisibilityGraph.from_edges(cluster_id="t",
-                                           images=graph.images,
-                                           points={}, edges=set())
+        empty = graph_of_edges("t", graph.images, {}, set())
         np.testing.assert_array_equal(render(graph, "t/i000"),
                                       render(empty, "t/i000"))
         assert not np.array_equal(render(graph, "t/i001"),

@@ -1,7 +1,7 @@
 """Helpers shared by several test files: finite-difference gradients
-and their margin filter, random visibility graphs, faults in scene
-files, random Lw and PCAw projections, traced allocation peaks and
-calls in a child interpreter."""
+and their margin filter, visibility graphs from edges or at random,
+faults in scene files, random Lw and PCAw projections, traced
+allocation peaks and calls in a child interpreter."""
 
 import ast
 import math
@@ -85,6 +85,19 @@ def look_at(center, target=(0.0, 0.0, 0.0), up=(0.0, 0.0, 1.0)):
     return np.stack([right, down, fwd])
 
 
+def graph_of_edges(cluster_id, images, points, edges):
+    """The VisibilityGraph of (image id, point id) edges over the images
+    and points mappings (id -> Camera, id -> position)."""
+    ids, point_ids = sorted(images), sorted(points)
+    row = {img: r for r, img in enumerate(ids)}
+    col = {pid: c for c, pid in enumerate(point_ids)}
+    incidence = np.zeros((len(ids), len(point_ids)), dtype=bool)
+    for img, pid in edges:
+        incidence[row[img], col[pid]] = True
+    xyz = np.array([points[p] for p in point_ids], float).reshape(-1, 3)
+    return VisibilityGraph(cluster_id, images, point_ids, xyz, incidence)
+
+
 def random_graph(stream, cluster_id="c0", n_images=8, n_points=30,
                  all_edges=False):
     """Cameras on a sphere looking at the origin, points in the unit ball."""
@@ -111,7 +124,7 @@ def random_graph(stream, cluster_id="c0", n_images=8, n_points=30,
             observers = [ids[int(j)] for j in order[:count]]
         for img in observers:
             edges.add((img, p))
-    return VisibilityGraph.from_edges(cluster_id, images, points, edges)
+    return graph_of_edges(cluster_id, images, points, edges)
 
 
 def positions(g):
@@ -123,7 +136,7 @@ def named_points(g):
     """g with point p renamed "p0007" and so on, as a scene file needs
     string ids; the zero padding keeps the points in the same order."""
     name = "p{:04d}".format
-    return VisibilityGraph.from_edges(
+    return graph_of_edges(
         g.cluster_id, g.images,
         {name(p): xyz for p, xyz in positions(g).items()},
         {(img, name(p)) for img, p in g.edges})
