@@ -262,24 +262,60 @@ def _conv_forward(x, weight, bias, layer):
 
 
 def _conv_backward(g, weight, layer, cache, input_grad):
-    """(dx, dw, db) of one conv; dx is None when input_grad is false."""
+    """(dx, dw, db) of one conv; dx is None when input_grad is false.
+
+    dw is g cols^T; dx adds the patch-column gradients w^T g back over
+    the padded input, one kernel offset at a time in row-major order.
+
+    In float32 with finite operands two faster forms give the same bits:
+    the OpenBLAS float32 kernel they were measured on (0.3.31, AVX-512)
+    sums each dot product in one order whatever the operands' layout or
+    the matrices' sizes, which test_backbone checks at the training
+    shapes too. Its float64 kernel does not, and with an inf or NaN
+    about, the NaN a sum keeps can change.
+    - dw runs as (cols g^T)^T, which reads the patch columns in their
+      stored order: half the time on conv0's (8 x 2304) (2304 x 75). An
+      inf or NaN in g or cols leaves a whole row or column of it
+      non-finite, so a finite result vouches for both; any other is
+      computed again as g cols^T.
+    - A stride-1 conv with finite weights multiplies g, zero-padded to
+      the padded input's shape, by w's rows in (offset, map) order. Each
+      offset is then one add of a contiguous block into dx shifted by
+      the offset. The padding adds w * 0, a zero, to cells whose sum
+      started at +0.0 and so is never -0.0: no bit changes.
+    Other convs add each offset's strided view."""
     _, x_shape, out_shape, cols, pad_shape = cache
     out_maps, out_h, out_w = out_shape
     g_mat = g.reshape(out_maps, out_h * out_w)
-    dw = (g_mat @ cols.T).reshape(weight.shape)
+    finite = False
+    if g.dtype == cols.dtype == weight.dtype == np.float32:
+        dw = (cols @ g_mat.T).T
+        finite = np.isfinite(dw).all()
+    if not finite:
+        dw = g_mat @ cols.T
+    dw = dw.reshape(weight.shape)
     db = g_mat.sum(axis=1)
     if not input_grad:
         return None, dw, db
-    w_mat = weight.reshape(out_maps, -1)
-    dcols = (w_mat.T @ g_mat).reshape(
-        layer.in_maps, layer.kernel, layer.kernel, out_h, out_w)
+    k, s = layer.kernel, layer.stride
+    maps, pad_h, pad_w = pad_shape
     dx_pad = np.zeros(pad_shape, dtype=g.dtype)
-    s = layer.stride
-    # For a fixed (di, dj) kernel offset the strided targets are pairwise
-    # distinct, so each slice += is overlap-free; offsets accumulate.
-    for di in range(layer.kernel):
-        for dj in range(layer.kernel):
-            dx_pad[:, di:di + s * out_h:s, dj:dj + s * out_w:s] += dcols[:, di, dj]
+    if finite and s == 1 and np.isfinite(weight).all():
+        g_pad = np.zeros((out_maps, pad_h, pad_w), dtype=g.dtype)
+        g_pad[:, :out_h, :out_w] = g
+        w_off = weight.transpose(0, 2, 3, 1).reshape(out_maps, -1)
+        dcols = (w_off.T @ g_pad.reshape(out_maps, -1)).reshape(k * k, -1)
+        flat = dx_pad.reshape(-1)
+        for off in range(k * k):
+            shifted = flat[off // k * pad_w + off % k:]
+            np.add(shifted, dcols[off, :shifted.size], out=shifted)
+    else:
+        dcols = (weight.reshape(out_maps, -1).T @ g_mat).reshape(
+            maps, k, k, out_h, out_w)
+        for di in range(k):
+            for dj in range(k):
+                dx_pad[:, di:di + s * out_h:s,
+                       dj:dj + s * out_w:s] += dcols[:, di, dj]
     p = layer.pad
     if p:
         dx = np.ascontiguousarray(dx_pad[:, p:p + x_shape[1], p:p + x_shape[2]])
@@ -323,11 +359,20 @@ def _maxpool_forward(x, layer, out_shape):
 def _maxpool_backward(g, layer, cache):
     """Route each output's gradient to the window offset the forward took:
     the first, in row-major order, whose input equals the output, or the
-    first NaN where the output is NaN."""
+    first NaN where the output is NaN. Each offset adds where(taken, g,
+    0.0) into its strided view of dx.
+
+    Windows that do not overlap (window <= stride) cover each input cell
+    at most once, so when g is finite each offset writes g * taken into
+    its view instead, and one + 0.0 over dx then turns the -0.0 that
+    g * 0 leaves for a negative g into the +0.0 of the add. Overlapping
+    windows, and an inf or NaN in g, which g * 0 would turn into NaN,
+    take the add."""
     _, x_shape, out_shape, x, y = cache
     nan = np.isnan(y)
     if not nan.any():
         nan = None
+    write = layer.window <= layer.stride and np.isfinite(g).all()
     unrouted = np.ones(out_shape, dtype=bool)
     dx = np.zeros(x_shape, dtype=g.dtype)
     for view, dx_view in zip(_window_views(x, layer, out_shape),
@@ -336,9 +381,13 @@ def _maxpool_backward(g, layer, cache):
         if nan is not None:
             sel |= nan & np.isnan(view)
         sel &= unrouted
-        if sel.any():
-            unrouted ^= sel
+        unrouted ^= sel
+        if write:
+            np.multiply(g, sel, out=dx_view)
+        elif sel.any():
             dx_view += np.where(sel, g, 0.0)
+    if write:
+        dx += 0.0
     return dx
 
 
@@ -403,7 +452,7 @@ def backward(params: NetParams, spec: list[LayerSpec], tape, output_grad: np.nda
     if lowest_conv is not None and not 0 <= lowest_conv < len(params.weights):
         raise ValueError(f"lowest_conv {lowest_conv} outside the"
                          f" {len(params.weights)} conv layers")
-    g = np.asarray(output_grad)
+    g = output_grad = np.asarray(output_grad)
     expected = tape[-1][2]
     if g.shape != expected:
         raise TapeError(f"output_grad shape {g.shape} != forward output {expected}")
@@ -425,7 +474,10 @@ def backward(params: NetParams, spec: list[LayerSpec], tape, output_grad: np.nda
                 placeholder = np.broadcast_to(np.zeros((), dtype), tape[0][1])
                 return NetParams(weight_grads, bias_grads), placeholder
         elif layer.kind == RELU:
-            g = g * (cache[3] > 0)
+            if g is output_grad:
+                g = g * (cache[3] > 0)
+            else:  # an array this walk allocated: mask it in place
+                np.multiply(g, cache[3] > 0, out=g)
         else:
             g = _maxpool_backward(g, layer, cache)
     return NetParams(weight_grads, bias_grads), g

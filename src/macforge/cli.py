@@ -50,7 +50,7 @@ from .retrieval import (
 )
 from .synthscene import GenerationError, SceneConfig
 from .training import LOSSES, LossConfig, TrainConfig, TrainingDivergedError
-from .whitening import KIND_LW, KIND_PCAW, load_projection
+from .whitening import KINDS, load_projection
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,12 +100,15 @@ DEFAULTS = {
     "mode": "Full",
 }
 
+# --kind spells the library's whitening kinds in lower case
+WHITEN_KINDS = {kind.lower(): kind for kind in KINDS}
+
 # the library's names for each method argument, which the flags offer
 CHOICES = {
     "positive_method": POSITIVE_METHODS,
     "negative_variant": NEGATIVE_VARIANTS,
     "loss": LOSSES,
-    "whiten_kind": ("lw", "pcaw"),
+    "whiten_kind": tuple(WHITEN_KINDS),
     "mode": MODES,
 }
 
@@ -248,8 +251,8 @@ def cmd_train(args, cfg):
 
 
 def cmd_whiten(args, cfg):
-    kind = {"lw": KIND_LW, "pcaw": KIND_PCAW}[cfg["whiten_kind"]]
-    model = stage_whiten(args.descriptors, args.out, kind,
+    model = stage_whiten(args.descriptors, args.out,
+                         WHITEN_KINDS[cfg["whiten_kind"]],
                          tuples_path=args.tuples)
     print(f"kind={model.kind} dim={model.dim}")
     return EXIT_OK

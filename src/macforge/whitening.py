@@ -27,8 +27,8 @@ PROJECTION_VERSION = 1
 
 KIND_LW = "Lw"
 KIND_PCAW = "PCAw"
-_KIND_CODES = {KIND_LW: 0, KIND_PCAW: 1}
-_KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
+# every projection kind, in the order of its MFPW kind code
+KINDS = (KIND_LW, KIND_PCAW)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class ProjectionModel:
     spectrum: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in _KIND_CODES:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown projection kind {self.kind!r}")
         mean = np.asarray(self.mean, dtype=np.float64)
         proj = np.asarray(self.projection, dtype=np.float64)
@@ -176,7 +176,7 @@ def save_projection(path, model):
               for a in (model.mean, model.projection.T, model.spectrum)]
     with open(path, "wb") as f:
         ioutil.write_header(f, PROJECTION_MAGIC, PROJECTION_VERSION)
-        ioutil.write_u8(f, _KIND_CODES[model.kind])
+        ioutil.write_u8(f, KINDS.index(model.kind))
         ioutil.write_u32(f, model.dim)
         for a in arrays:
             ioutil.write_array(f, a, "<f8")
@@ -187,7 +187,7 @@ def load_projection(path):
         ioutil.check_header(f, PROJECTION_MAGIC, PROJECTION_VERSION,
                             "projection file")
         code = ioutil.read_u8(f, "projection kind")
-        if code not in _KIND_NAMES:
+        if code >= len(KINDS):
             raise FormatError(f"unknown projection kind code {code}")
         dim = ioutil.read_u32(f, "projection dimension")
         if dim == 0:
@@ -197,7 +197,7 @@ def load_projection(path):
         spectrum = ioutil.read_array(f, "<f8", dim, "projection spectrum")
         ioutil.expect_eof(f, "projection file")
     try:
-        return ProjectionModel(_KIND_NAMES[code], mean,
+        return ProjectionModel(KINDS[code], mean,
                                proj.reshape(dim, dim).T.copy(), spectrum)
     except ValueError as exc:
         raise FormatError(f"invalid projection file: {exc}") from None

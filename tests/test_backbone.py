@@ -677,6 +677,29 @@ class TestBackward:
             backward(params, spec, tape, np.ones((1, 9, 9), np.float32))
 
 
+def assert_every_stop_matches_reference(params, spec, x, tape, gout):
+    """backward() on forward()'s tape equals reference_backward byte for
+    byte, and backward(lowest_conv=k) returns the same parameter
+    gradients from conv k up, None below and a read-only zero
+    placeholder of the input's shape, for every conv k."""
+    full, gx = backward(params, spec, tape, gout)
+    assert_grads_equal(
+        (full, gx),
+        reference_backward(params, spec, reference_forward(params, spec, x)[1],
+                           gout))
+    for k in range(len(params.weights)):
+        grads, placeholder = backward(params, spec, tape, gout, lowest_conv=k)
+        assert grads.weights[:k] == [None] * k
+        assert grads.biases[:k] == [None] * k
+        for g, ref in zip(grads.weights[k:] + grads.biases[k:],
+                          full.weights[k:] + full.biases[k:]):
+            assert_bits_equal(g, ref)
+        assert placeholder.shape == x.shape == gx.shape
+        assert placeholder.dtype == x.dtype == gx.dtype
+        assert not placeholder.any()
+        assert not placeholder.flags.writeable
+
+
 def _stop_instance(s, first, dtype, quantize):
     """A random three-conv net whose first layer is of kind `first`, on an
     odd, non-square input."""
@@ -727,24 +750,8 @@ class TestBackwardStop:
             gout = s.derive("gout").normal(size=out.shape)
             if trial % 2:
                 gout = np.round(gout * 2.0) / 2.0
-            gout = gout.astype(dtype)
-            full, gx = backward(params, spec, tape, gout)
-            assert_grads_equal(
-                (full, gx),
-                reference_backward(params, spec,
-                                   reference_forward(params, spec, x)[1], gout))
-            for k in range(len(params.weights)):
-                grads, placeholder = backward(params, spec, tape, gout,
-                                              lowest_conv=k)
-                assert grads.weights[:k] == [None] * k
-                assert grads.biases[:k] == [None] * k
-                for g, ref in zip(grads.weights[k:] + grads.biases[k:],
-                                  full.weights[k:] + full.biases[k:]):
-                    assert_bits_equal(g, ref)
-                assert placeholder.shape == x.shape == gx.shape
-                assert placeholder.dtype == x.dtype == gx.dtype
-                assert not placeholder.any()
-                assert not placeholder.flags.writeable
+            assert_every_stop_matches_reference(params, spec, x, tape,
+                                                gout.astype(dtype))
 
     @pytest.mark.parametrize("lowest", [-1, 2])
     def test_rejects_layer_outside_the_net(self, lowest):
@@ -753,6 +760,84 @@ class TestBackwardStop:
         out, tape = forward(params, spec, np.ones((1, 3, 3), np.float32))
         with pytest.raises(ValueError, match="lowest_conv"):
             backward(params, spec, tape, np.ones_like(out), lowest_conv=lowest)
+
+
+class TestNonFiniteOutputGrad:
+    """An upstream gradient holding infinities, NaN payloads and signed
+    zeros gives reference_backward's bytes at every lowest_conv. A
+    routing that multiplies by the taken mask everywhere would turn an
+    inf times 0 into NaN at cells the forward never took."""
+
+    # pools with tied windows after a quantized input and ReLU; the net
+    # ends in a pool, so the specials reach its routing as they are, or
+    # in a conv, so they reach the weight GEMM
+    SPECS = {
+        "tiling": [maxpool(2, 2), conv(2, 3, 3, pad=1), relu(), maxpool(2, 2),
+                   conv(3, 4, 3, pad=1), relu(), maxpool(2, 2)],
+        "overlapping": [maxpool(3, 2), conv(2, 3, 3, pad=1), relu(),
+                        maxpool(3, 2), conv(3, 4, 2, pad=1), relu(),
+                        maxpool(3, 2)],
+        "conv_last": [conv(2, 3, 5, stride=2, pad=2), relu(), maxpool(2, 2),
+                      conv(3, 4, 3, pad=1), relu(), maxpool(3, 2),
+                      conv(4, 3, 3, pad=1)],
+    }
+
+    @staticmethod
+    def palette(dtype):
+        return np.concatenate([_nans(dtype), np.array(
+            [np.inf, -np.inf, -0.0, 0.0, 1.0, -0.5, 2.0], dtype)])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_matches_reference_at_every_stop(self, name, dtype):
+        spec = self.SPECS[name]
+        palette = self.palette(dtype)
+        stream = SeededStream(20161025).derive(name, np.dtype(dtype).name)
+        for trial in range(4):
+            s = stream.derive(trial)
+            x = (np.round(s.derive("x").normal(size=(2, 25, 27)) * 2.0)
+                 / 2.0).astype(dtype)
+            params = init_params(spec, s.derive("params")).astype(dtype)
+            for i in range(len(params.weights)):
+                params.weights[i] = np.round(params.weights[i] * 8.0) / 8.0
+            out, tape = forward(params, spec, x)
+            gout = palette[s.derive("gout").integers(0, len(palette),
+                                                     out.shape)]
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert_every_stop_matches_reference(params, spec, x, tape,
+                                                    gout)
+
+
+class TestTrainingShapes:
+    """GEMMs larger than the small random nets above, which may take
+    other BLAS kernels: tiny_spec on a (3, 96, 96) float32 image, the
+    shapes finetune trains at, where conv0's weight GEMM sums over 2304
+    patch columns; and a wide float64 net."""
+
+    def test_matches_reference_full_and_stopped(self):
+        spec = tiny_spec()
+        params = init_params(spec, SeededStream(34).derive("init"))
+        x = SeededStream(35).random((3, 96, 96)).astype(np.float32)
+        assert_matches_reference(params, spec, x, SeededStream(36))
+        out, tape = forward(params, spec, x)
+        # a MAC gradient is sparse, one cell per map; a dense one
+        # reaches every cell
+        sparse = np.zeros_like(out)
+        cells = out.reshape(len(out), -1).argmax(axis=1)
+        sparse.reshape(len(out), -1)[np.arange(len(out)), cells] = \
+            SeededStream(37).normal(size=len(out))
+        dense = SeededStream(38).normal(size=out.shape).astype(np.float32)
+        for gout in (sparse, dense):
+            assert_every_stop_matches_reference(params, spec, x, tape, gout)
+
+    def test_wide_float64_net(self):
+        # 300 patch rows and 12 maps: the float64 OpenBLAS kernel sums
+        # (cols g^T)^T in another order than g cols^T at this size, so
+        # the faster forms must stay float32-only
+        spec = [conv(12, 12, 5, pad=2), relu(), conv(12, 16, 5, pad=2)]
+        params = init_params(spec, SeededStream(39)).astype(np.float64)
+        x = SeededStream(40).normal(size=(12, 30, 30))
+        assert_matches_reference(params, spec, x, SeededStream(41))
 
 
 def _random_instance(stream):

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+from macforge import cli
 from macforge.backbone import NetParams, load_checkpoint, save_checkpoint
 from macforge.cli import (
     CHOICES,
@@ -37,6 +38,7 @@ from macforge.mining import MiningConfig, TrainingTuple, save_tuples
 from macforge.pipeline import load_scenes_dir
 from macforge.synthscene import SceneConfig
 from macforge.training import LossConfig, TrainConfig
+from macforge.whitening import KINDS
 from macforge.workers import worker_count
 from testkit import SCENE_FAULTS, child_env, repeat_first_id
 
@@ -183,6 +185,22 @@ class TestParser:
             ("whiten", "--descriptors"), ("whiten", "--out"),
             ("eval", "--db"), ("eval", "--checkpoint"), ("eval", "--images"),
             ("eval", "--gt")]
+
+    def test_whiten_kinds_follow_the_library(self, monkeypatch):
+        # --kind offers each kind whitening declares, in lower case, and
+        # hands stage_whiten the library's own spelling
+        assert CHOICES["whiten_kind"] == tuple(k.lower() for k in KINDS)
+        passed = []
+
+        def recording_stage_whiten(descriptors, out, kind, tuples_path=None):
+            passed.append(kind)
+            return argparse.Namespace(kind=kind, dim=0)
+
+        monkeypatch.setattr(cli, "stage_whiten", recording_stage_whiten)
+        for choice in CHOICES["whiten_kind"]:
+            assert run_cli("whiten", "--descriptors", "db.macd", "--kind",
+                           choice, "--out", "p.mfpw") == EXIT_OK
+        assert tuple(passed) == KINDS
 
     @pytest.mark.parametrize("command", sorted(PARSER))
     def test_every_flag_has_help(self, command, capsys):
